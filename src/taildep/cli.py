@@ -84,7 +84,6 @@ def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--scan-n", type=int, default=SolverOptions.scan_n)
     parser.add_argument("--xtol", type=float, default=SolverOptions.xtol)
     parser.add_argument("--tie-tol", type=float, default=SolverOptions.tie_tol)
-    parser.add_argument("--threads", type=int, default=1)
 
 
 def _add_output_flags(parser: argparse.ArgumentParser, default_format: str) -> None:
@@ -250,8 +249,7 @@ def _cmd_axioms(args) -> str:
 
 def _cmd_path(args) -> str:
     cop = _build_copula(args)
-    solution = solve_path(cop, _u_grid(args), _solver_opts(args),
-                          threads=args.threads)
+    solution = solve_path(cop, _u_grid(args), _solver_opts(args))
     if args.format == "json":
         return dumps_json(_path_json_dict(solution))
     return solution.to_csv()
@@ -264,8 +262,7 @@ def _cmd_indices(args) -> str:
     if args.kind in ("diagonal", "both"):
         out["diagonal"] = classical_indices(cop, grid).to_json_dict()
     if args.kind in ("maximal", "both"):
-        solution = solve_path(cop, grid, _solver_opts(args),
-                              threads=args.threads)
+        solution = solve_path(cop, grid, _solver_opts(args))
         out["maximal"] = star_indices(solution).to_json_dict()
     return dumps_json(out)
 
@@ -275,8 +272,7 @@ def _cmd_compare(args) -> str:
         raise ParameterError("compare requires exactly two --config files")
     cops = [copula_from_mapping(parse_config(Path(p).read_text()))
             for p in args.config]
-    report = compare(cops[0], cops[1], _u_grid(args), _solver_opts(args),
-                     threads=args.threads)
+    report = compare(cops[0], cops[1], _u_grid(args), _solver_opts(args))
     out = {"copula_1": cops[0].params(), "copula_2": cops[1].params()}
     out.update(report.to_json_dict())
     return dumps_json(out)
@@ -325,8 +321,7 @@ def _cmd_contour(args) -> int:
                                   for x in (uu[i, j], vv[i, j], cc[i, j])))
     Path(args.out).write_text("\n".join(lines) + "\n")
 
-    solution = solve_path(cop, _u_grid(args), _solver_opts(args),
-                          threads=args.threads)
+    solution = solve_path(cop, _u_grid(args), _solver_opts(args))
     out = Path(args.out)
     path_file = out.with_name(out.stem + "_path" + (out.suffix or ".csv"))
     path_file.write_text(solution.to_csv())

@@ -178,16 +178,19 @@ class MixtureMO(Copula):
         _check_param(self.a, "a", 0.0, 1.0)
         _check_param(self.b, "b", 0.0, 1.0)
 
-    def _components(self) -> tuple[MarshallOlkin, MarshallOlkin]:
-        return MarshallOlkin(self.a, self.b), MarshallOlkin(self.b, self.a)
-
     def _cdf(self, u, v):
-        c1, c2 = self._components()
-        return 0.5 * (c1._cdf(u, v) + c2._cdf(u, v))
+        ca, cb = 1.0 - self.a, 1.0 - self.b
+        return 0.5 * (np.minimum(u ** ca * v, u * v ** cb)
+                      + np.minimum(u ** cb * v, u * v ** ca))
 
     def _log_cdf(self, u, v):
-        c1, c2 = self._components()
-        return np.logaddexp(c1._log_cdf(u, v), c2._log_cdf(u, v)) - math.log(2.0)
+        zero = (u == 0.0) | (v == 0.0)
+        lu = np.log(np.where(zero, 0.5, u))
+        lv = np.log(np.where(zero, 0.5, v))
+        ca, cb = 1.0 - self.a, 1.0 - self.b
+        c1 = np.minimum(ca * lu + lv, lu + cb * lv)
+        c2 = np.minimum(cb * lu + lv, lu + ca * lv)
+        return np.where(zero, -np.inf, np.logaddexp(c1, c2) - math.log(2.0))
 
     def params(self):
         return {"family": self.family, "a": self.a, "b": self.b}

@@ -245,8 +245,7 @@ def closed_form_kappa_star(cop: Copula) -> float | None:
 
 
 def compare(spec1: Copula, spec2: Copula, u_grid=None,
-            opts: SolverOptions = SolverOptions(),
-            threads: int = 1) -> ComparisonReport:
+            opts: SolverOptions = SolverOptions()) -> ComparisonReport:
     """Order two copulas by the decay of their per-level maxima.
 
     When the estimated exponents agree (within 10x the larger residual,
@@ -256,8 +255,8 @@ def compare(spec1: Copula, spec2: Copula, u_grid=None,
     through the extrapolated log-ratio index, decided by its sign.
     """
     u = _check_index_grid(default_u_grid() if u_grid is None else u_grid)
-    path1 = solve_path(spec1, u, opts, threads=threads)
-    path2 = solve_path(spec2, u, opts, threads=threads)
+    path1 = solve_path(spec1, u, opts)
+    path2 = solve_path(spec2, u, opts)
     rep1 = star_indices(path1)
     rep2 = star_indices(path2)
 

@@ -6,7 +6,8 @@ finds every global maximizer of x -> C(x, u^2/x):
 
 * scan a log-spaced grid over [u^2, 1] (tail maximizers such as
   u^(2b/(a+b)) cluster near 0, so uniform-in-x grids would miss them);
-* bracket each local maximum and refine it by golden-section in log x;
+* bracket each local maximum and refine the brackets of all levels at once
+  by golden-section in log x, each bracket with its own stop rule;
 * report *all* refined maxima within a relative tie window of the best --
   symmetric mixtures genuinely carry two global maximizers and a
   single-optimum solver would silently drop one.
@@ -28,8 +29,8 @@ from __future__ import annotations
 
 import io
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -79,6 +80,8 @@ class SolverOptions:
               section runs in log x, where this is the absolute width).
     tie_tol:  relative value window within which refined maxima count as
               co-maximizers of the best one.
+    max_iter: golden-section steps allowed per bracket; a bracket still
+              wider than xtol after them raises NumericError.
     """
 
     scan_n: int = 4096
@@ -93,6 +96,8 @@ class SolverOptions:
             raise ParameterError(f"xtol must be in (0, 1), got {self.xtol}")
         if not (0.0 < self.tie_tol < 1.0):
             raise ParameterError(f"tie_tol must be in (0, 1), got {self.tie_tol}")
+        if self.max_iter < 1:
+            raise ParameterError(f"max_iter must be >= 1, got {self.max_iter}")
 
 
 @dataclass(frozen=True)
@@ -155,104 +160,118 @@ def pi_phi(cop: Copula, u: float, x) -> float | np.ndarray:
     return float(out) if np.ndim(x) == 0 else out
 
 
-def _log_pi(cop: Copula, u: float, t: np.ndarray) -> np.ndarray:
+def _log_pi(cop: Copula, log_u: float | np.ndarray,
+            t: np.ndarray) -> np.ndarray:
     """log C(e^t, u^2 e^-t) for log-abscissas t in [2 log u, 0]."""
     x = np.exp(t)
-    v = np.exp(2.0 * math.log(u) - t)
+    v = np.exp(2.0 * log_u - t)
     # roundoff can push the hyperbola coordinate a hair past 1
     return cop._log_cdf(np.minimum(x, 1.0), np.minimum(v, 1.0))
 
 
-def _golden_max(fn, lo: float, hi: float, tol: float, max_iter: int):
-    """Golden-section maximizer on [lo, hi]; returns best evaluated (x, f)."""
-    a, b = lo, hi
-    x1 = b - _INVPHI * (b - a)
-    x2 = a + _INVPHI * (b - a)
-    f1 = fn(x1)
-    f2 = fn(x2)
-    for _ in range(max_iter):
-        if b - a <= tol:
-            break
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _INVPHI * (b - a)
-            f2 = fn(x2)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _INVPHI * (b - a)
-            f1 = fn(x1)
-    return (x1, f1) if f1 >= f2 else (x2, f2)
+def _scan(cop: Copula, u: float, opts: SolverOptions
+          ) -> tuple[np.ndarray, np.ndarray, Callable[..., PathPoint]]:
+    """Scan level u on a log-spaced grid.
+
+    Returns the brackets [lo, hi] in log x around the scan's interior local
+    maxima, and a function that turns their refined (t, log pi) into the
+    level's PathPoint.  Only scalars outlive the scan itself.
+    """
+    t_lo, t_hi = 2.0 * math.log(u), 0.0
+    ts = np.linspace(t_lo, t_hi, opts.scan_n)
+    # the diagonal x = u is always admissible; pin it into the scan so the
+    # reported maximum can never fall below C(u, u)
+    ts = np.sort(np.append(ts, math.log(u)))
+    fs = _log_pi(cop, math.log(u), ts)
+
+    # tie window in log space: |log(1 - tie_tol)| ~ tie_tol
+    tie_log = -math.log1p(-opts.tie_tol)
+
+    if float(np.max(fs) - np.min(fs)) <= tie_log:
+        # independence-like plateau: every admissible x is a maximizer
+        log_pi = float(np.max(fs))
+        plateau = PathPoint(u=u, maximizers=(u,), pi_star=math.exp(log_pi),
+                            log_pi_star=log_pi, boundary_attained=False,
+                            all_paths_maximal=True)
+        return np.empty(0), np.empty(0), lambda t_ref, f_ref: plateau
+
+    # interior local maxima of the scan, collapsing flat runs to one bracket
+    interior = np.flatnonzero((fs[1:-1] >= fs[:-2]) & (fs[1:-1] >= fs[2:])) + 1
+    run_start = np.diff(interior, prepend=-2) != 1
+    f_lo, f_hi = float(fs[0]), float(fs[-1])
+
+    def finish(t_ref: list[float], f_ref: list[float]) -> PathPoint:
+        candidates = [(t_lo, f_lo), (t_hi, f_hi), *zip(t_ref, f_ref)]
+        interior_best = max([-math.inf, *f_ref])
+        best = max(f for _, f in candidates)
+        kept = sorted((t, f) for t, f in candidates if best - f <= tie_log)
+
+        # merge candidates closer than the refinement resolution
+        edge = max(10.0 * opts.xtol, 1e-11)
+        merged: list[tuple[float, float]] = []
+        for t, f in kept:
+            if merged and t - merged[-1][0] <= edge:
+                if f > merged[-1][1]:
+                    merged[-1] = (t, f)
+                continue
+            merged.append((t, f))
+
+        on_boundary = [t <= t_lo + edge or t >= t_hi - edge for t, _ in merged]
+        boundary_attained = all(on_boundary) and interior_best < best - tie_log
+
+        maximizers = tuple(min(math.exp(t), 1.0) for t, _ in merged)
+        return PathPoint(u=u, maximizers=maximizers, pi_star=math.exp(best),
+                         log_pi_star=best, boundary_attained=boundary_attained,
+                         all_paths_maximal=False)
+
+    return (ts[interior[run_start] - 1],
+            ts[interior[np.roll(run_start, -1)] + 1], finish)
+
+
+def _refine(cop: Copula, log_u: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+            opts: SolverOptions) -> tuple[np.ndarray, np.ndarray]:
+    """Golden-section maximization of every bracket [lo, hi] at once.
+
+    Each bracket takes the scalar golden-section steps until its width is at
+    most xtol, then leaves the batch, so its iterates do not depend on the
+    other brackets.  Returns the best evaluated (t, log pi) of each.
+    """
+    n = lo.size
+    if n == 0:
+        return lo, hi
+    t_out, f_out = np.empty(n), np.empty(n)
+    a, b, lu, pos = lo, hi, log_u, np.arange(n)
+    w = b - a
+    x1, x2 = b - _INVPHI * w, a + _INVPHI * w
+    f1, f2 = np.split(_log_pi(cop, np.tile(lu, 2), np.concatenate((x1, x2))), 2)
+    for step in range(opts.max_iter + 1):
+        done = w <= opts.xtol
+        if done.any():
+            first = f1[done] >= f2[done]
+            t_out[pos[done]] = np.where(first, x1[done], x2[done])
+            f_out[pos[done]] = np.where(first, f1[done], f2[done])
+            a, b, w, x1, x2, f1, f2, lu, pos = (
+                arr[~done] for arr in (a, b, w, x1, x2, f1, f2, lu, pos))
+        if pos.size == 0:
+            return t_out, f_out
+        if step == opts.max_iter:
+            raise NumericError(
+                f"golden-section refinement at u={math.exp(lu[0]):.6g} left a "
+                f"bracket of width {w[0]:.3g} > xtol={opts.xtol!r} after "
+                f"max_iter={opts.max_iter} steps")
+        up = f1 < f2
+        a, b = np.where(up, x1, a), np.where(up, b, x2)
+        w = b - a
+        t_new = np.where(up, a + _INVPHI * w, b - _INVPHI * w)
+        f_new = _log_pi(cop, lu, t_new)
+        x1, x2 = np.where(up, x2, t_new), np.where(up, t_new, x1)
+        f1, f2 = np.where(up, f2, f_new), np.where(up, f_new, f1)
 
 
 def pointwise_max(cop: Copula, u: float,
                   opts: SolverOptions = SolverOptions()) -> PathPoint:
     """All global maximizers of x -> C(x, u^2/x) on [u^2, 1] at level u."""
-    u = _check_level(u)
-    t_lo, t_hi = 2.0 * math.log(u), 0.0
-
-    ts = np.linspace(t_lo, t_hi, opts.scan_n)
-    # the diagonal x = u is always admissible; pin it into the scan so the
-    # reported maximum can never fall below C(u, u)
-    ts = np.sort(np.append(ts, math.log(u)))
-    fs = _log_pi(cop, u, ts)
-
-    # tie window in log space: |log(1 - tie_tol)| ~ tie_tol
-    tie_log = -math.log1p(-opts.tie_tol)
-
-    f_spread = float(np.max(fs) - np.min(fs))
-    if f_spread <= tie_log:
-        # independence-like plateau: every admissible x is a maximizer
-        log_pi = float(np.max(fs))
-        return PathPoint(u=u, maximizers=(u,), pi_star=math.exp(log_pi),
-                         log_pi_star=log_pi, boundary_attained=False,
-                         all_paths_maximal=True)
-
-    def f_scalar(t: float) -> float:
-        return float(_log_pi(cop, u, np.asarray([t]))[0])
-
-    # interior local maxima of the scan, collapsing flat runs to one bracket
-    interior = np.flatnonzero((fs[1:-1] >= fs[:-2]) & (fs[1:-1] >= fs[2:])) + 1
-    brackets: list[tuple[int, int]] = []
-    if interior.size:
-        run_start = interior[0]
-        prev = interior[0]
-        for idx in interior[1:]:
-            if idx == prev + 1:
-                prev = idx
-                continue
-            brackets.append((run_start - 1, prev + 1))
-            run_start = prev = idx
-        brackets.append((run_start - 1, prev + 1))
-
-    candidates: list[tuple[float, float]] = [(t_lo, float(fs[0])),
-                                             (t_hi, float(fs[-1]))]
-    interior_best = -math.inf
-    for i, j in brackets:
-        t_best, f_best = _golden_max(f_scalar, float(ts[i]), float(ts[j]),
-                                     opts.xtol, opts.max_iter)
-        candidates.append((t_best, f_best))
-        interior_best = max(interior_best, f_best)
-
-    best = max(f for _, f in candidates)
-    kept = sorted((t, f) for t, f in candidates if best - f <= tie_log)
-
-    # merge candidates closer than the refinement resolution
-    merged: list[tuple[float, float]] = []
-    for t, f in kept:
-        if merged and t - merged[-1][0] <= max(10.0 * opts.xtol, 1e-11):
-            if f > merged[-1][1]:
-                merged[-1] = (t, f)
-            continue
-        merged.append((t, f))
-
-    edge = max(10.0 * opts.xtol, 1e-11)
-    on_boundary = [t <= t_lo + edge or t >= t_hi - edge for t, _ in merged]
-    boundary_attained = all(on_boundary) and interior_best < best - tie_log
-
-    maximizers = tuple(min(math.exp(t), 1.0) for t, _ in merged)
-    return PathPoint(u=u, maximizers=maximizers, pi_star=math.exp(best),
-                     log_pi_star=best, boundary_attained=boundary_attained,
-                     all_paths_maximal=False)
+    return solve_path(cop, [_check_level(u)], opts).points[0]
 
 
 def _check_grid(u_grid) -> tuple[float, ...]:
@@ -267,20 +286,22 @@ def _check_grid(u_grid) -> tuple[float, ...]:
 
 
 def solve_path(cop: Copula, u_grid,
-               opts: SolverOptions = SolverOptions(),
-               threads: int = 1) -> PathSolution:
-    """Run :func:`pointwise_max` over a strictly decreasing grid of levels.
+               opts: SolverOptions = SolverOptions()) -> PathSolution:
+    """Maximal-dependence record over a strictly decreasing grid of levels.
 
-    Levels are independent; with ``threads > 1`` they are solved in a thread
-    pool and merged by grid position, so the result never depends on the
-    thread count.
+    Levels are scanned one at a time; the brackets of all of them are then
+    refined in one batched golden-section solve, so ``points[k]`` equals
+    ``pointwise_max(cop, u_grid[k])`` exactly.
     """
     grid = _check_grid(u_grid)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            points = tuple(pool.map(lambda u: pointwise_max(cop, u, opts), grid))
-    else:
-        points = tuple(pointwise_max(cop, u, opts) for u in grid)
+    levels = [_scan(cop, u, opts) for u in grid]
+    sizes = [lo.size for lo, _, _ in levels]
+    t_ref, f_ref = _refine(cop, np.repeat([math.log(u) for u in grid], sizes),
+                           np.concatenate([lo for lo, _, _ in levels]),
+                           np.concatenate([hi for _, hi, _ in levels]), opts)
+    cut = np.cumsum(sizes)[:-1]
+    points = tuple(finish(t.tolist(), f.tolist()) for (_, _, finish), t, f
+                   in zip(levels, np.split(t_ref, cut), np.split(f_ref, cut)))
     return PathSolution(u_grid=grid, points=points, options=opts)
 
 

@@ -8,8 +8,7 @@ constructions is taken on faith -- the test suite gates every sampler on
 agreement between its empirical copula and the analytic CDF.
 
 Randomness comes from counter-based Philox streams: batch i draws from
-``Philox(key=seed).jumped(i)``, so parallel and serial runs, and any thread
-count, produce bit-identical output for a fixed seed.
+``Philox(key=seed).jumped(i)``, so a fixed seed gives bit-identical output.
 """
 
 from __future__ import annotations

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from taildep import paths
 from taildep import (
     FGM,
     Archimedean,
@@ -21,6 +22,7 @@ from taildep import (
     Independence,
     MarshallOlkin,
     MixtureMO,
+    NumericError,
     ParameterError,
     SolverOptions,
     archimedean_diagonal_check,
@@ -206,11 +208,55 @@ class TestSolvePath:
             assert len(p.maximizers) == 1
             assert abs(p.maximizers[0] - root) < 1e-8
 
-    def test_thread_count_does_not_change_results(self):
-        cop = MixtureMO(A, B)
-        serial = solve_path(cop, GRID_4, threads=1)
-        threaded = solve_path(cop, GRID_4, threads=4)
-        assert serial == threaded
+    def test_batched_levels_equal_single_level_solves(self):
+        # every bracket of every level shares one refinement batch; each
+        # level must come out exactly as when it is solved on its own
+        families = [Independence(), FrechetUpper(), MarshallOlkin(A, B),
+                    MixtureMO(A, B), FGM(0.5), GeneralizedClayton(0.5, 0.3),
+                    Archimedean(clayton_generator(1.5))]
+        cops = families + [MarshallOlkin(A, B).survival(),
+                           MixtureMO(A, B).survival(),
+                           FrechetUpper().survival()]
+        grids = [np.logspace(-1, -8, 8), np.logspace(-1, -8, 15)]
+        for cop in cops:
+            for grid in grids:
+                sol = solve_path(cop, grid)
+                for u, point in zip(grid, sol.points):
+                    assert point == pointwise_max(cop, u), (cop, u)
+
+    def test_batched_refinement_equals_scalar_golden_section(self):
+        # reference: one bracket at a time, in Python floats
+        invphi = (math.sqrt(5.0) - 1.0) / 2.0
+
+        def golden_max(cop, u, lo, hi, tol):
+            def fn(t):
+                return float(paths._log_pi(cop, math.log(u), np.asarray([t]))[0])
+            a, b = lo, hi
+            x1, x2 = b - invphi * (b - a), a + invphi * (b - a)
+            f1, f2 = fn(x1), fn(x2)
+            while b - a > tol:
+                if f1 < f2:
+                    a, x1, f1 = x1, x2, f2
+                    x2 = a + invphi * (b - a)
+                    f2 = fn(x2)
+                else:
+                    b, x2, f2 = x2, x1, f1
+                    x1 = b - invphi * (b - a)
+                    f1 = fn(x1)
+            return (x1, f1) if f1 >= f2 else (x2, f2)
+
+        # brackets of unequal widths finish after different step counts
+        rng = np.random.default_rng(5)
+        u = np.repeat([1e-1, 1e-3, 1e-6], 4)
+        lo = 2.0 * np.log(u) * rng.uniform(0.5, 1.0, u.size)
+        hi = lo * rng.uniform(0.0, 0.9, u.size)
+        opts = SolverOptions()
+        for cop in (MarshallOlkin(A, B), MixtureMO(A, B), FGM(0.5)):
+            log_u = np.array([math.log(x) for x in u])
+            t, f = paths._refine(cop, log_u, lo, hi, opts)
+            for k in range(u.size):
+                ref = golden_max(cop, u[k], lo[k], hi[k], opts.xtol)
+                assert (t[k], f[k]) == ref, (cop, k)
 
     @pytest.mark.parametrize("grid", [[], [0.5, 0.5], [0.1, 0.2], [0.0, 0.1]])
     def test_grid_validation(self, grid):
@@ -381,3 +427,12 @@ class TestSolverOptions:
             SolverOptions(xtol=0.0)
         with pytest.raises(ParameterError):
             SolverOptions(tie_tol=1.5)
+        with pytest.raises(ParameterError):
+            SolverOptions(max_iter=0)
+
+    def test_starved_refinement_is_reported(self):
+        # three golden-section steps leave a bracket far wider than xtol
+        with pytest.raises(NumericError, match=r"u=0\.001 .*width 0\.00159"):
+            pointwise_max(MarshallOlkin(A, B), 1e-3, SolverOptions(max_iter=3))
+        with pytest.raises(NumericError):
+            solve_path(MarshallOlkin(A, B), GRID_4, SolverOptions(max_iter=3))
