@@ -31,7 +31,7 @@ import numpy as np
 
 from taildep.copulas import Copula
 from taildep.errors import DegenerateTailError, NoAdmissiblePathError, ParameterError
-from taildep.paths import PathSolution, SolverOptions, solve_path
+from taildep.paths import PathSolution, SolverOptions, _check_grid, solve_path
 from taildep.copulas import (
     FGM,
     FrechetUpper,
@@ -193,10 +193,7 @@ def _check_index_grid(u_grid) -> np.ndarray:
     if u.size < 4:
         raise ParameterError(
             f"index estimation needs >= 4 grid levels, got {u.size}")
-    if np.any(u <= 0.0) or np.any(u >= 1.0):
-        raise ParameterError("grid levels must lie in (0, 1)")
-    if np.any(np.diff(u) >= 0.0):
-        raise ParameterError("u_grid must be strictly decreasing")
+    _check_grid(u)
     return u
 
 

@@ -275,14 +275,17 @@ def pointwise_max(cop: Copula, u: float,
 
 
 def _check_grid(u_grid) -> tuple[float, ...]:
-    grid = tuple(float(u) for u in np.asarray(u_grid, dtype=float))
-    if len(grid) == 0:
-        raise ParameterError("u_grid must be nonempty")
-    for u in grid:
-        _check_level(u)
-    if any(b >= a for a, b in zip(grid, grid[1:])):
+    """A nonempty, strictly decreasing grid of levels in (0, 1)."""
+    levels = np.asarray(u_grid, dtype=float)
+    if levels.ndim != 1 or levels.size == 0:
+        raise ParameterError(
+            f"u_grid must be a nonempty 1-d sequence, got shape {levels.shape}")
+    inside = (levels > 0.0) & (levels < 1.0)  # False for nan
+    if not inside.all():
+        _check_level(float(levels[~inside][0]))
+    if np.any(np.diff(levels) >= 0.0):
         raise ParameterError("u_grid must be strictly decreasing")
-    return grid
+    return tuple(levels.tolist())
 
 
 def solve_path(cop: Copula, u_grid,
@@ -294,6 +297,13 @@ def solve_path(cop: Copula, u_grid,
     ``pointwise_max(cop, u_grid[k])`` exactly.
     """
     grid = _check_grid(u_grid)
+    # the golden-section width in t = log x can shrink no further than a few
+    # ulps of |t|, which is largest at t = 2 log(min u)
+    xtol_floor = 2.0 * float(np.spacing(-2.0 * math.log(grid[-1])))
+    if opts.xtol < xtol_floor:
+        raise ParameterError(
+            f"xtol={opts.xtol!r} is below {xtol_floor!r}, two ulps of "
+            f"|2 log u| at u={grid[-1]!r}; the refinement cannot reach it")
     levels = [_scan(cop, u, opts) for u in grid]
     sizes = [lo.size for lo, _, _ in levels]
     t_ref, f_ref = _refine(cop, np.repeat([math.log(u) for u in grid], sizes),

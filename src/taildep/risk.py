@@ -7,13 +7,20 @@ copula by closed-form inversion of its conditional CDF.  None of these
 constructions is taken on faith -- the test suite gates every sampler on
 agreement between its empirical copula and the analytic CDF.
 
-Randomness comes from counter-based Philox streams: batch i draws from
-``Philox(key=seed).jumped(i)``, so a fixed seed gives bit-identical output.
+Randomness comes from counter-based Philox streams: batch i of at most
+2^18 pairs draws from ``Philox(key=seed).jumped(i)``, so a fixed seed gives
+bit-identical output.  Risk is computed in streaming batches: each batch is
+drawn, sent through the Pareto-II quantile, summed and dropped, and only the
+largest n(1 - q) + 1 sums are kept, so memory is O(batch + n(1 - q)) rather
+than O(n).  ``reference_table`` (``taildep table1``) draws once per b and
+reads every q from that one buffer.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +54,7 @@ __all__ = [
 ]
 
 _BATCH = 1 << 18
+_MIN_N = 10_000
 
 
 @dataclass(frozen=True)
@@ -107,18 +115,23 @@ class RiskReport:
         }
 
 
-def _uniform_batches(seed: int, n: int, ncols: int) -> np.ndarray:
-    """n x ncols uniforms from per-batch jumped Philox substreams."""
-    out = np.empty((n, ncols))
-    start = 0
-    stream = 0
-    while start < n:
-        m = min(_BATCH, n - start)
-        rng = np.random.Generator(np.random.Philox(key=seed).jumped(stream))
-        out[start:start + m] = rng.random((m, ncols))
-        start += m
-        stream += 1
-    return out
+def _is_int(x) -> bool:
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
+def _check_n_seed(n, seed, n_min: int) -> tuple[int, int]:
+    """n and seed as ints: n an integer >= n_min, seed a 128-bit Philox key."""
+    if not (_is_int(n) and n >= n_min):
+        raise ParameterError(f"n must be an integer >= {n_min}, got {n!r}")
+    if not (_is_int(seed) and 0 <= seed < 2 ** 128):
+        raise ParameterError(
+            f"seed must be an integer in [0, 2**128), got {seed!r}")
+    return int(n), int(seed)
+
+
+def _check_q(q) -> None:
+    if not (0.0 < q < 1.0):
+        raise ParameterError(f"q must lie in (0, 1), got {q!r}")
 
 
 def _mo_component(w_own: np.ndarray, w_shock: np.ndarray, a: float) -> np.ndarray:
@@ -130,6 +143,16 @@ def _mo_component(w_own: np.ndarray, w_shock: np.ndarray, a: float) -> np.ndarra
     return np.maximum(w_own ** (1.0 / (1.0 - a)), w_shock ** (1.0 / a))
 
 
+def _mixture_pair(w: np.ndarray, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
+    # a fair coin picks the (a, b) or the (b, a) Marshall-Olkin ordering
+    u_ab = _mo_component(w[:, 0], w[:, 2], a)
+    v_ab = _mo_component(w[:, 1], w[:, 2], b)
+    u_ba = _mo_component(w[:, 0], w[:, 2], b)
+    v_ba = _mo_component(w[:, 1], w[:, 2], a)
+    swap = w[:, 3] < 0.5
+    return np.where(swap, u_ba, u_ab), np.where(swap, v_ba, v_ab)
+
+
 def _fgm_conditional_inverse(u: np.ndarray, w: np.ndarray, alpha: float) -> np.ndarray:
     # Solve w = v (1 + A (1 - v)) for v, A = alpha (1 - 2u); the stable
     # quadratic root 2w / (1 + A + sqrt((1+A)^2 - 4Aw)) degrades gracefully
@@ -137,6 +160,46 @@ def _fgm_conditional_inverse(u: np.ndarray, w: np.ndarray, alpha: float) -> np.n
     a_coef = alpha * (1.0 - 2.0 * u)
     disc = (1.0 + a_coef) ** 2 - 4.0 * a_coef * w
     return 2.0 * w / (1.0 + a_coef + np.sqrt(disc))
+
+
+_Pair = tuple[np.ndarray, np.ndarray]
+
+
+def _batch_sampler(cop: Copula) -> tuple[int, Callable[[np.ndarray], _Pair]]:
+    """Uniform columns per pair, and the map from a block of them to (u, v)."""
+    if isinstance(cop, SurvivalCopula):
+        ncols, base = _batch_sampler(cop.base)
+
+        def reflect(w: np.ndarray) -> _Pair:
+            u, v = base(w)
+            return 1.0 - u, 1.0 - v
+        return ncols, reflect
+    if isinstance(cop, Independence):
+        return 2, lambda w: (w[:, 0], w[:, 1])
+    if isinstance(cop, FrechetUpper):
+        return 1, lambda w: (w[:, 0], w[:, 0])
+    if isinstance(cop, MarshallOlkin):
+        return 3, lambda w: (_mo_component(w[:, 0], w[:, 2], cop.a),
+                             _mo_component(w[:, 1], w[:, 2], cop.b))
+    if isinstance(cop, MixtureMO):
+        return 4, lambda w: _mixture_pair(w, cop.a, cop.b)
+    if isinstance(cop, FGM):
+        return 2, lambda w: (
+            w[:, 0], _fgm_conditional_inverse(w[:, 0], w[:, 1], cop.alpha))
+    raise UnsupportedMethodError(
+        f"no sampler for family {cop.family!r}")
+
+
+def _pair_batches(cop: Copula, n: int, seed: int) -> Iterator[_Pair]:
+    """(u, v) for n pairs, one Philox batch of at most _BATCH rows at a time.
+
+    Batch i draws from ``Philox(key=seed).jumped(i)``, so every batch is
+    drawn, used and dropped on its own.
+    """
+    ncols, sample = _batch_sampler(cop)
+    for i, start in enumerate(range(0, n, _BATCH)):
+        rng = np.random.Generator(np.random.Philox(key=seed).jumped(i))
+        yield sample(rng.random((min(_BATCH, n - start), ncols)))
 
 
 def sample_pairs(cop: Copula, n: int, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
@@ -148,54 +211,47 @@ def sample_pairs(cop: Copula, n: int, seed: int = 0) -> tuple[np.ndarray, np.nda
     :class:`UnsupportedMethodError` otherwise (there is no sampler for the
     generalized Clayton or generic Archimedean copulas here).
     """
-    if n < 1:
-        raise ParameterError(f"n must be positive, got {n}")
-    if isinstance(cop, SurvivalCopula):
-        u, v = sample_pairs(cop.base, n, seed)
-        return 1.0 - u, 1.0 - v
-    if isinstance(cop, Independence):
-        w = _uniform_batches(seed, n, 2)
-        return w[:, 0], w[:, 1]
-    if isinstance(cop, FrechetUpper):
-        w = _uniform_batches(seed, n, 1)
-        return w[:, 0], w[:, 0].copy()
-    if isinstance(cop, MarshallOlkin):
-        w = _uniform_batches(seed, n, 3)
-        u = _mo_component(w[:, 0], w[:, 2], cop.a)
-        v = _mo_component(w[:, 1], w[:, 2], cop.b)
-        return u, v
-    if isinstance(cop, MixtureMO):
-        w = _uniform_batches(seed, n, 4)
-        u_ab = _mo_component(w[:, 0], w[:, 2], cop.a)
-        v_ab = _mo_component(w[:, 1], w[:, 2], cop.b)
-        u_ba = _mo_component(w[:, 0], w[:, 2], cop.b)
-        v_ba = _mo_component(w[:, 1], w[:, 2], cop.a)
-        swap = w[:, 3] < 0.5
-        return np.where(swap, u_ba, u_ab), np.where(swap, v_ba, v_ab)
-    if isinstance(cop, FGM):
-        w = _uniform_batches(seed, n, 2)
-        return w[:, 0], _fgm_conditional_inverse(w[:, 0], w[:, 1], cop.alpha)
-    raise UnsupportedMethodError(
-        f"no sampler for family {cop.family!r}")
+    n, seed = _check_n_seed(n, seed, 1)
+    u, v = np.empty(n), np.empty(n)
+    start = 0
+    for ub, vb in _pair_batches(cop, n, seed):
+        stop = start + ub.size
+        u[start:stop], v[start:stop] = ub, vb
+        start = stop
+    return u, v
 
 
-def risk_measures(cop: Copula, marginal: ParetoII, q: float,
-                  n: int, seed: int = 0) -> RiskReport:
-    """VaR, CTE and modified tail variance of Z = X + Y by simulation.
+def _order_index(n: int, q: float) -> int:
+    """k of the ceil(n q)-th order statistic, the empirical VaR_q."""
+    return int(math.ceil(n * q - 1e-9))  # guard against float noise in n*q
 
-    The empirical quantile uses the ceil(n q) order statistic; the
-    conditional measures average over the exceedances strictly above it.
+
+def _top_sums(cop: Copula, marginal: ParetoII, n: int, seed: int,
+              k: int) -> np.ndarray:
+    """The sorted order statistics k..n of Z = X + Y over n draws.
+
+    A running buffer keeps the m = n - k + 1 largest sums, merged batch by
+    batch with ``np.partition``; once it is full, only sums above its
+    minimum can enter.
     """
-    if not (0.0 < q < 1.0):
-        raise ParameterError(f"q must lie in (0, 1), got {q!r}")
-    if n < 10_000:
-        raise ParameterError(f"n must be >= 10000, got {n}")
-    u, v = sample_pairs(cop, n, seed)
-    z = marginal.quantile(u) + marginal.quantile(v)
-    z_sorted = np.sort(z)
-    k = int(math.ceil(n * q - 1e-9))  # guard against float noise in n*q
-    var_q = float(z_sorted[k - 1])
-    exceed = z_sorted[z_sorted > var_q]
+    m = n - k + 1
+    top = np.empty(0)
+    for u, v in _pair_batches(cop, n, seed):
+        z = marginal.quantile(u) + marginal.quantile(v)
+        if top.size == m:  # full, and top[0] is its minimum
+            z = z[z > top[0]]
+        if z.size:
+            top = np.concatenate((top, z))
+            if top.size >= m:
+                top = np.partition(top, top.size - m)[top.size - m:]
+    return np.sort(top)
+
+
+def _report(top: np.ndarray, n: int, q: float, seed: int) -> RiskReport:
+    """RiskReport at level q from the largest sorted sums ``top`` of n."""
+    # position ceil(n q) - 1 of the full sort, less the sums dropped below
+    var_q = float(top[_order_index(n, q) - 1 - (n - top.size)])
+    exceed = top[top > var_q]
     if exceed.size < 100:
         raise InsufficientTailError(
             f"only {exceed.size} exceedances above VaR at q={q}; "
@@ -208,6 +264,21 @@ def risk_measures(cop: Copula, marginal: ParetoII, q: float,
         n=n, seed=seed, n_exceed=int(exceed.size),
         stderr_cte=float(exceed.std(ddof=1) / math.sqrt(exceed.size)),
     )
+
+
+def risk_measures(cop: Copula, marginal: ParetoII, q: float,
+                  n: int, seed: int = 0) -> RiskReport:
+    """VaR, CTE and modified tail variance of Z = X + Y by simulation.
+
+    The empirical quantile uses the ceil(n q) order statistic; the
+    conditional measures average over the exceedances strictly above it.
+    The sums stream through in Philox batches and only the top
+    n - ceil(n q) + 1 of them are kept.
+    """
+    _check_q(q)
+    n, seed = _check_n_seed(n, seed, _MIN_N)
+    top = _top_sums(cop, marginal, n, seed, _order_index(n, q))
+    return _report(top, n, q, seed)
 
 
 @dataclass(frozen=True)
@@ -260,13 +331,27 @@ def reference_table(seed: int, n: int = 2_000_000,
 
     Every row shares the same seed, so the underlying uniforms are common
     random numbers across parameter values and the risk columns vary
-    smoothly in b.
+    smoothly in b.  Each b is drawn once: one buffer of the top sums, sized
+    for the smallest q, answers every q, and each row equals
+    ``risk_measures(MarshallOlkin(a, b).survival(), marginal, q, n, seed)``.
     """
+    if not qs or not bs:
+        raise ParameterError(
+            f"qs and bs must be nonempty, got qs={qs!r}, bs={bs!r}")
+    for q in qs:
+        _check_q(q)
+    n, seed = _check_n_seed(n, seed, _MIN_N)
+    k_min = min(_order_index(n, q) for q in qs)
+    reports = {}
+    for b in bs:
+        top = _top_sums(MarshallOlkin(a, b).survival(), marginal, n, seed, k_min)
+        for q in qs:
+            reports[q, b] = _report(top, n, q, seed)
     rows = []
     for q in qs:
         for b in bs:
             cop = MarshallOlkin(a, b)
-            report = risk_measures(cop.survival(), marginal, q, n, seed)
+            report = reports[q, b]
             rows.append(RiskTableRow(
                 q=q, b=b,
                 tau=kendall_tau(cop, "closed_form"),

@@ -163,6 +163,15 @@ class TestRisk:
         assert payload["n_exceed"] == 1000
         assert payload["marginal"] == {"mu": 0, "sigma": 1, "alpha": 4}
 
+    @pytest.mark.parametrize("argv", [
+        ("risk", "--family", "independence", "--n", "10000", "--seed", "-1"),
+        ("table1", "--n", "10000", "--seed", "-1"),
+    ])
+    def test_negative_seed_is_2(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: seed must be an integer")
+
     def test_insufficient_tail_is_3(self, capsys):
         code, _, _ = run(capsys, "risk", "--family", "independence",
                          "--q", "0.9999", "--n", "10000")

@@ -101,6 +101,8 @@ class TestClassicalIndices:
         [0.1, 0.01, 0.001],            # too short
         [0.1, 0.2, 0.01, 0.001],       # not decreasing
         [0.1, 0.01, 0.001, 0.0],       # outside (0, 1)
+        [0.1, float("nan"), 0.01, 0.001],  # not a level
+        [[0.1, 0.01], [0.001, 0.0001]],    # not 1-d
     ])
     def test_grid_validation(self, grid):
         with pytest.raises(ParameterError):

@@ -430,6 +430,34 @@ class TestSolverOptions:
         with pytest.raises(ParameterError):
             SolverOptions(max_iter=0)
 
+    def test_unreachable_xtol_is_rejected_up_front(self, monkeypatch):
+        # below two ulps of |2 log 1e-8| no bracket can ever get that narrow
+        def no_kernel(*args):
+            raise AssertionError("kernel called before the xtol check")
+        monkeypatch.setattr(paths, "_log_pi", no_kernel)
+        cop = MarshallOlkin(A, B)
+        with pytest.raises(ParameterError, match="xtol"):
+            pointwise_max(cop, 1e-8, SolverOptions(xtol=1e-15))
+        with pytest.raises(ParameterError, match="xtol"):
+            solve_path(cop, [1e-1, 1e-8], SolverOptions(xtol=1e-14))
+
+    @pytest.mark.parametrize("cop", [MarshallOlkin(A, B), MixtureMO(A, B)],
+                             ids=lambda c: c.family)
+    def test_xtol_at_the_floor_converges(self, cop):
+        u = 1e-8
+        floor = 2.0 * float(np.spacing(abs(2.0 * math.log(u))))
+        point = pointwise_max(cop, u, SolverOptions(xtol=floor))
+        expected = closed_form_path(cop, u)
+        assert len(point.maximizers) == len(expected)
+        for x, ref in zip(point.maximizers, expected):
+            assert x == pytest.approx(ref, rel=1e-10)
+        with pytest.raises(ParameterError):
+            pointwise_max(cop, u, SolverOptions(xtol=float(np.nextafter(floor, 0.0))))
+
+    def test_default_xtol_accepted_down_to_smallest_grids(self):
+        for u_min in (1e-8, 1e-100, 1e-300):
+            solve_path(MarshallOlkin(A, B), [1e-1, u_min])
+
     def test_starved_refinement_is_reported(self):
         # three golden-section steps leave a bracket far wider than xtol
         with pytest.raises(NumericError, match=r"u=0\.001 .*width 0\.00159"):

@@ -6,6 +6,7 @@ expected O(n^-1/2) shrinkage of the deviation.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from taildep import (
     MixtureMO,
     ParameterError,
     ParetoII,
+    RiskReport,
     UnsupportedMethodError,
     clayton_generator,
     reference_table,
@@ -133,9 +135,36 @@ class TestSamplers:
         with pytest.raises(UnsupportedMethodError):
             sample_pairs(cop, 1000)
 
+    def test_batches_follow_the_documented_philox_streams(self):
+        # batch i is Philox(key=seed).jumped(i), rows in order
+        n = (1 << 18) + 1000
+        u, v = sample_pairs(Independence(), n, seed=12)
+        for i, start in enumerate((0, 1 << 18)):
+            rng = np.random.Generator(np.random.Philox(key=12).jumped(i))
+            w = rng.random((min(1 << 18, n - start), 2))
+            assert np.array_equal(u[start:start + w.shape[0]], w[:, 0])
+            assert np.array_equal(v[start:start + w.shape[0]], w[:, 1])
+
     def test_n_validation(self):
         with pytest.raises(ParameterError):
             sample_pairs(Independence(), 0)
+
+    @pytest.mark.parametrize("n", [-5, 2e4, 1.5, True, "100"])
+    def test_n_must_be_a_positive_integer(self, n):
+        with pytest.raises(ParameterError):
+            sample_pairs(Independence(), n)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, 2 ** 128, False, None])
+    def test_seed_validation(self, seed):
+        with pytest.raises(ParameterError):
+            sample_pairs(Independence(), 1000, seed)
+
+    def test_largest_philox_key_and_numpy_integers(self):
+        u, _ = sample_pairs(Independence(), 10, seed=2 ** 128 - 1)
+        assert u.shape == (10,)
+        a = sample_pairs(FGM(0.5), 1000, seed=np.int64(3))
+        b = sample_pairs(FGM(0.5), 1000, seed=3)
+        assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
     @settings(max_examples=50, deadline=None)
     @given(alpha=st.floats(-1.0, 1.0), u=st.floats(0.001, 0.999),
@@ -201,6 +230,56 @@ class TestRiskMeasures:
         with pytest.raises(ParameterError):
             risk_measures(Independence(), MARGINAL, 0.99, 5000)
 
+    @pytest.mark.parametrize("n, seed", [
+        (2e6, 0), (100_000.0, 0), (100_000, 1.5), (100_000, -1),
+        (100_000, 2 ** 128)])
+    def test_n_and_seed_validation(self, n, seed):
+        with pytest.raises(ParameterError):
+            risk_measures(Independence(), MARGINAL, 0.99, n, seed)
+
+
+# n ends on a partial batch: three full batches of 2^18 plus 12345 rows
+STREAM_N = 3 * (1 << 18) + 12345
+STREAM_COPULAS = [Independence(), FrechetUpper(), MarshallOlkin(A, B),
+                  MixtureMO(A, B), FGM(0.7), MarshallOlkin(A, B).survival()]
+
+
+def full_sort_report(cop, q, n, seed):
+    """RiskReport from the documented definition, over one full sort: the
+    ceil(n q)-th order statistic of Q(u) + Q(v) over sample_pairs, and the
+    exceedances strictly above it."""
+    u, v = sample_pairs(cop, n, seed)
+    z = np.sort(MARGINAL.quantile(u) + MARGINAL.quantile(v))
+    var_q = float(z[math.ceil(n * q) - 1])
+    exceed = z[z > var_q]
+    cte_q = float(exceed.mean())
+    return RiskReport(
+        q=q, var_q=var_q, cte_q=cte_q,
+        mtvar_q=cte_q + float(exceed.var(ddof=1)) / cte_q,
+        n=n, seed=seed, n_exceed=int(exceed.size),
+        stderr_cte=float(exceed.std(ddof=1) / math.sqrt(exceed.size)))
+
+
+class TestStreamingRisk:
+    @pytest.mark.parametrize("cop", STREAM_COPULAS,
+                             ids=lambda c: c.family + ("-s" if hasattr(c, "base") else ""))
+    def test_equals_full_sort_definition(self, cop):
+        for q in (0.5, 0.99, 0.995):
+            assert risk_measures(cop, MARGINAL, q, STREAM_N, seed=17) == \
+                full_sort_report(cop, q, STREAM_N, 17), q
+
+    def test_tracemalloc_peak_is_bounded(self):
+        cop = MarshallOlkin(A, B).survival()
+        risk_measures(cop, MARGINAL, 0.99, 20_000, seed=1)  # warm imports
+        tracemalloc.start()
+        try:
+            risk_measures(cop, MARGINAL, 0.99, 2_000_000, seed=11)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a full in-memory draw at this n peaks near 107 MB
+        assert peak < 40 * 2 ** 20
+
 
 @pytest.fixture(scope="module")
 def table():
@@ -234,6 +313,30 @@ class TestReferenceTable:
         for q in (0.990, 0.995):
             ctes = [r.cte_q for r in table.rows if r.q == q]
             assert all(x > y for x, y in zip(ctes, ctes[1:]))
+
+    def test_rows_equal_risk_measures(self, table):
+        for r in table.rows:
+            rep = risk_measures(MarshallOlkin(A, r.b).survival(), MARGINAL,
+                                r.q, 200_000, seed=11)
+            assert (r.var_q, r.cte_q, r.mtvar_q) == (
+                rep.var_q, rep.cte_q, rep.mtvar_q), (r.q, r.b)
+
+    def test_unordered_qs_share_one_buffer(self):
+        # the buffer is sized for the smallest q, whatever its position
+        t = reference_table(seed=3, n=50_000, qs=(0.99, 0.9), bs=(0.5,))
+        for r in t.rows:
+            rep = risk_measures(MarshallOlkin(A, 0.5).survival(), MARGINAL,
+                                r.q, 50_000, seed=3)
+            assert (r.var_q, r.cte_q, r.mtvar_q) == (
+                rep.var_q, rep.cte_q, rep.mtvar_q)
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(qs=()), dict(bs=()), dict(qs=(0.99, 1.0)), dict(qs=(0.0,)),
+        dict(n=2e5), dict(n=5000), dict(seed=-1), dict(seed=0.5)])
+    def test_validation(self, kwargs):
+        args = dict(seed=1, n=50_000) | kwargs
+        with pytest.raises(ParameterError):
+            reference_table(**args)
 
     def test_csv_shape(self, table):
         lines = table.to_csv().splitlines()
