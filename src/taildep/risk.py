@@ -7,20 +7,33 @@ copula by closed-form inversion of its conditional CDF.  None of these
 constructions is taken on faith -- the test suite gates every sampler on
 agreement between its empirical copula and the analytic CDF.
 
-Randomness comes from counter-based Philox streams: batch i of at most
-2^18 pairs draws from ``Philox(key=seed).jumped(i)``, so a fixed seed gives
-bit-identical output.  Risk is computed in streaming batches: each batch is
-drawn, sent through the Pareto-II quantile, summed and dropped, and only the
-largest n(1 - q) + 1 sums are kept, so memory is O(batch + n(1 - q)) rather
-than O(n).  ``reference_table`` (``taildep table1``) draws once per b and
-reads every q from that one buffer.
+Randomness comes from counter-based Philox streams.  Batch i of at most
+2^18 pairs is ``Philox(key=seed).jumped(i).random((rows, ncols))``, with
+ncols uniforms per pair (1 to 4, by family).  Each batch is drawn in chunks
+of 2^15 rows: the chunk starting at row r of batch i comes from its own
+``Philox(key=seed).jumped(i)`` advanced by r * ncols / 4 counter steps,
+that is Philox counter i * 2^128 + r * ncols / 4 (Philox makes four 64-bit
+words per step, and r is a multiple of 4), which are exactly rows r.. of
+the whole-batch draw.  Every chunk is addressed on its own, so chunks can
+be drawn in any order on any thread.
+
+Risk is computed in streaming chunks, one worker thread per available CPU
+(at most 8): each worker draws a chunk, sends it through the Pareto-II
+quantile, sums it, drops it and keeps its own largest n(1 - q) + 1 sums.
+The caller merges those buffers.  The largest sums form one multiset
+whichever thread saw them, so results are bit-identical for a fixed seed,
+any thread count, and memory is O(workers * (batch + n(1 - q))) rather
+than O(n).  ``reference_table`` (``taildep table1``) draws once per b and reads
+every q from that one buffer.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from collections.abc import Callable, Iterator
+import os
+import threading
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,7 +67,11 @@ __all__ = [
 ]
 
 _BATCH = 1 << 18
+_CHUNK = 1 << 15  # divides _BATCH, and a multiple of 4 rows
 _MIN_N = 10_000
+# worker threads of _top_sums: one per CPU this process may run on, at most 8
+_WORKERS = min(8, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+               else os.cpu_count() or 1)
 
 
 @dataclass(frozen=True)
@@ -134,21 +151,28 @@ def _check_q(q) -> None:
         raise ParameterError(f"q must lie in (0, 1), got {q!r}")
 
 
-def _mo_component(w_own: np.ndarray, w_shock: np.ndarray, a: float) -> np.ndarray:
+def _shock(w_shock: np.ndarray, a: float) -> np.ndarray:
+    """The shock term W^(1/a) of a Marshall-Olkin margin (W itself at a >= 1)."""
+    return w_shock if a <= 0.0 or a >= 1.0 else w_shock ** (1.0 / a)
+
+
+def _mo_component(w_own: np.ndarray, shock: np.ndarray, a: float) -> np.ndarray:
     # a = 0 removes the shock entirely; a = 1 makes the margin pure shock
     if a <= 0.0:
         return w_own
     if a >= 1.0:
-        return w_shock
-    return np.maximum(w_own ** (1.0 / (1.0 - a)), w_shock ** (1.0 / a))
+        return shock
+    return np.maximum(w_own ** (1.0 / (1.0 - a)), shock)
 
 
 def _mixture_pair(w: np.ndarray, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
-    # a fair coin picks the (a, b) or the (b, a) Marshall-Olkin ordering
-    u_ab = _mo_component(w[:, 0], w[:, 2], a)
-    v_ab = _mo_component(w[:, 1], w[:, 2], b)
-    u_ba = _mo_component(w[:, 0], w[:, 2], b)
-    v_ba = _mo_component(w[:, 1], w[:, 2], a)
+    # a fair coin picks the (a, b) or the (b, a) Marshall-Olkin ordering;
+    # both orderings share the two shock terms
+    shock_a, shock_b = _shock(w[:, 2], a), _shock(w[:, 2], b)
+    u_ab = _mo_component(w[:, 0], shock_a, a)
+    v_ab = _mo_component(w[:, 1], shock_b, b)
+    u_ba = _mo_component(w[:, 0], shock_b, b)
+    v_ba = _mo_component(w[:, 1], shock_a, a)
     swap = w[:, 3] < 0.5
     return np.where(swap, u_ba, u_ab), np.where(swap, v_ba, v_ab)
 
@@ -179,8 +203,8 @@ def _batch_sampler(cop: Copula) -> tuple[int, Callable[[np.ndarray], _Pair]]:
     if isinstance(cop, FrechetUpper):
         return 1, lambda w: (w[:, 0], w[:, 0])
     if isinstance(cop, MarshallOlkin):
-        return 3, lambda w: (_mo_component(w[:, 0], w[:, 2], cop.a),
-                             _mo_component(w[:, 1], w[:, 2], cop.b))
+        return 3, lambda w: (_mo_component(w[:, 0], _shock(w[:, 2], cop.a), cop.a),
+                             _mo_component(w[:, 1], _shock(w[:, 2], cop.b), cop.b))
     if isinstance(cop, MixtureMO):
         return 4, lambda w: _mixture_pair(w, cop.a, cop.b)
     if isinstance(cop, FGM):
@@ -190,16 +214,25 @@ def _batch_sampler(cop: Copula) -> tuple[int, Callable[[np.ndarray], _Pair]]:
         f"no sampler for family {cop.family!r}")
 
 
-def _pair_batches(cop: Copula, n: int, seed: int) -> Iterator[_Pair]:
-    """(u, v) for n pairs, one Philox batch of at most _BATCH rows at a time.
+_Chunk = tuple[int, int, int]
 
-    Batch i draws from ``Philox(key=seed).jumped(i)``, so every batch is
-    drawn, used and dropped on its own.
+
+def _chunks(n: int) -> list[_Chunk]:
+    """(batch, first row in the batch, rows) of each chunk of n rows, in order."""
+    return [(*divmod(start, _BATCH), min(_CHUNK, n - start))
+            for start in range(0, n, _CHUNK)]
+
+
+def _draw(seed: int, ncols: int, chunk: _Chunk) -> np.ndarray:
+    """One chunk of its batch's draw ``rng.random((rows, ncols))``.
+
+    The chunk starts at a row r that is a multiple of 4, so its first word
+    is the first of Philox counter step r * ncols / 4 after the batch's
+    start, ``jumped(batch)``, which is counter batch * 2^128.
     """
-    ncols, sample = _batch_sampler(cop)
-    for i, start in enumerate(range(0, n, _BATCH)):
-        rng = np.random.Generator(np.random.Philox(key=seed).jumped(i))
-        yield sample(rng.random((min(_BATCH, n - start), ncols)))
+    batch, row, rows = chunk
+    bitgen = np.random.Philox(counter=(batch << 128) + row * ncols // 4, key=seed)
+    return np.random.Generator(bitgen).random((rows, ncols))
 
 
 def sample_pairs(cop: Copula, n: int, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
@@ -212,39 +245,125 @@ def sample_pairs(cop: Copula, n: int, seed: int = 0) -> tuple[np.ndarray, np.nda
     generalized Clayton or generic Archimedean copulas here).
     """
     n, seed = _check_n_seed(n, seed, 1)
+    ncols, sample = _batch_sampler(cop)
     u, v = np.empty(n), np.empty(n)
-    start = 0
-    for ub, vb in _pair_batches(cop, n, seed):
-        stop = start + ub.size
-        u[start:stop], v[start:stop] = ub, vb
-        start = stop
+    for start, chunk in zip(range(0, n, _CHUNK), _chunks(n)):
+        stop = start + chunk[2]
+        u[start:stop], v[start:stop] = sample(_draw(seed, ncols, chunk))
     return u, v
 
 
 def _order_index(n: int, q: float) -> int:
     """k of the ceil(n q)-th order statistic, the empirical VaR_q."""
-    return int(math.ceil(n * q - 1e-9))  # guard against float noise in n*q
+    k = int(math.ceil(n * q - 1e-9))  # guard against float noise in n*q
+    if k < 1:
+        raise ParameterError(
+            f"q={q!r} is below 1/n={1 / n!r}: no order statistic is its VaR")
+    return k
+
+
+def _largest(z: np.ndarray, m: int) -> np.ndarray:
+    """The m largest values of z (all of them if fewer), smallest first.
+
+    Partitions z in place, so z must be an array of the caller's own.
+    """
+    if z.size <= m:
+        return z
+    z.partition(z.size - m)
+    return z[z.size - m:]
+
+
+def _top_m(sums: Iterable[np.ndarray], m: int, n: int) -> np.ndarray:
+    """The m largest values of all the arrays in ``sums`` (n values at most),
+    unordered.
+
+    Candidates fill a pool from the end of one buffer downwards.  Once they
+    are a batch more than m, an in-place ``np.partition`` moves the m
+    largest to the end of the buffer, and from then on only values above the
+    smallest of them are candidates.  Equal values are interchangeable, so
+    the result is the same multiset as a full sort's.
+    """
+    buf = np.empty(min(m + _BATCH + _CHUNK, n))
+    start, floor = buf.size, None  # the pool is buf[start:]
+    for z in sums:
+        if floor is not None:
+            z = z[z > floor]
+        buf[start - z.size:start] = z
+        start -= z.size
+        if buf.size - start >= m + _BATCH:
+            _largest(buf[start:], m)  # now the last m of buf
+            start = buf.size - m
+            floor = buf[start]
+    return _largest(buf[start:], m)
+
+
+def _in_threads(work: Callable[[Iterator], object], tasks: list,
+                count: int) -> list:
+    """``work(stream)`` in ``count`` threads, the caller's being one of them.
+
+    The streams share ``tasks``: each hands its thread the next task that no
+    thread has taken.  If any thread raises, the hand-out stops, every
+    thread is joined and the first exception is raised here.
+    """
+    lock = threading.Lock()
+    pending = iter(tasks)
+    results, errors = [None] * count, []
+
+    def stream():
+        while True:
+            with lock:
+                task = next(pending, None)
+            if task is None:
+                return
+            yield task
+
+    def halt():
+        nonlocal pending
+        with lock:
+            pending = iter(())
+
+    def run(j):
+        try:
+            results[j] = work(stream())
+        except BaseException as exc:  # raised again in the caller
+            errors.append(exc)
+            halt()
+
+    threads = [threading.Thread(target=run, args=(j,), daemon=True,
+                                name=f"taildep-risk-{j}")
+               for j in range(1, count)]
+    for t in threads:
+        t.start()
+    run(0)
+    for t in threads:
+        t.join()
+    if errors:
+        raise errors[0]
+    return results
 
 
 def _top_sums(cop: Copula, marginal: ParetoII, n: int, seed: int,
               k: int) -> np.ndarray:
     """The sorted order statistics k..n of Z = X + Y over n draws.
 
-    A running buffer keeps the m = n - k + 1 largest sums, merged batch by
-    batch with ``np.partition``; once it is full, only sums above its
-    minimum can enter.
+    Up to ``_WORKERS`` threads take chunks in turn, each keeping the
+    m = n - k + 1 largest sums it has seen; the caller keeps the m largest
+    of their buffers.
     """
     m = n - k + 1
-    top = np.empty(0)
-    for u, v in _pair_batches(cop, n, seed):
-        z = marginal.quantile(u) + marginal.quantile(v)
-        if top.size == m:  # full, and top[0] is its minimum
-            z = z[z > top[0]]
-        if z.size:
-            top = np.concatenate((top, z))
-            if top.size >= m:
-                top = np.partition(top, top.size - m)[top.size - m:]
-    return np.sort(top)
+    ncols, sample = _batch_sampler(cop)
+    chunks = _chunks(n)
+
+    def sums(stream: Iterator[_Chunk]) -> Iterator[np.ndarray]:
+        for chunk in stream:
+            u, v = sample(_draw(seed, ncols, chunk))
+            yield marginal.quantile(u) + marginal.quantile(v)
+
+    tops = _in_threads(lambda stream: _top_m(sums(stream), m, n), chunks,
+                       min(_WORKERS, len(chunks)))
+    top = _largest(np.concatenate(tops), m)
+    top.sort()
+    return top
 
 
 def _report(top: np.ndarray, n: int, q: float, seed: int) -> RiskReport:
@@ -270,10 +389,11 @@ def risk_measures(cop: Copula, marginal: ParetoII, q: float,
                   n: int, seed: int = 0) -> RiskReport:
     """VaR, CTE and modified tail variance of Z = X + Y by simulation.
 
-    The empirical quantile uses the ceil(n q) order statistic; the
-    conditional measures average over the exceedances strictly above it.
-    The sums stream through in Philox batches and only the top
-    n - ceil(n q) + 1 of them are kept.
+    The empirical quantile uses the ceil(n q) order statistic, so q must be
+    at least 1/n; the conditional measures average over the exceedances
+    strictly above it.  The sums stream through in Philox chunks, on one
+    thread per available CPU, and only the top n - ceil(n q) + 1 of them
+    are kept; the result does not depend on the thread count.
     """
     _check_q(q)
     n, seed = _check_n_seed(n, seed, _MIN_N)

@@ -172,6 +172,12 @@ class TestRisk:
         assert code == 2 and out == ""
         assert err.startswith("error: seed must be an integer")
 
+    def test_q_below_one_over_n_is_2(self, capsys):
+        code, out, err = run(capsys, "risk", "--family", "independence",
+                             "--q", "1e-14", "--n", "10000")
+        assert code == 2 and out == ""
+        assert err.startswith("error: q=1e-14 is below 1/n")
+
     def test_insufficient_tail_is_3(self, capsys):
         code, _, _ = run(capsys, "risk", "--family", "independence",
                          "--q", "0.9999", "--n", "10000")

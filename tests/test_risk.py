@@ -5,7 +5,12 @@ of the empirical copula on a lattice, exact comonotone degeneracy, and the
 expected O(n^-1/2) shrinkage of the deviation.
 """
 
+import functools
 import math
+import os
+import subprocess
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -31,6 +36,7 @@ from taildep import (
     risk_measures,
     sample_pairs,
 )
+from taildep import risk
 
 A, B = 0.3529, 0.75
 MARGINAL = ParetoII(0.0, 1.0, 4.0)
@@ -230,6 +236,11 @@ class TestRiskMeasures:
         with pytest.raises(ParameterError):
             risk_measures(Independence(), MARGINAL, 0.99, 5000)
 
+    def test_q_below_one_over_n_is_a_parameter_error(self):
+        # ceil(n q) = 0 names no order statistic
+        with pytest.raises(ParameterError, match="below 1/n"):
+            risk_measures(Independence(), MARGINAL, 1e-14, 10_000, 1)
+
     @pytest.mark.parametrize("n, seed", [
         (2e6, 0), (100_000.0, 0), (100_000, 1.5), (100_000, -1),
         (100_000, 2 ** 128)])
@@ -244,6 +255,7 @@ STREAM_COPULAS = [Independence(), FrechetUpper(), MarshallOlkin(A, B),
                   MixtureMO(A, B), FGM(0.7), MarshallOlkin(A, B).survival()]
 
 
+@functools.cache
 def full_sort_report(cop, q, n, seed):
     """RiskReport from the documented definition, over one full sort: the
     ceil(n q)-th order statistic of Q(u) + Q(v) over sample_pairs, and the
@@ -279,6 +291,97 @@ class TestStreamingRisk:
             tracemalloc.stop()
         # a full in-memory draw at this n peaks near 107 MB
         assert peak < 40 * 2 ** 20
+
+
+def risk_threads():
+    return [t for t in threading.enumerate() if t.name.startswith("taildep-risk")]
+
+
+class TestChunkedThreads:
+    @pytest.mark.parametrize("ncols", [1, 2, 3, 4])
+    def test_chunks_are_rows_of_the_whole_batch_draw(self, ncols):
+        n = (1 << 18) + 40_000  # the second batch ends in a partial chunk
+        chunks = risk._chunks(n)
+        assert sum(rows for _, _, rows in chunks) == n
+        for i, start in enumerate((0, 1 << 18)):
+            rng = np.random.Generator(np.random.Philox(key=21).jumped(i))
+            whole = rng.random((min(1 << 18, n - start), ncols))
+            got = [risk._draw(21, ncols, c) for c in chunks if c[0] == i]
+            assert np.array_equal(np.concatenate(got), whole)
+
+    @pytest.mark.parametrize("m", [1, 7, 40, 300])
+    def test_top_m_keeps_the_largest_multiset_with_ties(self, monkeypatch, m):
+        # tiny batches make the pool merge and raise its floor often; few
+        # distinct values make ties at the floor common
+        monkeypatch.setattr(risk, "_BATCH", 16)
+        monkeypatch.setattr(risk, "_CHUNK", 8)
+        rng = np.random.default_rng(m)
+        parts = [rng.integers(0, 30, rng.integers(0, 9)).astype(float)
+                 + 0.5 * k / 100 for k in range(100)]
+        top = risk._top_m(iter(parts), m, sum(p.size for p in parts))
+        assert np.array_equal(np.sort(top), np.sort(np.concatenate(parts))[-m:])
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 7])
+    def test_any_worker_count_equals_full_sort(self, monkeypatch, workers):
+        monkeypatch.setattr(risk, "_WORKERS", workers)
+        for cop in STREAM_COPULAS:
+            for q in (0.5, 0.99, 0.995):
+                assert risk_measures(cop, MARGINAL, q, STREAM_N, seed=17) == \
+                    full_sort_report(cop, q, STREAM_N, 17), (cop, q)
+        assert not risk_threads()
+
+    def test_hand_out_under_frequent_thread_switches(self, monkeypatch):
+        # a chunk handed out twice or never would change the report
+        monkeypatch.setattr(risk, "_WORKERS", 7)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = risk_measures(FGM(0.7), MARGINAL, 0.99, STREAM_N, seed=17)
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == full_sort_report(FGM(0.7), 0.99, STREAM_N, 17)
+        assert not risk_threads()
+
+    def test_reference_table_is_the_same_for_any_worker_count(self, monkeypatch):
+        tables = []
+        for workers in (1, 2, 3, 7):
+            monkeypatch.setattr(risk, "_WORKERS", workers)
+            tables.append(reference_table(seed=5, n=300_001))
+        assert all(t == tables[0] for t in tables[1:])
+
+    @pytest.mark.parametrize("where", ["worker", "caller"])
+    def test_a_failing_chunk_raises_in_the_caller(self, monkeypatch, where):
+        # the first chunk taken by the named thread raises; no partial
+        # result comes back and every worker thread has been joined
+        real = risk._batch_sampler
+        caller = threading.current_thread()
+        failed = threading.Event()
+
+        def failing_sampler(cop):
+            ncols, sample = real(cop)
+
+            def flaky(w):
+                if (threading.current_thread() is caller) == (where == "caller"):
+                    failed.set()
+                    raise ZeroDivisionError("chunk failed")
+                failed.wait(10)  # the other side takes a chunk first
+                return sample(w)
+            return ncols, flaky
+
+        monkeypatch.setattr(risk, "_batch_sampler", failing_sampler)
+        monkeypatch.setattr(risk, "_WORKERS", 3)
+        with pytest.raises(ZeroDivisionError, match="chunk failed"):
+            risk_measures(FGM(0.7), MARGINAL, 0.99, STREAM_N, seed=1)
+        assert not risk_threads()
+
+    def test_import_does_not_load_concurrent_futures(self):
+        src = os.path.dirname(os.path.dirname(risk.__file__))
+        code = ("import sys, taildep, taildep.cli; "
+                "print('concurrent.futures' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True,
+                             env=os.environ | {"PYTHONPATH": src}).stdout
+        assert out.strip() == "False"
 
 
 @pytest.fixture(scope="module")
@@ -332,7 +435,8 @@ class TestReferenceTable:
 
     @pytest.mark.parametrize("kwargs", [
         dict(qs=()), dict(bs=()), dict(qs=(0.99, 1.0)), dict(qs=(0.0,)),
-        dict(n=2e5), dict(n=5000), dict(seed=-1), dict(seed=0.5)])
+        dict(n=2e5), dict(n=5000), dict(seed=-1), dict(seed=0.5),
+        dict(qs=(0.99, 1e-14))])
     def test_validation(self, kwargs):
         args = dict(seed=1, n=50_000) | kwargs
         with pytest.raises(ParameterError):
