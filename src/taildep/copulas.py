@@ -4,11 +4,10 @@ Each family is a small frozen dataclass that validates its parameters on
 construction and exposes two evaluation routes:
 
 * ``cdf(u, v)``   -- the copula value C(u, v), vectorized over numpy arrays;
-* ``log_cdf(u, v)`` -- log C(u, v), overridden with a stabilized formula for
-  the families whose tail values underflow long before log C does
-  (Marshall-Olkin, its mixture, and the generalized Clayton).  The tail
-  machinery in :mod:`taildep.paths` and :mod:`taildep.indices` works in log
-  space throughout, which keeps levels down to u ~ 1e-8 representable.
+* ``log_cdf(u, v)`` -- log C(u, v) through the kernel ``_log_cdf(lu, lv)``,
+  which takes log coordinates.  All families but the Archimedean and
+  survival copulas evaluate it from the logs without exponentiating, which
+  keeps the tail machinery in :mod:`taildep.paths` exact down to u ~ 1e-300.
 
 ``survival()`` wraps any copula into its survival copula
 ``u + v - 1 + C(1-u, 1-v)``, mapping upper-tail questions onto the lower-tail
@@ -84,9 +83,19 @@ class Copula:
     def _cdf(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def _log_cdf(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    def _log_cdf(self, lu: np.ndarray, lv: np.ndarray) -> np.ndarray:
+        """log C(e^lu, e^lv) for finite lu, lv <= 0."""
         with np.errstate(divide="ignore"):
-            return np.log(self._cdf(u, v))
+            return np.log(self._cdf(np.exp(lu), np.exp(lv)))
+
+    def _log_cdf_unit(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """log C(u, v) on [0, 1]: zeros enter the kernel as 1, leave as -inf."""
+        if u.all() and v.all():
+            return self._log_cdf(np.log(u), np.log(v))
+        zero = (u == 0.0) | (v == 0.0)
+        out = self._log_cdf(np.log(np.where(zero, 1.0, u)),
+                            np.log(np.where(zero, 1.0, v)))
+        return np.where(zero, -np.inf, out)
 
     def cdf(self, u, v):
         """Evaluate C(u, v); scalars in, scalar out."""
@@ -95,10 +104,10 @@ class Copula:
         return _scalar_like(self._cdf(ua, va), u, v)
 
     def log_cdf(self, u, v):
-        """Evaluate log C(u, v), -inf where C vanishes."""
+        """Evaluate log C(u, v), -inf where u or v is 0."""
         ua = _as_unit(u, "u")
         va = _as_unit(v, "v")
-        return _scalar_like(self._log_cdf(ua, va), u, v)
+        return _scalar_like(self._log_cdf_unit(ua, va), u, v)
 
     def survival(self) -> "Copula":
         """The survival copula u + v - 1 + C(1-u, 1-v)."""
@@ -118,9 +127,8 @@ class Independence(Copula):
     def _cdf(self, u, v):
         return u * v
 
-    def _log_cdf(self, u, v):
-        with np.errstate(divide="ignore"):
-            return np.log(u) + np.log(v)
+    def _log_cdf(self, lu, lv):
+        return lu + lv
 
 
 @dataclass(frozen=True)
@@ -132,9 +140,8 @@ class FrechetUpper(Copula):
     def _cdf(self, u, v):
         return np.minimum(u, v)
 
-    def _log_cdf(self, u, v):
-        with np.errstate(divide="ignore"):
-            return np.minimum(np.log(u), np.log(v))
+    def _log_cdf(self, lu, lv):
+        return np.minimum(lu, lv)
 
 
 @dataclass(frozen=True)
@@ -153,13 +160,8 @@ class MarshallOlkin(Copula):
     def _cdf(self, u, v):
         return np.minimum(u ** (1.0 - self.a) * v, u * v ** (1.0 - self.b))
 
-    def _log_cdf(self, u, v):
-        zero = (u == 0.0) | (v == 0.0)
-        us = np.where(zero, 0.5, u)
-        vs = np.where(zero, 0.5, v)
-        lu, lv = np.log(us), np.log(vs)
-        out = np.minimum((1.0 - self.a) * lu + lv, lu + (1.0 - self.b) * lv)
-        return np.where(zero, -np.inf, out)
+    def _log_cdf(self, lu, lv):
+        return np.minimum((1.0 - self.a) * lu + lv, lu + (1.0 - self.b) * lv)
 
     def params(self):
         return {"family": self.family, "a": self.a, "b": self.b}
@@ -183,14 +185,11 @@ class MixtureMO(Copula):
         return 0.5 * (np.minimum(u ** ca * v, u * v ** cb)
                       + np.minimum(u ** cb * v, u * v ** ca))
 
-    def _log_cdf(self, u, v):
-        zero = (u == 0.0) | (v == 0.0)
-        lu = np.log(np.where(zero, 0.5, u))
-        lv = np.log(np.where(zero, 0.5, v))
+    def _log_cdf(self, lu, lv):
         ca, cb = 1.0 - self.a, 1.0 - self.b
         c1 = np.minimum(ca * lu + lv, lu + cb * lv)
         c2 = np.minimum(cb * lu + lv, lu + ca * lv)
-        return np.where(zero, -np.inf, np.logaddexp(c1, c2) - math.log(2.0))
+        return np.logaddexp(c1, c2) - math.log(2.0)
 
     def params(self):
         return {"family": self.family, "a": self.a, "b": self.b}
@@ -210,10 +209,9 @@ class FGM(Copula):
     def _cdf(self, u, v):
         return u * v * (1.0 + self.alpha * (1.0 - u) * (1.0 - v))
 
-    def _log_cdf(self, u, v):
-        with np.errstate(divide="ignore"):
-            return (np.log(u) + np.log(v)
-                    + np.log1p(self.alpha * (1.0 - u) * (1.0 - v)))
+    def _log_cdf(self, lu, lv):
+        # (1 - u)(1 - v) = expm1(lu) expm1(lv)
+        return lu + lv + np.log1p(self.alpha * np.expm1(lu) * np.expm1(lv))
 
     def params(self):
         return {"family": self.family, "alpha": self.alpha}
@@ -241,23 +239,19 @@ class GeneralizedClayton(Copula):
     def gamma1_tilde(self) -> float:
         return self.gamma0 + self.gamma1
 
-    def _log_cdf(self, u, v):
+    def _log_cdf(self, lu, lv):
         g0, gt = self.gamma0, self.gamma1_tilde
-        zero = (u == 0.0) | (v == 0.0)
-        us = np.where(zero, 0.5, u)
-        vs = np.where(zero, 0.5, v)
         # log(u^{-1/gt} + v^{-1/g0} - 1) via a max-shifted exponential sum:
         # the shifted terms stay in [0, 2], so huge intermediate powers never
-        # materialize even at u ~ 1e-16.
-        a = -np.log(us) / gt
-        b = -np.log(vs) / g0
+        # materialize, however deep the level.
+        a = -lu / gt
+        b = -lv / g0
         m = np.maximum(a, b)
         inner = np.exp(a - m) + np.exp(b - m) - np.exp(-m)
-        out = (self.gamma1 / gt) * np.log(us) - g0 * (m + np.log(inner))
-        return np.where(zero, -np.inf, out)
+        return (self.gamma1 / gt) * lu - g0 * (m + np.log(inner))
 
     def _cdf(self, u, v):
-        return np.exp(self._log_cdf(u, v))
+        return np.exp(self._log_cdf_unit(u, v))
 
     def params(self):
         return {"family": self.family,

@@ -7,7 +7,7 @@ finds every global maximizer of x -> C(x, u^2/x):
 * scan a log-spaced grid over [u^2, 1] (tail maximizers such as
   u^(2b/(a+b)) cluster near 0, so uniform-in-x grids would miss them);
 * bracket each local maximum and refine the brackets of all levels at once
-  by golden-section in log x, each bracket with its own stop rule;
+  by batched zoom steps in log x, each bracket with its own stop rule;
 * report *all* refined maxima within a relative tie window of the best --
   symmetric mixtures genuinely carry two global maximizers and a
   single-optimum solver would silently drop one.
@@ -68,7 +68,9 @@ __all__ = [
     "closed_form_path",
 ]
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+# points of a zoom step, ends included: a step shrinks a bracket to 2/33
+_ZOOM = 34
+_ZOOM_GRID = np.arange(_ZOOM) / (_ZOOM - 1)
 
 
 @dataclass(frozen=True)
@@ -76,12 +78,12 @@ class SolverOptions:
     """Knobs for the per-level scan-and-refine maximizer search.
 
     scan_n:   points of the initial log-spaced scan grid.
-    xtol:     relative width to which each bracket is refined (golden
-              section runs in log x, where this is the absolute width).
+    xtol:     relative width to which each bracket is refined (the zoom
+              steps run in log x, where this is the absolute width).
     tie_tol:  relative value window within which refined maxima count as
               co-maximizers of the best one.
-    max_iter: golden-section steps allowed per bracket; a bracket still
-              wider than xtol after them raises NumericError.
+    max_iter: zoom steps allowed per bracket; a bracket still wider than
+              xtol after them raises NumericError.
     """
 
     scan_n: int = 4096
@@ -102,7 +104,8 @@ class SolverOptions:
 
 @dataclass(frozen=True)
 class PathPoint:
-    """Maximizer set and maximal probability at one level u."""
+    """Maximizer set and maximal probability at one level u, and their logs,
+    which stay exact where u^2 and the values underflow."""
 
     u: float
     maximizers: tuple[float, ...]
@@ -110,6 +113,7 @@ class PathPoint:
     log_pi_star: float
     boundary_attained: bool
     all_paths_maximal: bool
+    log_maximizers: tuple[float, ...]
 
 
 @dataclass(frozen=True)
@@ -163,10 +167,7 @@ def pi_phi(cop: Copula, u: float, x) -> float | np.ndarray:
 def _log_pi(cop: Copula, log_u: float | np.ndarray,
             t: np.ndarray) -> np.ndarray:
     """log C(e^t, u^2 e^-t) for log-abscissas t in [2 log u, 0]."""
-    x = np.exp(t)
-    v = np.exp(2.0 * log_u - t)
-    # roundoff can push the hyperbola coordinate a hair past 1
-    return cop._log_cdf(np.minimum(x, 1.0), np.minimum(v, 1.0))
+    return cop._log_cdf(t, 2.0 * log_u - t)
 
 
 def _scan(cop: Copula, u: float, opts: SolverOptions
@@ -177,12 +178,14 @@ def _scan(cop: Copula, u: float, opts: SolverOptions
     maxima, and a function that turns their refined (t, log pi) into the
     level's PathPoint.  Only scalars outlive the scan itself.
     """
-    t_lo, t_hi = 2.0 * math.log(u), 0.0
+    log_u = math.log(u)
+    t_lo, t_hi = 2.0 * log_u, 0.0
     ts = np.linspace(t_lo, t_hi, opts.scan_n)
     # the diagonal x = u is always admissible; pin it into the scan so the
     # reported maximum can never fall below C(u, u)
-    ts = np.sort(np.append(ts, math.log(u)))
-    fs = _log_pi(cop, math.log(u), ts)
+    at = np.searchsorted(ts, log_u)
+    ts = np.concatenate((ts[:at], [log_u], ts[at:]))
+    fs = _log_pi(cop, log_u, ts)
 
     # tie window in log space: |log(1 - tie_tol)| ~ tie_tol
     tie_log = -math.log1p(-opts.tie_tol)
@@ -192,7 +195,7 @@ def _scan(cop: Copula, u: float, opts: SolverOptions
         log_pi = float(np.max(fs))
         plateau = PathPoint(u=u, maximizers=(u,), pi_star=math.exp(log_pi),
                             log_pi_star=log_pi, boundary_attained=False,
-                            all_paths_maximal=True)
+                            all_paths_maximal=True, log_maximizers=(log_u,))
         return np.empty(0), np.empty(0), lambda t_ref, f_ref: plateau
 
     # interior local maxima of the scan, collapsing flat runs to one bracket
@@ -219,53 +222,52 @@ def _scan(cop: Copula, u: float, opts: SolverOptions
         on_boundary = [t <= t_lo + edge or t >= t_hi - edge for t, _ in merged]
         boundary_attained = all(on_boundary) and interior_best < best - tie_log
 
-        maximizers = tuple(min(math.exp(t), 1.0) for t, _ in merged)
-        return PathPoint(u=u, maximizers=maximizers, pi_star=math.exp(best),
-                         log_pi_star=best, boundary_attained=boundary_attained,
-                         all_paths_maximal=False)
+        log_maximizers = tuple(t for t, _ in merged)
+        return PathPoint(u=u, maximizers=tuple(map(math.exp, log_maximizers)),
+                         pi_star=math.exp(best), log_pi_star=best,
+                         boundary_attained=boundary_attained,
+                         all_paths_maximal=False, log_maximizers=log_maximizers)
 
-    return (ts[interior[run_start] - 1],
-            ts[interior[np.roll(run_start, -1)] + 1], finish)
+    run_end = np.concatenate((run_start[1:], run_start[:1]))  # np.roll(-1)
+    return ts[interior[run_start] - 1], ts[interior[run_end] + 1], finish
 
 
 def _refine(cop: Copula, log_u: np.ndarray, lo: np.ndarray, hi: np.ndarray,
             opts: SolverOptions) -> tuple[np.ndarray, np.ndarray]:
-    """Golden-section maximization of every bracket [lo, hi] at once.
+    """Zoom-step maximization of every bracket [lo, hi] at once.
 
-    Each bracket takes the scalar golden-section steps until its width is at
-    most xtol, then leaves the batch, so its iterates do not depend on the
-    other brackets.  Returns the best evaluated (t, log pi) of each.
+    Each step evaluates ``_ZOOM`` evenly spaced points across every bracket,
+    ends included, in one kernel call, and keeps the grid neighbours of each
+    bracket's best point.  A bracket leaves the batch once its width is at
+    most xtol, so its iterates do not depend on the others.  Slices of
+    scan_n // _ZOOM brackets keep each step within the size of a scan.
+    Returns the best (t, log pi) of each bracket's last step.
     """
-    n = lo.size
-    if n == 0:
-        return lo, hi
-    t_out, f_out = np.empty(n), np.empty(n)
-    a, b, lu, pos = lo, hi, log_u, np.arange(n)
-    w = b - a
-    x1, x2 = b - _INVPHI * w, a + _INVPHI * w
-    f1, f2 = np.split(_log_pi(cop, np.tile(lu, 2), np.concatenate((x1, x2))), 2)
-    for step in range(opts.max_iter + 1):
-        done = w <= opts.xtol
-        if done.any():
-            first = f1[done] >= f2[done]
-            t_out[pos[done]] = np.where(first, x1[done], x2[done])
-            f_out[pos[done]] = np.where(first, f1[done], f2[done])
-            a, b, w, x1, x2, f1, f2, lu, pos = (
-                arr[~done] for arr in (a, b, w, x1, x2, f1, f2, lu, pos))
-        if pos.size == 0:
-            return t_out, f_out
-        if step == opts.max_iter:
+    t_out, f_out = np.empty(lo.size), np.empty(lo.size)
+    size = max(1, opts.scan_n // _ZOOM)
+    for start in range(0, lo.size, size):
+        pos = np.arange(start, min(start + size, lo.size))
+        a, w, lu = lo[pos], hi[pos] - lo[pos], log_u[pos]
+        for _ in range(opts.max_iter):
+            ts = a[:, None] + w[:, None] * _ZOOM_GRID
+            fs = _log_pi(cop, lu[:, None], ts)
+            rows = np.arange(a.size)
+            best = fs.argmax(axis=1)
+            a = ts[rows, np.maximum(best - 1, 0)]
+            w = ts[rows, np.minimum(best + 1, _ZOOM - 1)] - a
+            done = w <= opts.xtol
+            if done.any():
+                t_out[pos[done]] = ts[rows[done], best[done]]
+                f_out[pos[done]] = fs[rows[done], best[done]]
+                a, w, lu, pos = (arr[~done] for arr in (a, w, lu, pos))
+                if pos.size == 0:
+                    break
+        else:
             raise NumericError(
-                f"golden-section refinement at u={math.exp(lu[0]):.6g} left a "
-                f"bracket of width {w[0]:.3g} > xtol={opts.xtol!r} after "
+                f"zoom refinement at u={math.exp(lu[0]):.6g} left a bracket "
+                f"of width {w[0]:.3g} > xtol={opts.xtol!r} after "
                 f"max_iter={opts.max_iter} steps")
-        up = f1 < f2
-        a, b = np.where(up, x1, a), np.where(up, b, x2)
-        w = b - a
-        t_new = np.where(up, a + _INVPHI * w, b - _INVPHI * w)
-        f_new = _log_pi(cop, lu, t_new)
-        x1, x2 = np.where(up, x2, t_new), np.where(up, t_new, x1)
-        f1, f2 = np.where(up, f2, f_new), np.where(up, f_new, f1)
+    return t_out, f_out
 
 
 def pointwise_max(cop: Copula, u: float,
@@ -293,12 +295,12 @@ def solve_path(cop: Copula, u_grid,
     """Maximal-dependence record over a strictly decreasing grid of levels.
 
     Levels are scanned one at a time; the brackets of all of them are then
-    refined in one batched golden-section solve, so ``points[k]`` equals
+    refined together by batched zoom steps, so ``points[k]`` equals
     ``pointwise_max(cop, u_grid[k])`` exactly.
     """
     grid = _check_grid(u_grid)
-    # the golden-section width in t = log x can shrink no further than a few
-    # ulps of |t|, which is largest at t = 2 log(min u)
+    # the bracket width in t = log x can shrink no further than a few ulps
+    # of |t|, which is largest at t = 2 log(min u)
     xtol_floor = 2.0 * float(np.spacing(-2.0 * math.log(grid[-1])))
     if opts.xtol < xtol_floor:
         raise ParameterError(
@@ -395,6 +397,8 @@ def zeta_root(gamma0: float, gamma1: float, u: float,
                 "underflowing")
         while hi - lo > xtol:
             mid = 0.5 * (lo + hi)
+            if mid in (lo, hi):  # adjacent doubles: xtol is below their spacing
+                break
             if margin(mid) > 0.0:
                 lo = mid
             else:

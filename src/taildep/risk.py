@@ -102,8 +102,12 @@ class ParetoII:
         pa = np.asarray(p, dtype=float)
         if np.any(pa < 0.0) or np.any(pa >= 1.0):
             raise ParameterError(f"p must lie in [0, 1), got {p!r}")
-        out = self.mu + self.sigma * ((1.0 - pa) ** (-1.0 / self.alpha) - 1.0)
+        out = self._quantile(pa)
         return float(out) if np.ndim(p) == 0 else out
+
+    def _quantile(self, p: np.ndarray) -> np.ndarray:
+        """``quantile`` without the range check, for the samplers' own draws."""
+        return self.mu + self.sigma * ((1.0 - p) ** (-1.0 / self.alpha) - 1.0)
 
 
 @dataclass(frozen=True)
@@ -357,7 +361,7 @@ def _top_sums(cop: Copula, marginal: ParetoII, n: int, seed: int,
     def sums(stream: Iterator[_Chunk]) -> Iterator[np.ndarray]:
         for chunk in stream:
             u, v = sample(_draw(seed, ncols, chunk))
-            yield marginal.quantile(u) + marginal.quantile(v)
+            yield marginal._quantile(u) + marginal._quantile(v)
 
     tops = _in_threads(lambda stream: _top_m(sums(stream), m, n), chunks,
                        min(_WORKERS, len(chunks)))

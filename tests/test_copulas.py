@@ -41,6 +41,11 @@ ALL_FAMILIES = [
 ]
 
 
+# an exponent 1 - a or 1 - b of 0 meets log 0 at the boundary
+BOUNDARY_FAMILIES = ALL_FAMILIES + [
+    MarshallOlkin(1.0, B), MarshallOlkin(A, 1.0), MixtureMO(1.0, B)]
+
+
 def _ids(cops):
     return [f"{c.family}-{i}" for i, c in enumerate(cops)]
 
@@ -135,9 +140,30 @@ class TestLogCdf:
         assert val < math.log(u)
 
     @pytest.mark.parametrize("cop", ALL_FAMILIES, ids=_ids(ALL_FAMILIES))
+    def test_log_kernel_matches_linear_cdf(self, cop):
+        # the kernels take log coordinates; the reference is log C(u, v) in
+        # linear space (the generalized Clayton has no linear-space _cdf of
+        # its own, so its formula is written out here)
+        rng = np.random.default_rng(23)
+        u = rng.uniform(0.01, 0.9, 200)
+        v = rng.uniform(0.01, 0.9, 200)
+        if isinstance(cop, GeneralizedClayton):
+            g0, g1 = cop.gamma0, cop.gamma1
+            gt = g0 + g1
+            ref = np.log(u ** (g1 / gt)
+                         * (u ** (-1 / gt) + v ** (-1 / g0) - 1.0) ** -g0)
+        else:
+            ref = np.log(cop.cdf(u, v))
+        got = cop._log_cdf(np.log(u), np.log(v))
+        assert np.allclose(got, ref, rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("cop", BOUNDARY_FAMILIES, ids=_ids(BOUNDARY_FAMILIES))
     def test_log_cdf_boundary_is_minus_inf(self, cop):
         assert cop.log_cdf(0.0, 0.5) == -math.inf
         assert cop.log_cdf(0.5, 0.0) == -math.inf
+        out = cop.log_cdf(np.array([0.0, 0.5, 0.3]), np.array([0.4, 0.0, 0.6]))
+        assert out[0] == out[1] == -math.inf
+        assert out[2] == cop.log_cdf(0.3, 0.6)
 
 
 class TestSurvival:

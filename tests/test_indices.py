@@ -146,7 +146,8 @@ class TestStarIndices:
         flagged[2] = PathPoint(u=flagged[2].u, maximizers=flagged[2].maximizers,
                                pi_star=flagged[2].pi_star,
                                log_pi_star=flagged[2].log_pi_star,
-                               boundary_attained=True, all_paths_maximal=False)
+                               boundary_attained=True, all_paths_maximal=False,
+                               log_maximizers=flagged[2].log_maximizers)
         broken = PathSolution(u_grid=good.u_grid, points=tuple(flagged),
                               options=good.options)
         with pytest.raises(ParameterError):

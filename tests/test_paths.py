@@ -4,6 +4,7 @@ import csv
 import io
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -224,26 +225,18 @@ class TestSolvePath:
                 for u, point in zip(grid, sol.points):
                     assert point == pointwise_max(cop, u), (cop, u)
 
-    def test_batched_refinement_equals_scalar_golden_section(self):
+    def test_batched_refinement_equals_scalar_zoom_steps(self):
         # reference: one bracket at a time, in Python floats
-        invphi = (math.sqrt(5.0) - 1.0) / 2.0
-
-        def golden_max(cop, u, lo, hi, tol):
-            def fn(t):
-                return float(paths._log_pi(cop, math.log(u), np.asarray([t]))[0])
-            a, b = lo, hi
-            x1, x2 = b - invphi * (b - a), a + invphi * (b - a)
-            f1, f2 = fn(x1), fn(x2)
-            while b - a > tol:
-                if f1 < f2:
-                    a, x1, f1 = x1, x2, f2
-                    x2 = a + invphi * (b - a)
-                    f2 = fn(x2)
-                else:
-                    b, x2, f2 = x2, x1, f1
-                    x1 = b - invphi * (b - a)
-                    f1 = fn(x1)
-            return (x1, f1) if f1 >= f2 else (x2, f2)
+        def zoom_max(cop, u, lo, hi, tol):
+            a, w = lo, hi - lo
+            while True:
+                ts = [a + w * (k / 33) for k in range(34)]
+                fs = paths._log_pi(cop, math.log(u), np.asarray(ts)).tolist()
+                j = fs.index(max(fs))
+                a = ts[max(j - 1, 0)]
+                w = ts[min(j + 1, 33)] - a
+                if w <= tol:
+                    return ts[j], fs[j]
 
         # brackets of unequal widths finish after different step counts
         rng = np.random.default_rng(5)
@@ -255,8 +248,51 @@ class TestSolvePath:
             log_u = np.array([math.log(x) for x in u])
             t, f = paths._refine(cop, log_u, lo, hi, opts)
             for k in range(u.size):
-                ref = golden_max(cop, u[k], lo[k], hi[k], opts.xtol)
+                ref = zoom_max(cop, u[k], lo[k], hi[k], opts.xtol)
                 assert (t[k], f[k]) == ref, (cop, k)
+
+    def test_refinement_slices_equal_single_brackets(self):
+        # more brackets than one slice of scan_n // 34 = 120
+        rng = np.random.default_rng(9)
+        log_u = np.log(np.repeat([1e-2, 1e-5], 150))
+        lo = 2.0 * log_u * rng.uniform(0.05, 1.0, log_u.size)
+        hi = lo * rng.uniform(0.0, 0.999, log_u.size)
+        opts = SolverOptions()
+        for cop in (MixtureMO(A, B), GeneralizedClayton(0.5, 0.3)):
+            t, f = paths._refine(cop, log_u, lo, hi, opts)
+            for k in range(log_u.size):
+                one = paths._refine(cop, log_u[k:k + 1], lo[k:k + 1],
+                                    hi[k:k + 1], opts)
+                assert (t[k], f[k]) == (one[0][0], one[1][0]), (cop, k)
+
+    def test_no_brackets_no_kernel_call(self, monkeypatch):
+        def no_kernel(*args):
+            raise AssertionError("refinement called the kernel")
+        monkeypatch.setattr(paths, "_log_pi", no_kernel)
+        t, f = paths._refine(MarshallOlkin(A, B), np.empty(0), np.empty(0),
+                             np.empty(0), SolverOptions())
+        assert t.size == f.size == 0
+
+    @pytest.mark.parametrize("u", [1e-200, 1e-300])
+    def test_deep_levels_match_closed_forms_in_log_space(self, u):
+        # u^2 and the maximizers are below the double range; their logs are
+        # not.  MO: log pi* = kappa* log u at log x* = 2b/(a+b) log u.  The
+        # mixture: half the sum of its two MO components, the smaller one
+        # u^delta times the larger, delta = 2 min(a, b) |a - b| / (a + b),
+        # with maximizers at 2b/(a+b) log u and 2a/(a+b) log u.
+        lu, s = math.log(u), A + B
+        kappa = 2.0 - 2.0 * A * B / s
+        delta = 2.0 * min(A, B) * abs(A - B) / s
+        mo = solve_path(MarshallOlkin(A, B), [1e-1, u]).points[1]
+        mix = solve_path(MixtureMO(A, B), [1e-1, u]).points[1]
+        cases = [(mo, kappa * lu, [2.0 * B / s * lu]),
+                 (mix, kappa * lu + math.log(0.5) + math.log1p(math.exp(delta * lu)),
+                  [2.0 * B / s * lu, 2.0 * A / s * lu])]
+        for point, log_pi, log_x in cases:
+            assert point.log_pi_star == pytest.approx(log_pi, rel=1e-12)
+            assert len(point.log_maximizers) == len(log_x)
+            for t, ref in zip(point.log_maximizers, log_x):
+                assert t == pytest.approx(ref, rel=1e-12)
 
     @pytest.mark.parametrize("grid", [[], [0.5, 0.5], [0.1, 0.2], [0.0, 0.1]])
     def test_grid_validation(self, grid):
@@ -326,6 +362,21 @@ class TestZetaRoot:
     def test_unknown_method(self):
         with pytest.raises(ParameterError):
             zeta_root(0.5, 0.3, 0.1, method="newton")
+
+    def test_xtol_below_double_spacing_returns_the_double_root(self):
+        # doubles near the root are ~1.4e-17 apart, so a bisection width of
+        # 1e-18 is unreachable; the root comes back to double precision
+        g0, g1, u = 0.5, 0.3, 0.1
+        root = zeta_root(g0, g1, u, xtol=1e-18)
+        with mpmath.workdps(40):
+            g0m, g1m, um = (mpmath.mpf(x) for x in (g0, g1, u))
+            gt = g0m + g1m
+            ref = mpmath.findroot(
+                lambda x: (-(1 / g0m + 1 / gt) * mpmath.log(x)
+                           + mpmath.log(1 - g1m / gt * x ** (1 / gt))
+                           - mpmath.log(g0m / gt) + 2 / g0m * mpmath.log(um)),
+                (um * um, 1), solver="anderson")
+        assert abs(root - float(ref)) <= 1e-15 * float(ref)
 
     @settings(max_examples=40, deadline=None)
     @given(g0=st.floats(0.05, 3.0), g1=st.floats(0.0, 3.0),
@@ -459,8 +510,8 @@ class TestSolverOptions:
             solve_path(MarshallOlkin(A, B), [1e-1, u_min])
 
     def test_starved_refinement_is_reported(self):
-        # three golden-section steps leave a bracket far wider than xtol
-        with pytest.raises(NumericError, match=r"u=0\.001 .*width 0\.00159"):
+        # three zoom steps leave a bracket far wider than xtol
+        with pytest.raises(NumericError, match=r"u=0\.001 .*width 1\.5e-06"):
             pointwise_max(MarshallOlkin(A, B), 1e-3, SolverOptions(max_iter=3))
         with pytest.raises(NumericError):
             solve_path(MarshallOlkin(A, B), GRID_4, SolverOptions(max_iter=3))
