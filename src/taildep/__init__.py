@@ -17,6 +17,7 @@ from taildep.copulas import (
     Archimedean,
     AxiomReport,
     Copula,
+    DiagonalCheck,
     FrechetUpper,
     GeneralizedClayton,
     Generator,
@@ -24,6 +25,7 @@ from taildep.copulas import (
     MarshallOlkin,
     MixtureMO,
     SurvivalCopula,
+    archimedean_diagonal_check,
     check_axioms,
     clayton_generator,
     kendall_tau,
@@ -54,11 +56,9 @@ from taildep.indices import (
     star_indices,
 )
 from taildep.paths import (
-    DiagonalCheck,
     PathPoint,
     PathSolution,
     SolverOptions,
-    archimedean_diagonal_check,
     closed_form_path,
     pi_phi,
     pointwise_max,

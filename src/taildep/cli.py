@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from taildep.config import FAMILY_PARAMS, copula_from_mapping, parse_config
-from taildep.copulas import check_axioms, kendall_tau
+from taildep.copulas import check_axioms
 from taildep.errors import (
     ConfigError,
     NoAdmissiblePathError,
@@ -42,24 +42,19 @@ from taildep.errors import (
     TailDepError,
     UnsupportedMethodError,
 )
-from taildep.indices import classical_indices, compare, star_indices
+from taildep.indices import (
+    classical_indices,
+    compare,
+    default_u_grid,
+    star_indices,
+)
 from taildep.paths import SolverOptions, solve_path
 from taildep.risk import ParetoII, reference_table, risk_measures
 from taildep.serialize import dumps_json, format_float
 
-_COPULA_FLAGS = ("family", "a", "b", "alpha", "gamma0", "gamma1", "theta")
-
-_FORMATS = {
-    "eval": ("json", "csv"),
-    "axioms": ("json",),
-    "path": ("csv", "json"),
-    "indices": ("json",),
-    "compare": ("json",),
-    "risk": ("json",),
-    "table1": ("csv", "json"),
-    "contour": ("csv",),
-}
-
+# --family plus one flag per parameter key of any family, in registry order
+_COPULA_FLAGS = ("family", *dict.fromkeys(
+    key for keys in FAMILY_PARAMS.values() for key in keys))
 
 def _add_copula_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", action="append", default=[],
@@ -86,11 +81,11 @@ def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--tie-tol", type=float, default=SolverOptions.tie_tol)
 
 
-def _add_output_flags(parser: argparse.ArgumentParser, default_format: str) -> None:
+def _add_output_flags(parser: argparse.ArgumentParser,
+                      formats: tuple[str, ...]) -> None:
     parser.add_argument("--out", metavar="FILE", default=None,
                         help="output file (default: stdout)")
-    parser.add_argument("--format", choices=("csv", "json"),
-                        default=default_format)
+    parser.add_argument("--format", choices=formats, default=formats[0])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -103,19 +98,19 @@ def build_parser() -> argparse.ArgumentParser:
     _add_copula_flags(p)
     p.add_argument("--u", type=float, required=True)
     p.add_argument("--v", type=float, required=True)
-    _add_output_flags(p, "json")
+    _add_output_flags(p, ("json", "csv"))
 
     p = sub.add_parser("axioms", help="lattice check of the copula axioms")
     _add_copula_flags(p)
     p.add_argument("--grid-n", type=int, default=100)
     p.add_argument("--tol", type=float, default=1e-10)
-    _add_output_flags(p, "json")
+    _add_output_flags(p, ("json",))
 
     p = sub.add_parser("path", help="solve the maximal-dependence path")
     _add_copula_flags(p)
     _add_grid_flags(p)
     _add_solver_flags(p)
-    _add_output_flags(p, "csv")
+    _add_output_flags(p, ("csv", "json"))
 
     p = sub.add_parser("indices", help="tail index reports")
     _add_copula_flags(p)
@@ -123,14 +118,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_solver_flags(p)
     p.add_argument("--kind", choices=("diagonal", "maximal", "both"),
                    default="both")
-    _add_output_flags(p, "json")
+    _add_output_flags(p, ("json",))
 
     p = sub.add_parser("compare", help="tail ordering of two copulas")
     p.add_argument("--config", action="append", default=[], metavar="FILE",
                    help="give exactly twice: the two copulas to compare")
     _add_grid_flags(p)
     _add_solver_flags(p)
-    _add_output_flags(p, "json")
+    _add_output_flags(p, ("json",))
 
     p = sub.add_parser("risk", help="Monte Carlo VaR / CTE / MTVar of X + Y")
     _add_copula_flags(p)
@@ -141,12 +136,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma", type=float, default=1.0)
     p.add_argument("--tail-index", type=float, default=4.0,
                    help="Pareto-II tail index of both marginals")
-    _add_output_flags(p, "json")
+    _add_output_flags(p, ("json",))
 
     p = sub.add_parser("table1", help="(q, b) sweep of indices and risk measures")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--n", type=int, default=2_000_000)
-    _add_output_flags(p, "csv")
+    _add_output_flags(p, ("csv", "json"))
 
     p = sub.add_parser("contour", help="CDF lattice plus path overlay points")
     _add_copula_flags(p)
@@ -181,8 +176,6 @@ def _build_copula(args: argparse.Namespace):
 
 
 def _u_grid(args: argparse.Namespace) -> np.ndarray:
-    from taildep.indices import default_u_grid
-
     return default_u_grid(args.umin_exp, args.umax_exp, args.per_decade)
 
 
@@ -306,7 +299,7 @@ def _cmd_table1(args) -> str:
     return table.to_csv()
 
 
-def _cmd_contour(args) -> int:
+def _cmd_contour(args) -> str:
     cop = _build_copula(args)
     res = args.resolution
     if res < 2:
@@ -319,13 +312,12 @@ def _cmd_contour(args) -> int:
         for j in range(res):
             lines.append(",".join(format_float(x)
                                   for x in (uu[i, j], vv[i, j], cc[i, j])))
-    Path(args.out).write_text("\n".join(lines) + "\n")
 
     solution = solve_path(cop, _u_grid(args), _solver_opts(args))
     out = Path(args.out)
     path_file = out.with_name(out.stem + "_path" + (out.suffix or ".csv"))
     path_file.write_text(solution.to_csv())
-    return 0
+    return "\n".join(lines) + "\n"
 
 
 def main(argv=None) -> int:
@@ -339,10 +331,9 @@ def main(argv=None) -> int:
         "compare": _cmd_compare,
         "risk": _cmd_risk,
         "table1": _cmd_table1,
+        "contour": _cmd_contour,
     }
     try:
-        if args.command == "contour":
-            return _cmd_contour(args)
         text = handlers[args.command](args)
         _emit(text, args.out)
         return 0

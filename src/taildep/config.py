@@ -7,7 +7,7 @@ ignored::
     a = 0.3529
     b = 0.75
 
-Recognized families and their parameter keys:
+Recognized families and their parameter keys (``FAMILY_PARAMS``):
 
 ==================== =====================
 family               parameters
@@ -27,31 +27,14 @@ handles carry Python callables and are therefore constructible in code only.
 
 from __future__ import annotations
 
-from taildep.copulas import (
-    FGM,
-    Archimedean,
-    Copula,
-    FrechetUpper,
-    GeneralizedClayton,
-    Independence,
-    MarshallOlkin,
-    MixtureMO,
-    clayton_generator,
-)
+from taildep.copulas import FAMILIES, Copula
 from taildep.errors import ConfigError
 
 __all__ = ["parse_config", "copula_from_mapping", "copula_from_config",
            "FAMILY_PARAMS"]
 
 FAMILY_PARAMS: dict[str, tuple[str, ...]] = {
-    "independence": (),
-    "frechet_upper": (),
-    "marshall_olkin": ("a", "b"),
-    "mixture_mo": ("a", "b"),
-    "fgm": ("alpha",),
-    "generalized_clayton": ("gamma0", "gamma1"),
-    "clayton": ("theta",),
-}
+    name: keys for name, (_, keys) in FAMILIES.items()}
 
 
 def parse_config(text: str) -> dict[str, str]:
@@ -95,7 +78,7 @@ def copula_from_mapping(mapping: dict) -> Copula:
         known = ", ".join(sorted(FAMILY_PARAMS))
         raise ConfigError(f"unknown family {family!r}; known families: {known}")
 
-    wanted = FAMILY_PARAMS[family]
+    constructor, wanted = FAMILIES[family]
     extra = set(mapping) - {"family", *wanted}
     if extra:
         raise ConfigError(
@@ -104,20 +87,7 @@ def copula_from_mapping(mapping: dict) -> Copula:
     if missing:
         raise ConfigError(f"family {family!r} requires keys {missing}")
 
-    values = {k: _to_float(k, mapping[k]) for k in wanted}
-    if family == "independence":
-        return Independence()
-    if family == "frechet_upper":
-        return FrechetUpper()
-    if family == "marshall_olkin":
-        return MarshallOlkin(values["a"], values["b"])
-    if family == "mixture_mo":
-        return MixtureMO(values["a"], values["b"])
-    if family == "fgm":
-        return FGM(values["alpha"])
-    if family == "generalized_clayton":
-        return GeneralizedClayton(values["gamma0"], values["gamma1"])
-    return Archimedean(clayton_generator(values["theta"]))
+    return constructor(**{k: _to_float(k, mapping[k]) for k in wanted})
 
 
 def copula_from_config(text: str) -> Copula:

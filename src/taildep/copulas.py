@@ -9,17 +9,22 @@ construction and exposes two evaluation routes:
   survival copulas evaluate it from the logs without exponentiating, which
   keeps the tail machinery in :mod:`taildep.paths` exact down to u ~ 1e-300.
 
+Every other fact about a family is an optional method of its class, by
+default None or :class:`UnsupportedMethodError`: ``maximizers``,
+``kappa_star``, ``tau`` and ``sampler``.  ``FAMILIES`` maps each config
+family name to its constructor and parameter keys.
+
 ``survival()`` wraps any copula into its survival copula
 ``u + v - 1 + C(1-u, 1-v)``, mapping upper-tail questions onto the lower-tail
 machinery.  ``check_axioms`` verifies groundedness, uniform marginals and the
 two-increasing property on a lattice; ``kendall_tau`` gives Kendall's tau
-either in closed form (Marshall-Olkin) or by simulation.
+in closed form (Marshall-Olkin).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields, is_dataclass
 from typing import Callable, ClassVar
 
 import numpy as np
@@ -42,10 +47,15 @@ __all__ = [
     "Archimedean",
     "SurvivalCopula",
     "clayton_generator",
+    "DiagonalCheck",
+    "archimedean_diagonal_check",
+    "FAMILIES",
     "AxiomReport",
     "check_axioms",
     "kendall_tau",
 ]
+
+_Pair = tuple[np.ndarray, np.ndarray]
 
 
 def _as_unit(x, name: str) -> np.ndarray:
@@ -73,6 +83,12 @@ def _check_param(value: float, name: str, lo: float, hi: float,
         bracket = "(" if lo_open else "["
         raise ParameterError(
             f"{name} must lie in {bracket}{lo}, {hi}], got {value!r}")
+
+
+def _check_level(u: float) -> float:
+    if not (np.isfinite(u) and 0.0 < u < 1.0):
+        raise ParameterError(f"level u must lie in (0, 1), got {u!r}")
+    return float(u)
 
 
 class Copula:
@@ -114,8 +130,26 @@ class Copula:
         return SurvivalCopula(self)
 
     def params(self) -> dict:
-        """Config-style mapping describing this copula."""
-        return {"family": self.family}
+        """Config-style mapping describing this copula: family and fields."""
+        names = [f.name for f in fields(self)] if is_dataclass(self) else []
+        return {"family": self.family, **{k: getattr(self, k) for k in names}}
+
+    def maximizers(self, u: float) -> tuple[float, ...] | None:
+        """Known maximizers of x -> C(x, u^2/x) at level u, or None."""
+        return None
+
+    def kappa_star(self) -> float | None:
+        """Known maximal-path exponent, or None."""
+        return None
+
+    def tau(self) -> float:
+        """Kendall's tau in closed form."""
+        raise UnsupportedMethodError(
+            f"no closed-form Kendall tau for family {self.family!r}")
+
+    def sampler(self) -> tuple[int, Callable[[np.ndarray], _Pair]]:
+        """Uniform columns per pair, and the map from a block of them to (u, v)."""
+        raise UnsupportedMethodError(f"no sampler for family {self.family!r}")
 
 
 @dataclass(frozen=True)
@@ -130,6 +164,12 @@ class Independence(Copula):
     def _log_cdf(self, lu, lv):
         return lu + lv
 
+    def kappa_star(self):
+        return 2.0
+
+    def sampler(self):
+        return 2, lambda w: (w[:, 0], w[:, 1])
+
 
 @dataclass(frozen=True)
 class FrechetUpper(Copula):
@@ -143,19 +183,54 @@ class FrechetUpper(Copula):
     def _log_cdf(self, lu, lv):
         return np.minimum(lu, lv)
 
+    def maximizers(self, u):
+        return (u,)
+
+    def kappa_star(self):
+        return 1.0
+
+    def sampler(self):
+        return 1, lambda w: (w[:, 0], w[:, 0])
+
 
 @dataclass(frozen=True)
-class MarshallOlkin(Copula):
-    """C(u, v) = min(u^(1-a) v, u v^(1-b)) with a, b in [0, 1]."""
+class _ShockPair(Copula):
+    """Marshall-Olkin-type copula with shock parameters a, b in [0, 1]."""
 
     a: float
     b: float
 
-    family: ClassVar[str] = "marshall_olkin"
-
     def __post_init__(self):
         _check_param(self.a, "a", 0.0, 1.0)
         _check_param(self.b, "b", 0.0, 1.0)
+
+    def kappa_star(self):
+        """2 - 2 a b / (a + b), for Marshall-Olkin and its mixture alike."""
+        s = self.a + self.b
+        if s == 0.0:  # independence corner
+            return 2.0
+        return 2.0 - 2.0 * self.a * self.b / s
+
+
+def _shock(w_shock: np.ndarray, a: float) -> np.ndarray:
+    """The shock term W^(1/a) of a Marshall-Olkin margin (W itself at a >= 1)."""
+    return w_shock if a <= 0.0 or a >= 1.0 else w_shock ** (1.0 / a)
+
+
+def _mo_component(w_own: np.ndarray, shock: np.ndarray, a: float) -> np.ndarray:
+    # a = 0 removes the shock entirely; a = 1 makes the margin pure shock
+    if a <= 0.0:
+        return w_own
+    if a >= 1.0:
+        return shock
+    return np.maximum(w_own ** (1.0 / (1.0 - a)), shock)
+
+
+@dataclass(frozen=True)
+class MarshallOlkin(_ShockPair):
+    """C(u, v) = min(u^(1-a) v, u v^(1-b)) with a, b in [0, 1]."""
+
+    family: ClassVar[str] = "marshall_olkin"
 
     def _cdf(self, u, v):
         return np.minimum(u ** (1.0 - self.a) * v, u * v ** (1.0 - self.b))
@@ -163,22 +238,44 @@ class MarshallOlkin(Copula):
     def _log_cdf(self, lu, lv):
         return np.minimum((1.0 - self.a) * lu + lv, lu + (1.0 - self.b) * lv)
 
-    def params(self):
-        return {"family": self.family, "a": self.a, "b": self.b}
+    def maximizers(self, u):
+        if self.a == 0.0 or self.b == 0.0:  # degenerates to independence
+            return None
+        return (u ** (2.0 * self.b / (self.a + self.b)),)
+
+    def kappa_diag(self) -> float:
+        """Exponent of the diagonal decay C(u, u) = u^(2 - min(a, b))."""
+        return 2.0 - min(self.a, self.b)
+
+    def tau(self):
+        denom = self.a + self.b - self.a * self.b
+        if denom == 0.0:  # a = b = 0 is the independence copula
+            return 0.0
+        return self.a * self.b / denom
+
+    def sampler(self):
+        a, b = self.a, self.b
+        return 3, lambda w: (_mo_component(w[:, 0], _shock(w[:, 2], a), a),
+                             _mo_component(w[:, 1], _shock(w[:, 2], b), b))
+
+
+def _mixture_pair(w: np.ndarray, a: float, b: float) -> _Pair:
+    # a fair coin picks the (a, b) or the (b, a) Marshall-Olkin ordering;
+    # both orderings share the two shock terms
+    shock_a, shock_b = _shock(w[:, 2], a), _shock(w[:, 2], b)
+    u_ab = _mo_component(w[:, 0], shock_a, a)
+    v_ab = _mo_component(w[:, 1], shock_b, b)
+    u_ba = _mo_component(w[:, 0], shock_b, b)
+    v_ba = _mo_component(w[:, 1], shock_a, a)
+    swap = w[:, 3] < 0.5
+    return np.where(swap, u_ba, u_ab), np.where(swap, v_ba, v_ab)
 
 
 @dataclass(frozen=True)
-class MixtureMO(Copula):
+class MixtureMO(_ShockPair):
     """Symmetric half-half mixture of Marshall-Olkin copulas (a,b) and (b,a)."""
 
-    a: float
-    b: float
-
     family: ClassVar[str] = "mixture_mo"
-
-    def __post_init__(self):
-        _check_param(self.a, "a", 0.0, 1.0)
-        _check_param(self.b, "b", 0.0, 1.0)
 
     def _cdf(self, u, v):
         ca, cb = 1.0 - self.a, 1.0 - self.b
@@ -191,8 +288,24 @@ class MixtureMO(Copula):
         c2 = np.minimum(cb * lu + lv, lu + ca * lv)
         return np.logaddexp(c1, c2) - math.log(2.0)
 
-    def params(self):
-        return {"family": self.family, "a": self.a, "b": self.b}
+    def maximizers(self, u):
+        """The maximizers of both orderings, one point when a = b."""
+        ab = MarshallOlkin(self.a, self.b).maximizers(u)
+        if ab is None or self.a == self.b:
+            return ab
+        return tuple(sorted(ab + MarshallOlkin(self.b, self.a).maximizers(u)))
+
+    def sampler(self):
+        return 4, lambda w: _mixture_pair(w, self.a, self.b)
+
+
+def _fgm_conditional_inverse(u: np.ndarray, w: np.ndarray, alpha: float) -> np.ndarray:
+    # Solve w = v (1 + A (1 - v)) for v, A = alpha (1 - 2u); the stable
+    # quadratic root 2w / (1 + A + sqrt((1+A)^2 - 4Aw)) degrades gracefully
+    # to v = w as A -> 0.
+    a_coef = alpha * (1.0 - 2.0 * u)
+    disc = (1.0 + a_coef) ** 2 - 4.0 * a_coef * w
+    return 2.0 * w / (1.0 + a_coef + np.sqrt(disc))
 
 
 @dataclass(frozen=True)
@@ -213,8 +326,15 @@ class FGM(Copula):
         # (1 - u)(1 - v) = expm1(lu) expm1(lv)
         return lu + lv + np.log1p(self.alpha * np.expm1(lu) * np.expm1(lv))
 
-    def params(self):
-        return {"family": self.family, "alpha": self.alpha}
+    def maximizers(self, u):
+        return (u,) if self.alpha > 0.0 else None
+
+    def kappa_star(self):
+        return 2.0 if self.alpha > 0.0 else None
+
+    def sampler(self):
+        return 2, lambda w: (
+            w[:, 0], _fgm_conditional_inverse(w[:, 0], w[:, 1], self.alpha))
 
 
 @dataclass(frozen=True)
@@ -253,9 +373,8 @@ class GeneralizedClayton(Copula):
     def _cdf(self, u, v):
         return np.exp(self._log_cdf_unit(u, v))
 
-    def params(self):
-        return {"family": self.family,
-                "gamma0": self.gamma0, "gamma1": self.gamma1}
+    def kappa_star(self):
+        return 1.0 + self.gamma1 / (self.gamma1 + 2.0 * self.gamma0)
 
 
 @dataclass(frozen=True)
@@ -264,14 +383,15 @@ class Generator:
 
     All four callables must be explicit and vectorized; inverting psi
     numerically is deliberately unsupported because inversion error would
-    contaminate CDF values at tail levels around 1e-6.
+    contaminate CDF values at tail levels around 1e-6.  Handles compare by
+    name and config, so two handles built from the same parameters are equal.
     """
 
     name: str
-    psi: Callable
-    psi_prime: Callable
-    psi_second: Callable
-    psi_inv: Callable
+    psi: Callable = field(compare=False)
+    psi_prime: Callable = field(compare=False)
+    psi_second: Callable = field(compare=False)
+    psi_inv: Callable = field(compare=False)
     config: tuple[tuple[str, float], ...] = ()
 
 
@@ -287,6 +407,53 @@ def clayton_generator(theta: float) -> Generator:
         psi_inv=lambda s: np.power(1.0 + theta * s, -1.0 / theta),
         config=(("theta", float(theta)),),
     )
+
+
+@dataclass(frozen=True)
+class DiagonalCheck:
+    increasing: bool
+    diagonal_is_maximal: bool
+
+
+# A strict generator diverges at 0; a non-strict one plateaus at psi(0).
+_STRICT_PROBE = 1e-10
+_STRICT_THRESHOLD = 50.0
+
+
+def _require_strict(gen: Generator) -> None:
+    with np.errstate(divide="ignore", over="ignore"):
+        near = float(gen.psi(_STRICT_PROBE))
+        if not (near > _STRICT_THRESHOLD):
+            # slowly diverging generators (e.g. logarithmic growth) still
+            # roughly double between 1e-10 and 1e-20; a finite psi(0) does not
+            farther = float(gen.psi(_STRICT_PROBE ** 2))
+            if not (farther > 1.9 * near):
+                raise GeneratorError(
+                    f"generator {gen.name!r} is not strict: psi({_STRICT_PROBE}) "
+                    f"= {near!r} shows no divergence at 0", component="psi")
+
+
+def archimedean_diagonal_check(generator: Generator, u: float,
+                               grid_n: int = 128) -> DiagonalCheck:
+    """Check whether x psi'(x) is nondecreasing on [u^2, 1].
+
+    When it is, the diagonal maximizes C(x, u^2/x) for the Archimedean
+    copula built on ``generator``; the generator must be strict, otherwise
+    no admissible path exists at all and :class:`GeneratorError` is raised.
+    """
+    u = _check_level(u)
+    if grid_n < 8:
+        raise ParameterError(f"grid_n must be >= 8, got {grid_n}")
+    _require_strict(generator)
+    x = np.exp(np.linspace(2.0 * math.log(u), 0.0, grid_n))
+    g = x * np.asarray(generator.psi_prime(x), dtype=float)
+    if np.any(~np.isfinite(g)):
+        raise GeneratorError(
+            f"generator {generator.name!r}: x psi'(x) not finite on [u^2, 1]",
+            component="psi_prime")
+    slack = 1e-9 * float(np.max(np.abs(g)))
+    increasing = bool(np.all(np.diff(g) >= -slack))
+    return DiagonalCheck(increasing=increasing, diagonal_is_maximal=increasing)
 
 
 _GENERATOR_CHECK_GRID = np.linspace(0.05, 0.95, 19)
@@ -344,6 +511,10 @@ class Archimedean(Copula):
                 "evaluation", component="psi_inv")
         return out
 
+    def maximizers(self, u):
+        check = archimedean_diagonal_check(self.generator, u)
+        return (u,) if check.diagonal_is_maximal else None
+
     def params(self):
         if self.generator.name == "clayton":
             out = {"family": "clayton"}
@@ -368,8 +539,23 @@ class SurvivalCopula(Copula):
     def params(self):
         return {"family": self.family, "base": self.base.params()}
 
+    def sampler(self):
+        """The reflection (1-U, 1-V) of a base draw."""
+        ncols, base = self.base.sampler()
+        return ncols, lambda w: tuple(1.0 - x for x in base(w))
+
     def __repr__(self):
         return f"SurvivalCopula({self.base!r})"
+
+
+# config family name -> (constructor, parameter keys): the dataclass fields,
+# and ``clayton``, the one family built from a generator handle
+FAMILIES: dict[str, tuple[Callable[..., Copula], tuple[str, ...]]] = {
+    cls.family: (cls, tuple(f.name for f in fields(cls)))
+    for cls in (Independence, FrechetUpper, MarshallOlkin, MixtureMO, FGM,
+                GeneralizedClayton)}
+FAMILIES["clayton"] = (lambda theta: Archimedean(clayton_generator(theta)),
+                       ("theta",))
 
 
 @dataclass(frozen=True)
@@ -420,30 +606,7 @@ def check_axioms(cop: Copula, grid_n: int = 100, tol: float = 1e-10) -> AxiomRep
     )
 
 
-def kendall_tau(cop: Copula, method: str = "closed_form",
-                n: int = 200_000, seed: int = 0) -> float:
-    """Kendall's tau of a copula.
-
-    ``closed_form`` is available for the Marshall-Olkin family only and
-    returns a b / (a + b - a b).  ``monte_carlo`` simulates ``n`` pairs and
-    returns the sample concordance statistic; it requires a sampler for the
-    family (see :func:`taildep.risk.sample_pairs`).
-    """
-    if method == "closed_form":
-        if isinstance(cop, MarshallOlkin):
-            denom = cop.a + cop.b - cop.a * cop.b
-            if denom == 0.0:  # a = b = 0 is the independence copula
-                return 0.0
-            return cop.a * cop.b / denom
-        raise UnsupportedMethodError(
-            f"no closed-form Kendall tau for family {cop.family!r}")
-    if method == "monte_carlo":
-        from taildep.risk import sample_pairs  # deferred: risk builds on this module
-
-        from scipy.stats import kendalltau as _scipy_tau
-
-        u, v = sample_pairs(cop, n=n, seed=seed)
-        return float(_scipy_tau(u, v).statistic)
-    raise UnsupportedMethodError(
-        f"unknown Kendall tau method {method!r}; "
-        "expected 'closed_form' or 'monte_carlo'")
+def kendall_tau(cop: Copula) -> float:
+    """Kendall's tau in closed form (``Copula.tau``): a b / (a + b - a b) for
+    Marshall-Olkin; other families raise :class:`UnsupportedMethodError`."""
+    return cop.tau()

@@ -32,14 +32,6 @@ import numpy as np
 from taildep.copulas import Copula
 from taildep.errors import DegenerateTailError, NoAdmissiblePathError, ParameterError
 from taildep.paths import PathSolution, SolverOptions, _check_grid, solve_path
-from taildep.copulas import (
-    FGM,
-    FrechetUpper,
-    GeneralizedClayton,
-    Independence,
-    MarshallOlkin,
-    MixtureMO,
-)
 
 __all__ = [
     "PathKind",
@@ -225,20 +217,7 @@ def star_indices(path: PathSolution) -> TailIndexReport:
 
 def closed_form_kappa_star(cop: Copula) -> float | None:
     """Known maximal-path exponent, or None for families without one."""
-    if isinstance(cop, (MarshallOlkin, MixtureMO)):
-        s = cop.a + cop.b
-        if s == 0.0:  # independence corner
-            return 2.0
-        return 2.0 - 2.0 * cop.a * cop.b / s
-    if isinstance(cop, GeneralizedClayton):
-        return 1.0 + cop.gamma1 / (cop.gamma1 + 2.0 * cop.gamma0)
-    if isinstance(cop, FGM):
-        return 2.0 if cop.alpha > 0.0 else None
-    if isinstance(cop, FrechetUpper):
-        return 1.0
-    if isinstance(cop, Independence):
-        return 2.0
-    return None
+    return cop.kappa_star()
 
 
 def compare(spec1: Copula, spec2: Copula, u_grid=None,

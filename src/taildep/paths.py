@@ -18,11 +18,13 @@ rectangle does not shrink to the corner, so it carries no tail meaning.
 A scan that is flat to within the tie window (independence-like) sets
 ``all_paths_maximal``.
 
+A level whose scan finds C(x, u^2/x) zero at every x raises
+:class:`DegenerateTailError` rather than returning an empty answer.
+
 The module also carries the closed-form machinery that exists for specific
-families: the known maximizer formulas (``closed_form_path``), the
-root-characterization of the generalized Clayton maximizer (``zeta``,
-``zeta_root``) and the diagonal criterion for strict Archimedean copulas
-(``archimedean_diagonal_check``).
+families: the known maximizer formulas (``closed_form_path``, which asks
+the family's ``maximizers``) and the root-characterization of the
+generalized Clayton maximizer (``zeta``, ``zeta_root``).
 """
 
 from __future__ import annotations
@@ -34,21 +36,11 @@ from typing import Callable
 
 import numpy as np
 
-from taildep.copulas import (
-    FGM,
-    Archimedean,
-    Copula,
-    FrechetUpper,
-    Generator,
-    GeneralizedClayton,
-    Independence,
-    MarshallOlkin,
-    MixtureMO,
-)
+from taildep.copulas import Copula, GeneralizedClayton, _check_level
 from taildep.errors import (
     BracketError,
+    DegenerateTailError,
     EvaluationOverflowError,
-    GeneratorError,
     NumericError,
     ParameterError,
 )
@@ -63,8 +55,6 @@ __all__ = [
     "solve_path",
     "zeta",
     "zeta_root",
-    "DiagonalCheck",
-    "archimedean_diagonal_check",
     "closed_form_path",
 ]
 
@@ -143,24 +133,23 @@ class PathSolution:
         return buf.getvalue()
 
 
-def _check_level(u: float) -> float:
-    if not (np.isfinite(u) and 0.0 < u < 1.0):
-        raise ParameterError(f"level u must lie in (0, 1), got {u!r}")
-    return float(u)
-
-
 def pi_phi(cop: Copula, u: float, x) -> float | np.ndarray:
     """Probability C(x, u^2/x) of the area-u^2 rectangle anchored at x.
 
-    x must lie in the admissible range [u^2, 1].  Subtracting u^2 turns this
-    into the distance from the independence copula along the same path.
+    x must lie in the admissible range [u^2, 1] (x = u * u counts as its
+    lower end); log coordinates keep it exact where u^2 is subnormal.
+    Subtracting u^2 turns this into the distance from the independence
+    copula along the same path.
     """
     u = _check_level(u)
     xa = np.asarray(x, dtype=float)
-    if np.any(xa < u * u) or np.any(xa > 1.0):
+    log_uu = 2.0 * math.log(u)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lx = np.where(xa == u * u, log_uu, np.log(xa))
+    if not np.all((lx >= log_uu) & (lx <= 0.0)):
         raise ParameterError(
-            f"x must lie in [u^2, 1] = [{u * u!r}, 1], got {x!r}")
-    out = cop.cdf(xa, u * u / xa)
+            f"x must lie in [u^2, 1] = [exp({log_uu!r}), 1], got {x!r}")
+    out = np.exp(cop._log_cdf(lx, log_uu - lx))
     return float(out) if np.ndim(x) == 0 else out
 
 
@@ -186,6 +175,10 @@ def _scan(cop: Copula, u: float, opts: SolverOptions
     at = np.searchsorted(ts, log_u)
     ts = np.concatenate((ts[:at], [log_u], ts[at:]))
     fs = _log_pi(cop, log_u, ts)
+    if not np.isfinite(fs).any():
+        raise DegenerateTailError(
+            f"C(x, u^2/x) vanished at every scanned x at level u={u!r}; "
+            "the level carries no tail mass in double precision")
 
     # tie window in log space: |log(1 - tie_tol)| ~ tie_tol
     tie_log = -math.log1p(-opts.tie_tol)
@@ -321,16 +314,7 @@ def solve_path(cop: Copula, u_grid,
 # generalized Clayton: root characterization of the maximizer
 # ---------------------------------------------------------------------------
 
-def _zeta_params(gamma0: float, gamma1: float, u: float) -> tuple[float, float]:
-    if not (np.isfinite(gamma0) and gamma0 > 0.0):
-        raise ParameterError(f"gamma0 must be positive, got {gamma0!r}")
-    if not (np.isfinite(gamma1) and gamma1 >= 0.0):
-        raise ParameterError(f"gamma1 must be nonnegative, got {gamma1!r}")
-    _check_level(u)
-    return gamma0 + gamma1, float(u)
-
-
-def _zeta_logs(gamma0: float, gamma1: float, u: float, x) -> tuple[np.ndarray, float]:
+def _zeta_logs(cop: GeneralizedClayton, u: float, x) -> tuple[np.ndarray, float]:
     """Logs of the two positive parts of the maximizer equation.
 
     The equation for the interior maximizer of the generalized Clayton level
@@ -339,7 +323,7 @@ def _zeta_logs(gamma0: float, gamma1: float, u: float, x) -> tuple[np.ndarray, f
     raw values would overflow (u^(-2/g0) blows past double range for small
     g0 and u).
     """
-    gt, u = _zeta_params(gamma0, gamma1, u)
+    gamma0, gamma1, gt = cop.gamma0, cop.gamma1, cop.gamma1_tilde
     xa = np.asarray(x, dtype=float)
     if np.any(xa < u * u * (1.0 - 1e-12)) or np.any(xa > 1.0 + 1e-12):
         raise ParameterError(f"x must lie in [u^2, 1], got {x!r}")
@@ -359,7 +343,7 @@ def zeta(gamma0: float, gamma1: float, u: float, x) -> float | np.ndarray:
     :class:`EvaluationOverflowError` when the value itself exceeds double
     range (tiny gamma0 together with tiny u).
     """
-    lhs, rhs = _zeta_logs(gamma0, gamma1, u, x)
+    lhs, rhs = _zeta_logs(GeneralizedClayton(gamma0, gamma1), _check_level(u), x)
     with np.errstate(over="ignore"):
         out = np.exp(rhs) * np.expm1(lhs - rhs)
     if np.any(np.isinf(out)):
@@ -370,107 +354,36 @@ def zeta(gamma0: float, gamma1: float, u: float, x) -> float | np.ndarray:
 
 
 def zeta_root(gamma0: float, gamma1: float, u: float,
-              xtol: float = 1e-9, method: str = "bisection") -> float:
-    """Unique root of ``zeta`` on [u^2, 1].
+              xtol: float = 1e-9) -> float:
+    """Unique root of ``zeta`` on [u^2, 1], by bisection.
 
-    ``bisection`` is the reference: the sign change at the endpoints plus
-    strict monotonicity make it unconditionally correct.  ``fixed_point``
-    iterates the rearranged stationarity equation
-    x = (u^(2/g0) (1 - (g1/gt) x^(1/gt)) / (g0/gt))^(gt g0/(gt+g0)),
-    which converges much faster but is offered as an accelerator only.
+    The sign change at the endpoints plus strict monotonicity make
+    bisection unconditionally correct.
     """
-    gt, u = _zeta_params(gamma0, gamma1, u)
+    cop, u = GeneralizedClayton(gamma0, gamma1), _check_level(u)
     if not (0.0 < xtol < 1.0):
         raise ParameterError(f"xtol must be in (0, 1), got {xtol!r}")
 
     def margin(x: float) -> float:
-        lhs, rhs = _zeta_logs(gamma0, gamma1, u, x)
+        lhs, rhs = _zeta_logs(cop, u, x)
         return float(lhs) - rhs
 
     lo, hi = u * u, 1.0
-    if method == "bisection":
-        m_lo, m_hi = margin(lo), margin(hi)
-        if not (m_lo > 0.0 and m_hi < 0.0):
-            raise BracketError(
-                f"zeta sign conditions failed on [{lo!r}, 1]: "
-                f"margins ({m_lo!r}, {m_hi!r}); parameters may be "
-                "underflowing")
-        while hi - lo > xtol:
-            mid = 0.5 * (lo + hi)
-            if mid in (lo, hi):  # adjacent doubles: xtol is below their spacing
-                break
-            if margin(mid) > 0.0:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
-
-    if method == "fixed_point":
-        expo = gt * gamma0 / (gt + gamma0)
-        x = u  # the symmetric (gamma1 = 0) solution is a natural start
-        for _ in range(500):
-            lx = (2.0 / gamma0) * math.log(u) + math.log1p(
-                -(gamma1 / gt) * x ** (1.0 / gt)) - math.log(gamma0 / gt)
-            x_new = min(max(math.exp(expo * lx), u * u), 1.0)
-            if abs(x_new - x) <= xtol:
-                return x_new
-            x = x_new
-        raise NumericError(
-            f"fixed-point iteration did not reach xtol={xtol!r} in 500 steps")
-
-    raise ParameterError(
-        f"unknown method {method!r}; expected 'bisection' or 'fixed_point'")
-
-
-# ---------------------------------------------------------------------------
-# Archimedean diagonal criterion
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class DiagonalCheck:
-    increasing: bool
-    diagonal_is_maximal: bool
-
-
-# A strict generator diverges at 0; a non-strict one plateaus at psi(0).
-_STRICT_PROBE = 1e-10
-_STRICT_THRESHOLD = 50.0
-
-
-def _require_strict(gen: Generator) -> None:
-    with np.errstate(divide="ignore", over="ignore"):
-        near = float(gen.psi(_STRICT_PROBE))
-        if not (near > _STRICT_THRESHOLD):
-            # slowly diverging generators (e.g. logarithmic growth) still
-            # roughly double between 1e-10 and 1e-20; a finite psi(0) does not
-            farther = float(gen.psi(_STRICT_PROBE ** 2))
-            if not (farther > 1.9 * near):
-                raise GeneratorError(
-                    f"generator {gen.name!r} is not strict: psi({_STRICT_PROBE}) "
-                    f"= {near!r} shows no divergence at 0", component="psi")
-
-
-def archimedean_diagonal_check(generator: Generator, u: float,
-                               grid_n: int = 128) -> DiagonalCheck:
-    """Check whether x psi'(x) is nondecreasing on [u^2, 1].
-
-    When it is, the diagonal maximizes C(x, u^2/x) for the Archimedean
-    copula built on ``generator``; the generator must be strict, otherwise
-    no admissible path exists at all and :class:`GeneratorError` is raised.
-    """
-    u = _check_level(u)
-    if grid_n < 8:
-        raise ParameterError(f"grid_n must be >= 8, got {grid_n}")
-    _require_strict(generator)
-    x = np.exp(np.linspace(2.0 * math.log(u), 0.0, grid_n))
-    g = x * np.asarray(generator.psi_prime(x), dtype=float)
-    if np.any(~np.isfinite(g)):
-        raise GeneratorError(
-            f"generator {generator.name!r}: x psi'(x) not finite on [u^2, 1]",
-            component="psi_prime")
-    slack = 1e-9 * float(np.max(np.abs(g)))
-    increasing = bool(np.all(np.diff(g) >= -slack))
-    return DiagonalCheck(increasing=increasing, diagonal_is_maximal=increasing)
+    m_lo, m_hi = margin(lo), margin(hi)
+    if not (m_lo > 0.0 and m_hi < 0.0):
+        raise BracketError(
+            f"zeta sign conditions failed on [{lo!r}, 1]: "
+            f"margins ({m_lo!r}, {m_hi!r}); parameters may be "
+            "underflowing")
+    while hi - lo > xtol:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):  # adjacent doubles: xtol is below their spacing
+            break
+        if margin(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 # ---------------------------------------------------------------------------
@@ -488,25 +401,4 @@ def closed_form_path(cop: Copula, u: float) -> tuple[float, ...] | None:
     the generalized Clayton (use :func:`zeta_root`), and for
     parameter corners that degenerate to independence.
     """
-    u = _check_level(u)
-    if isinstance(cop, FrechetUpper):
-        return (u,)
-    if isinstance(cop, Independence):
-        return None
-    if isinstance(cop, MarshallOlkin):
-        if cop.a == 0.0 or cop.b == 0.0:  # degenerates to independence
-            return None
-        return (u ** (2.0 * cop.b / (cop.a + cop.b)),)
-    if isinstance(cop, MixtureMO):
-        if cop.a == 0.0 or cop.b == 0.0:
-            return None
-        s = cop.a + cop.b
-        x1 = u ** (2.0 * cop.b / s)
-        x2 = u ** (2.0 * cop.a / s)
-        return (x1,) if cop.a == cop.b else tuple(sorted((x1, x2)))
-    if isinstance(cop, FGM):
-        return (u,) if cop.alpha > 0.0 else None
-    if isinstance(cop, Archimedean):
-        check = archimedean_diagonal_check(cop.generator, u)
-        return (u,) if check.diagonal_is_maximal else None
-    return None
+    return cop.maximizers(_check_level(u))

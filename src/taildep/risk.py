@@ -3,7 +3,8 @@
 Samplers exist for the families with known stochastic representations:
 the Marshall-Olkin copula through its common-shock max transform, the
 symmetric mixture by a fair coin over component orderings, and the FGM
-copula by closed-form inversion of its conditional CDF.  None of these
+copula by closed-form inversion of its conditional CDF.  Each lives on its
+family class in :mod:`taildep.copulas` (``Copula.sampler``).  None of these
 constructions is taken on faith -- the test suite gates every sampler on
 agreement between its empirical copula and the analytic CDF.
 
@@ -38,22 +39,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from taildep.copulas import (
-    FGM,
-    Copula,
-    FrechetUpper,
-    Independence,
-    MarshallOlkin,
-    MixtureMO,
-    SurvivalCopula,
-    kendall_tau,
-)
-from taildep.errors import (
-    InsufficientTailError,
-    ParameterError,
-    UnsupportedMethodError,
-)
-from taildep.indices import closed_form_kappa_star
+from taildep.copulas import Copula, MarshallOlkin
+from taildep.errors import InsufficientTailError, ParameterError
 from taildep.serialize import format_float
 
 __all__ = [
@@ -155,69 +142,6 @@ def _check_q(q) -> None:
         raise ParameterError(f"q must lie in (0, 1), got {q!r}")
 
 
-def _shock(w_shock: np.ndarray, a: float) -> np.ndarray:
-    """The shock term W^(1/a) of a Marshall-Olkin margin (W itself at a >= 1)."""
-    return w_shock if a <= 0.0 or a >= 1.0 else w_shock ** (1.0 / a)
-
-
-def _mo_component(w_own: np.ndarray, shock: np.ndarray, a: float) -> np.ndarray:
-    # a = 0 removes the shock entirely; a = 1 makes the margin pure shock
-    if a <= 0.0:
-        return w_own
-    if a >= 1.0:
-        return shock
-    return np.maximum(w_own ** (1.0 / (1.0 - a)), shock)
-
-
-def _mixture_pair(w: np.ndarray, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
-    # a fair coin picks the (a, b) or the (b, a) Marshall-Olkin ordering;
-    # both orderings share the two shock terms
-    shock_a, shock_b = _shock(w[:, 2], a), _shock(w[:, 2], b)
-    u_ab = _mo_component(w[:, 0], shock_a, a)
-    v_ab = _mo_component(w[:, 1], shock_b, b)
-    u_ba = _mo_component(w[:, 0], shock_b, b)
-    v_ba = _mo_component(w[:, 1], shock_a, a)
-    swap = w[:, 3] < 0.5
-    return np.where(swap, u_ba, u_ab), np.where(swap, v_ba, v_ab)
-
-
-def _fgm_conditional_inverse(u: np.ndarray, w: np.ndarray, alpha: float) -> np.ndarray:
-    # Solve w = v (1 + A (1 - v)) for v, A = alpha (1 - 2u); the stable
-    # quadratic root 2w / (1 + A + sqrt((1+A)^2 - 4Aw)) degrades gracefully
-    # to v = w as A -> 0.
-    a_coef = alpha * (1.0 - 2.0 * u)
-    disc = (1.0 + a_coef) ** 2 - 4.0 * a_coef * w
-    return 2.0 * w / (1.0 + a_coef + np.sqrt(disc))
-
-
-_Pair = tuple[np.ndarray, np.ndarray]
-
-
-def _batch_sampler(cop: Copula) -> tuple[int, Callable[[np.ndarray], _Pair]]:
-    """Uniform columns per pair, and the map from a block of them to (u, v)."""
-    if isinstance(cop, SurvivalCopula):
-        ncols, base = _batch_sampler(cop.base)
-
-        def reflect(w: np.ndarray) -> _Pair:
-            u, v = base(w)
-            return 1.0 - u, 1.0 - v
-        return ncols, reflect
-    if isinstance(cop, Independence):
-        return 2, lambda w: (w[:, 0], w[:, 1])
-    if isinstance(cop, FrechetUpper):
-        return 1, lambda w: (w[:, 0], w[:, 0])
-    if isinstance(cop, MarshallOlkin):
-        return 3, lambda w: (_mo_component(w[:, 0], _shock(w[:, 2], cop.a), cop.a),
-                             _mo_component(w[:, 1], _shock(w[:, 2], cop.b), cop.b))
-    if isinstance(cop, MixtureMO):
-        return 4, lambda w: _mixture_pair(w, cop.a, cop.b)
-    if isinstance(cop, FGM):
-        return 2, lambda w: (
-            w[:, 0], _fgm_conditional_inverse(w[:, 0], w[:, 1], cop.alpha))
-    raise UnsupportedMethodError(
-        f"no sampler for family {cop.family!r}")
-
-
 _Chunk = tuple[int, int, int]
 
 
@@ -242,14 +166,14 @@ def _draw(seed: int, ncols: int, chunk: _Chunk) -> np.ndarray:
 def sample_pairs(cop: Copula, n: int, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Draw n pairs with uniform marginals coupled by ``cop``.
 
-    Supported families: independence, comonotone, Marshall-Olkin, its
-    symmetric mixture, FGM, and the survival copula of any of these (drawn
-    exactly as the reflection (1-U, 1-V) of a base draw).  Raises
-    :class:`UnsupportedMethodError` otherwise (there is no sampler for the
-    generalized Clayton or generic Archimedean copulas here).
+    Supported families (those with a ``sampler``): independence, comonotone,
+    Marshall-Olkin, its symmetric mixture, FGM, and the survival copula of
+    any of these (drawn exactly as the reflection (1-U, 1-V) of a base
+    draw).  Raises :class:`UnsupportedMethodError` otherwise (there is no
+    sampler for the generalized Clayton or generic Archimedean copulas here).
     """
     n, seed = _check_n_seed(n, seed, 1)
-    ncols, sample = _batch_sampler(cop)
+    ncols, sample = cop.sampler()
     u, v = np.empty(n), np.empty(n)
     for start, chunk in zip(range(0, n, _CHUNK), _chunks(n)):
         stop = start + chunk[2]
@@ -355,7 +279,7 @@ def _top_sums(cop: Copula, marginal: ParetoII, n: int, seed: int,
     of their buffers.
     """
     m = n - k + 1
-    ncols, sample = _batch_sampler(cop)
+    ncols, sample = cop.sampler()
     chunks = _chunks(n)
 
     def sums(stream: Iterator[_Chunk]) -> Iterator[np.ndarray]:
@@ -478,9 +402,9 @@ def reference_table(seed: int, n: int = 2_000_000,
             report = reports[q, b]
             rows.append(RiskTableRow(
                 q=q, b=b,
-                tau=kendall_tau(cop, "closed_form"),
-                kappa_l=2.0 - min(a, b),
-                kappa_l_star=closed_form_kappa_star(cop),
+                tau=cop.tau(),
+                kappa_l=cop.kappa_diag(),
+                kappa_l_star=cop.kappa_star(),
                 var_q=report.var_q,
                 cte_q=report.cte_q,
                 mtvar_q=report.mtvar_q,

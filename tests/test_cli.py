@@ -90,6 +90,19 @@ class TestExitCodes:
                            "--alpha", "-0.5", "--kind", "maximal")
         assert code == 3 and "admissible" in err
 
+    def test_vanished_level_is_3(self, capsys):
+        code, out, err = run(capsys, "path", "--family", "marshall_olkin",
+                             "--a", "0.3529", "--b", "0.75", "--survival",
+                             "--umin-exp", "18")
+        assert code == 3 and out == "" and "u=1e-18" in err
+
+    @pytest.mark.parametrize("command", ["axioms", "indices", "risk"])
+    def test_format_the_command_cannot_write_is_2(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--family", "independence", "--format", "csv"])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
     def test_success_is_0(self, capsys):
         code, _, _ = run(capsys, "axioms", "--family", "independence",
                          "--grid-n", "20")

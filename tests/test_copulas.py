@@ -239,20 +239,7 @@ class TestKendallTau:
 
     def test_closed_form_unsupported_elsewhere(self):
         with pytest.raises(UnsupportedMethodError):
-            kendall_tau(FGM(0.5), "closed_form")
-
-    def test_monte_carlo_agrees_with_closed_form(self):
-        cop = MarshallOlkin(A, B)
-        est = kendall_tau(cop, "monte_carlo", n=200_000, seed=4)
-        assert est == pytest.approx(kendall_tau(cop), abs=0.006)
-
-    def test_monte_carlo_needs_a_sampler(self):
-        with pytest.raises(UnsupportedMethodError):
-            kendall_tau(GeneralizedClayton(0.5, 0.3), "monte_carlo", n=10_000)
-
-    def test_unknown_method(self):
-        with pytest.raises(UnsupportedMethodError):
-            kendall_tau(MarshallOlkin(A, B), "exact")
+            kendall_tau(FGM(0.5))
 
 
 class TestGenerators:

@@ -1,0 +1,92 @@
+"""The contract every registered copula family keeps.
+
+A family is one class in ``taildep.copulas`` plus one entry in ``EXAMPLES``
+below; ``test_every_family_has_an_entry`` fails until both exist.
+"""
+
+import json
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from taildep import (
+    UnsupportedMethodError,
+    copula_from_mapping,
+    default_u_grid,
+    pointwise_max,
+    solve_path,
+    star_indices,
+)
+from taildep.cli import main
+from taildep.copulas import FAMILIES
+from taildep.risk import sample_pairs
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+from checks import LOWER_TOL  # noqa: E402
+
+# family -> (config parameters, relative tolerance to which the solver
+# reproduces closed-form maximizers: kinks are located to rounding, smooth
+# peaks only to about sqrt(eps / curvature), which grows as the level falls)
+EXAMPLES = {
+    "independence": ({}, None),
+    "frechet_upper": ({}, 1e-10),
+    "marshall_olkin": ({"a": 0.3529, "b": 0.75}, 1e-10),
+    "mixture_mo": ({"a": 0.3529, "b": 0.75}, 1e-10),
+    "fgm": ({"alpha": 0.5}, 1e-6),
+    "generalized_clayton": ({"gamma0": 0.5, "gamma1": 0.3}, 1e-6),
+    "clayton": ({"theta": 2.0}, 1e-6),
+}
+FAMILY_NAMES = sorted(FAMILIES)
+
+
+def example(name):
+    return copula_from_mapping({"family": name, **EXAMPLES[name][0]})
+
+
+def test_every_family_has_an_entry():
+    assert set(EXAMPLES) == set(FAMILIES)
+
+
+@pytest.mark.parametrize("name", FAMILY_NAMES)
+class TestFamilyContract:
+    def test_params_round_trip(self, name):
+        cop = example(name)
+        assert cop.params()["family"] == name
+        assert copula_from_mapping(cop.params()) == cop
+
+    def test_cli_builds_it_from_flags(self, name, capsys):
+        flags = [f"--{k}={v!r}" for k, v in EXAMPLES[name][0].items()]
+        code = main(["eval", "--family", name, *flags, "--u", "0.3", "--v", "0.5"])
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["copula"] == example(name).params()
+
+    @pytest.mark.parametrize("u", [1e-1, 1e-2])
+    def test_maximizers_match_the_solver(self, name, u):
+        cop, rtol = example(name), EXAMPLES[name][1]
+        known = cop.maximizers(u)
+        if known is None:
+            pytest.skip(f"no closed-form maximizers for {name}")
+        got = pointwise_max(cop, u).maximizers
+        assert len(got) == len(known)
+        np.testing.assert_allclose(got, known, rtol=rtol)
+
+    def test_kappa_star_matches_star_indices(self, name):
+        cop = example(name)
+        known = cop.kappa_star()
+        if known is None:
+            pytest.skip(f"no closed-form kappa* for {name}")
+        kappa = star_indices(solve_path(cop, default_u_grid(8))).kappa
+        assert abs(kappa - known) <= LOWER_TOL[name]["kappa_star"]
+
+    def test_sampler_draws_unit_pairs(self, name):
+        cop = example(name)
+        try:
+            cop.sampler()
+        except UnsupportedMethodError:
+            pytest.skip(f"no sampler for {name}")
+        for c in (cop, cop.survival()):
+            u, v = sample_pairs(c, 1000, seed=1)
+            assert u.shape == v.shape == (1000,)
+            assert np.all((u >= 0.0) & (u <= 1.0) & (v >= 0.0) & (v <= 1.0))

@@ -15,6 +15,7 @@ from taildep import (
     FGM,
     Archimedean,
     BracketError,
+    DegenerateTailError,
     EvaluationOverflowError,
     FrechetUpper,
     GeneralizedClayton,
@@ -66,6 +67,43 @@ class TestPiPhi:
             pi_phi(Independence(), 0.1, 1.01)
         with pytest.raises(ParameterError):
             pi_phi(Independence(), 1.0, 0.5)  # u must be interior
+
+    @pytest.mark.parametrize("x", [0.0, -0.5, math.nan, math.inf])
+    def test_non_admissible_x_is_rejected(self, x):
+        with pytest.raises(ParameterError):
+            pi_phi(Independence(), 0.1, x)
+
+    def test_rounded_lower_end_is_admissible(self):
+        # u * u rounds below u^2 here, yet it names the lower end of [u^2, 1]
+        u = 0.032
+        assert math.log(u * u) < 2.0 * math.log(u)
+        assert pi_phi(Independence(), u, u * u) == pytest.approx(u * u, rel=1e-14)
+
+    @pytest.mark.parametrize("u,x", [(1e-160, 1e-100), (1e-155, 1e-155)])
+    def test_subnormal_u_squared_against_mpmath(self, u, x):
+        # u^2 is subnormal (or 0) in double precision; the value is not
+        with mpmath.workdps(50):
+            um, xm = mpmath.mpf(u), mpmath.mpf(x)
+            ym = um * um / xm
+            ref = float(min(xm ** (1 - mpmath.mpf(A)) * ym,
+                            xm * ym ** (1 - mpmath.mpf(B))))
+        got = pi_phi(MarshallOlkin(A, B), u, x)
+        assert abs(got - ref) <= 1e-13 * ref
+
+
+class TestVanishedLevel:
+    @pytest.mark.parametrize("cop", [
+        MarshallOlkin(A, B).survival(),
+        MixtureMO(A, B).survival(),
+        FGM(0.5).survival(),
+        Independence().survival(),
+    ], ids=repr)
+    def test_level_with_no_mass_is_an_error(self, cop):
+        # u + v - 1 + C(1-u, 1-v) cancels to 0 at every x once u^2 < ~1e-32
+        with pytest.raises(DegenerateTailError, match="u=1e-18"):
+            pointwise_max(cop, 1e-18)
+        with pytest.raises(DegenerateTailError, match="u=1e-18"):
+            solve_path(cop, [1e-2, 1e-18])
 
 
 class TestPointwiseMax:
@@ -347,21 +385,18 @@ class TestZetaRoot:
         root = zeta_root(g0, g1, u, xtol=1e-12)
         assert abs(root - brute) <= 1.2 * (xs[1] - xs[0])
 
-    @pytest.mark.parametrize("g0,g1,u", [(0.04, 0.02, 0.1), (0.5, 0.3, 0.01),
-                                         (2.0, 1.5, 0.2)])
-    def test_fixed_point_agrees_with_bisection(self, g0, g1, u):
-        ref = zeta_root(g0, g1, u, xtol=1e-13)
-        acc = zeta_root(g0, g1, u, xtol=1e-13, method="fixed_point")
-        assert acc == pytest.approx(ref, abs=1e-9)
+    @pytest.mark.parametrize("g0,g1", [(0.0, 0.1), (0.5, -0.1), (math.inf, 0.1),
+                                       (0.5, math.nan)])
+    def test_parameters_follow_the_generalized_clayton_rule(self, g0, g1):
+        with pytest.raises(ParameterError):
+            zeta_root(g0, g1, 0.3)
+        with pytest.raises(ParameterError):
+            GeneralizedClayton(g0, g1)
 
     def test_root_survives_zeta_overflow_range(self):
         # the value of zeta overflows here, the sign function does not
         assert zeta_root(0.01, 0.0, 1e-4, xtol=1e-12) == pytest.approx(1e-4,
                                                                        rel=1e-6)
-
-    def test_unknown_method(self):
-        with pytest.raises(ParameterError):
-            zeta_root(0.5, 0.3, 0.1, method="newton")
 
     def test_xtol_below_double_spacing_returns_the_double_root(self):
         # doubles near the root are ~1.4e-17 apart, so a bisection width of

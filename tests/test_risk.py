@@ -180,7 +180,7 @@ class TestSamplers:
            w=st.floats(0.001, 0.999))
     def test_fgm_conditional_inverse_property(self, alpha, u, w):
         # the sampled v must satisfy the conditional CDF equation
-        from taildep.risk import _fgm_conditional_inverse
+        from taildep.copulas import _fgm_conditional_inverse
 
         v = float(_fgm_conditional_inverse(np.asarray(u), np.asarray(w), alpha))
         assert 0.0 <= v <= 1.0
@@ -356,7 +356,7 @@ class TestChunkedThreads:
     def test_a_failing_chunk_raises_in_the_caller(self, monkeypatch, where):
         # the first chunk taken by the named thread raises; no partial
         # result comes back and every worker thread has been joined
-        real = risk._batch_sampler
+        real = FGM.sampler
         caller = threading.current_thread()
         failed = threading.Event()
 
@@ -371,7 +371,7 @@ class TestChunkedThreads:
                 return sample(w)
             return ncols, flaky
 
-        monkeypatch.setattr(risk, "_batch_sampler", failing_sampler)
+        monkeypatch.setattr(FGM, "sampler", failing_sampler)
         monkeypatch.setattr(risk, "_WORKERS", 3)
         with pytest.raises(ZeroDivisionError, match="chunk failed"):
             risk_measures(FGM(0.7), MARGINAL, 0.99, STREAM_N, seed=1)
