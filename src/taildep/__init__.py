@@ -58,7 +58,6 @@ from taildep.indices import (
 from taildep.paths import (
     PathPoint,
     PathSolution,
-    SolverOptions,
     closed_form_path,
     pi_phi,
     pointwise_max,
@@ -83,7 +82,7 @@ __all__ = [
     "FGM", "GeneralizedClayton", "Generator", "Archimedean", "SurvivalCopula",
     "clayton_generator", "AxiomReport", "check_axioms", "kendall_tau",
     "parse_config", "copula_from_mapping", "copula_from_config",
-    "SolverOptions", "PathPoint", "PathSolution", "pi_phi", "pointwise_max",
+    "PathPoint", "PathSolution", "pi_phi", "pointwise_max",
     "solve_path", "zeta", "zeta_root", "DiagonalCheck",
     "archimedean_diagonal_check", "closed_form_path",
     "PathKind", "TailIndexReport", "Verdict", "ComparisonReport",

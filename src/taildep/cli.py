@@ -5,7 +5,8 @@ from flags mirroring the config keys one-to-one (``--family``, ``--a``,
 ``--b``, ``--alpha``, ``--gamma0``, ``--gamma1``, ``--theta``); flags
 override file values.  ``--survival`` swaps in the survival copula of the
 given spec, which maps upper-tail questions onto the lower-tail machinery
-(and is how ``table1`` couples its losses).  Commands:
+(and is how ``table1`` couples its losses).  The path solver's tolerances
+are fixed, so no command takes solver flags.  Commands:
 
 =========  ==================================================================
 eval       C(u, v) at a point
@@ -48,7 +49,7 @@ from taildep.indices import (
     default_u_grid,
     star_indices,
 )
-from taildep.paths import SolverOptions, solve_path
+from taildep.paths import solve_path
 from taildep.risk import ParetoII, reference_table, risk_measures
 from taildep.serialize import dumps_json, format_float
 
@@ -73,12 +74,6 @@ def _add_grid_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--umax-exp", type=int, default=1,
                         help="largest level is 10^-UMAX_EXP")
     parser.add_argument("--per-decade", type=int, default=1)
-
-
-def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--scan-n", type=int, default=SolverOptions.scan_n)
-    parser.add_argument("--xtol", type=float, default=SolverOptions.xtol)
-    parser.add_argument("--tie-tol", type=float, default=SolverOptions.tie_tol)
 
 
 def _add_output_flags(parser: argparse.ArgumentParser,
@@ -109,13 +104,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("path", help="solve the maximal-dependence path")
     _add_copula_flags(p)
     _add_grid_flags(p)
-    _add_solver_flags(p)
     _add_output_flags(p, ("csv", "json"))
 
     p = sub.add_parser("indices", help="tail index reports")
     _add_copula_flags(p)
     _add_grid_flags(p)
-    _add_solver_flags(p)
     p.add_argument("--kind", choices=("diagonal", "maximal", "both"),
                    default="both")
     _add_output_flags(p, ("json",))
@@ -124,7 +117,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", action="append", default=[], metavar="FILE",
                    help="give exactly twice: the two copulas to compare")
     _add_grid_flags(p)
-    _add_solver_flags(p)
     _add_output_flags(p, ("json",))
 
     p = sub.add_parser("risk", help="Monte Carlo VaR / CTE / MTVar of X + Y")
@@ -146,7 +138,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("contour", help="CDF lattice plus path overlay points")
     _add_copula_flags(p)
     _add_grid_flags(p)
-    _add_solver_flags(p)
     p.add_argument("--resolution", type=int, default=201)
     p.add_argument("--out", metavar="FILE", default="contour.csv",
                    help="lattice file; path points go to <out>_path.csv")
@@ -179,11 +170,6 @@ def _u_grid(args: argparse.Namespace) -> np.ndarray:
     return default_u_grid(args.umin_exp, args.umax_exp, args.per_decade)
 
 
-def _solver_opts(args: argparse.Namespace) -> SolverOptions:
-    return SolverOptions(scan_n=args.scan_n, xtol=args.xtol,
-                         tie_tol=args.tie_tol)
-
-
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
@@ -204,11 +190,6 @@ def _path_json_dict(solution) -> dict:
             }
             for p in solution.points
         ],
-        "options": {
-            "scan_n": solution.options.scan_n,
-            "xtol": solution.options.xtol,
-            "tie_tol": solution.options.tie_tol,
-        },
     }
 
 
@@ -242,7 +223,7 @@ def _cmd_axioms(args) -> str:
 
 def _cmd_path(args) -> str:
     cop = _build_copula(args)
-    solution = solve_path(cop, _u_grid(args), _solver_opts(args))
+    solution = solve_path(cop, _u_grid(args))
     if args.format == "json":
         return dumps_json(_path_json_dict(solution))
     return solution.to_csv()
@@ -255,7 +236,7 @@ def _cmd_indices(args) -> str:
     if args.kind in ("diagonal", "both"):
         out["diagonal"] = classical_indices(cop, grid).to_json_dict()
     if args.kind in ("maximal", "both"):
-        solution = solve_path(cop, grid, _solver_opts(args))
+        solution = solve_path(cop, grid)
         out["maximal"] = star_indices(solution).to_json_dict()
     return dumps_json(out)
 
@@ -265,7 +246,7 @@ def _cmd_compare(args) -> str:
         raise ParameterError("compare requires exactly two --config files")
     cops = [copula_from_mapping(parse_config(Path(p).read_text()))
             for p in args.config]
-    report = compare(cops[0], cops[1], _u_grid(args), _solver_opts(args))
+    report = compare(cops[0], cops[1], _u_grid(args))
     out = {"copula_1": cops[0].params(), "copula_2": cops[1].params()}
     out.update(report.to_json_dict())
     return dumps_json(out)
@@ -313,7 +294,7 @@ def _cmd_contour(args) -> str:
             lines.append(",".join(format_float(x)
                                   for x in (uu[i, j], vv[i, j], cc[i, j])))
 
-    solution = solve_path(cop, _u_grid(args), _solver_opts(args))
+    solution = solve_path(cop, _u_grid(args))
     out = Path(args.out)
     path_file = out.with_name(out.stem + "_path" + (out.suffix or ".csv"))
     path_file.write_text(solution.to_csv())

@@ -59,11 +59,9 @@ _Pair = tuple[np.ndarray, np.ndarray]
 
 
 def _as_unit(x, name: str) -> np.ndarray:
-    """Coerce to float array and reject anything outside [0, 1]."""
+    """Coerce to float array and reject anything outside [0, 1], nan too."""
     arr = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise ParameterError(f"{name} must be finite, got {x!r}")
-    if np.any(arr < 0.0) or np.any(arr > 1.0):
+    if not ((arr >= 0.0) & (arr <= 1.0)).all():
         raise ParameterError(f"{name} must lie in [0, 1], got {x!r}")
     return arr
 
@@ -412,7 +410,6 @@ def clayton_generator(theta: float) -> Generator:
 @dataclass(frozen=True)
 class DiagonalCheck:
     increasing: bool
-    diagonal_is_maximal: bool
 
 
 # A strict generator diverges at 0; a non-strict one plateaus at psi(0).
@@ -433,19 +430,17 @@ def _require_strict(gen: Generator) -> None:
                     f"= {near!r} shows no divergence at 0", component="psi")
 
 
-def archimedean_diagonal_check(generator: Generator, u: float,
-                               grid_n: int = 128) -> DiagonalCheck:
+def archimedean_diagonal_check(generator: Generator, u: float) -> DiagonalCheck:
     """Check whether x psi'(x) is nondecreasing on [u^2, 1].
 
     When it is, the diagonal maximizes C(x, u^2/x) for the Archimedean
     copula built on ``generator``; the generator must be strict, otherwise
     no admissible path exists at all and :class:`GeneratorError` is raised.
+    The check samples 128 log-spaced points of [u^2, 1].
     """
     u = _check_level(u)
-    if grid_n < 8:
-        raise ParameterError(f"grid_n must be >= 8, got {grid_n}")
     _require_strict(generator)
-    x = np.exp(np.linspace(2.0 * math.log(u), 0.0, grid_n))
+    x = np.exp(np.linspace(2.0 * math.log(u), 0.0, 128))
     g = x * np.asarray(generator.psi_prime(x), dtype=float)
     if np.any(~np.isfinite(g)):
         raise GeneratorError(
@@ -453,7 +448,7 @@ def archimedean_diagonal_check(generator: Generator, u: float,
             component="psi_prime")
     slack = 1e-9 * float(np.max(np.abs(g)))
     increasing = bool(np.all(np.diff(g) >= -slack))
-    return DiagonalCheck(increasing=increasing, diagonal_is_maximal=increasing)
+    return DiagonalCheck(increasing=increasing)
 
 
 _GENERATOR_CHECK_GRID = np.linspace(0.05, 0.95, 19)
@@ -513,7 +508,7 @@ class Archimedean(Copula):
 
     def maximizers(self, u):
         check = archimedean_diagonal_check(self.generator, u)
-        return (u,) if check.diagonal_is_maximal else None
+        return (u,) if check.increasing else None
 
     def params(self):
         if self.generator.name == "clayton":

@@ -31,7 +31,7 @@ import numpy as np
 
 from taildep.copulas import Copula
 from taildep.errors import DegenerateTailError, NoAdmissiblePathError, ParameterError
-from taildep.paths import PathSolution, SolverOptions, _check_grid, solve_path
+from taildep.paths import PathSolution, _check_grid, solve_path
 
 __all__ = [
     "PathKind",
@@ -220,19 +220,19 @@ def closed_form_kappa_star(cop: Copula) -> float | None:
     return cop.kappa_star()
 
 
-def compare(spec1: Copula, spec2: Copula, u_grid=None,
-            opts: SolverOptions = SolverOptions()) -> ComparisonReport:
+def compare(spec1: Copula, spec2: Copula, u_grid=None) -> ComparisonReport:
     """Order two copulas by the decay of their per-level maxima.
 
     When the estimated exponents agree (within 10x the larger residual,
     floored at 1e-4, so the test tracks achieved accuracy), the strong
     ordering applies: the extrapolated ratio Pi*(u|C1)/Pi*(u|C2) above /
     below / at 1 decides the verdict.  Otherwise the weak ordering applies
-    through the extrapolated log-ratio index, decided by its sign.
+    through the extrapolated log-ratio index, decided by its sign.  Both
+    maximal paths come from :func:`solve_path` and its fixed tolerances.
     """
     u = _check_index_grid(default_u_grid() if u_grid is None else u_grid)
-    path1 = solve_path(spec1, u, opts)
-    path2 = solve_path(spec2, u, opts)
+    path1 = solve_path(spec1, u)
+    path2 = solve_path(spec2, u)
     rep1 = star_indices(path1)
     rep2 = star_indices(path2)
 

@@ -4,18 +4,19 @@ For a level u, sliding a rectangle of fixed area u^2 along the hyperbola
 (x, u^2/x) sweeps every admissible tail path through level u.  The solver
 finds every global maximizer of x -> C(x, u^2/x):
 
-* scan a log-spaced grid over [u^2, 1] (tail maximizers such as
-  u^(2b/(a+b)) cluster near 0, so uniform-in-x grids would miss them);
+* scan a log-spaced grid of 4096 points over [u^2, 1] (tail maximizers such
+  as u^(2b/(a+b)) cluster near 0, so uniform-in-x grids would miss them);
 * bracket each local maximum and refine the brackets of all levels at once
-  by batched zoom steps in log x, each bracket with its own stop rule;
-* report *all* refined maxima within a relative tie window of the best --
+  by batched zoom steps in log x, each bracket to a width of 1e-12 (relative
+  in x) within 200 steps, else :class:`NumericError`;
+* report *all* refined maxima within a relative 1e-9 of the best --
   symmetric mixtures genuinely carry two global maximizers and a
   single-optimum solver would silently drop one.
 
 Maxima attained only at x = u^2 or x = 1 are flagged
 (``boundary_attained``) rather than treated as paths: the corresponding
 rectangle does not shrink to the corner, so it carries no tail meaning.
-A scan that is flat to within the tie window (independence-like) sets
+A scan that is flat to within that tie window (independence-like) sets
 ``all_paths_maximal``.
 
 A level whose scan finds C(x, u^2/x) zero at every x raises
@@ -31,7 +32,7 @@ from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -47,7 +48,6 @@ from taildep.errors import (
 from taildep.serialize import format_float
 
 __all__ = [
-    "SolverOptions",
     "PathPoint",
     "PathSolution",
     "pi_phi",
@@ -61,35 +61,11 @@ __all__ = [
 # points of a zoom step, ends included: a step shrinks a bracket to 2/33
 _ZOOM = 34
 _ZOOM_GRID = np.arange(_ZOOM) / (_ZOOM - 1)
+_SCAN_N = 4096  # points of the log-spaced scan of each level
+_XTOL = 1e-12  # refined bracket width in log x, a relative width in x
+_TIE_LOG = -math.log1p(-1e-9)  # log of the relative 1e-9 tie window
+_MAX_ITER = 200  # zoom steps per bracket before NumericError
 
-
-@dataclass(frozen=True)
-class SolverOptions:
-    """Knobs for the per-level scan-and-refine maximizer search.
-
-    scan_n:   points of the initial log-spaced scan grid.
-    xtol:     relative width to which each bracket is refined (the zoom
-              steps run in log x, where this is the absolute width).
-    tie_tol:  relative value window within which refined maxima count as
-              co-maximizers of the best one.
-    max_iter: zoom steps allowed per bracket; a bracket still wider than
-              xtol after them raises NumericError.
-    """
-
-    scan_n: int = 4096
-    xtol: float = 1e-12
-    tie_tol: float = 1e-9
-    max_iter: int = 200
-
-    def __post_init__(self):
-        if self.scan_n < 16:
-            raise ParameterError(f"scan_n must be >= 16, got {self.scan_n}")
-        if not (0.0 < self.xtol < 1.0):
-            raise ParameterError(f"xtol must be in (0, 1), got {self.xtol}")
-        if not (0.0 < self.tie_tol < 1.0):
-            raise ParameterError(f"tie_tol must be in (0, 1), got {self.tie_tol}")
-        if self.max_iter < 1:
-            raise ParameterError(f"max_iter must be >= 1, got {self.max_iter}")
 
 
 @dataclass(frozen=True)
@@ -112,7 +88,6 @@ class PathSolution:
 
     u_grid: tuple[float, ...]
     points: tuple[PathPoint, ...]
-    options: SolverOptions = field(default_factory=SolverOptions)
 
     def to_csv(self) -> str:
         """CSV with variable-width maximizer columns, padded empty."""
@@ -159,7 +134,7 @@ def _log_pi(cop: Copula, log_u: float | np.ndarray,
     return cop._log_cdf(t, 2.0 * log_u - t)
 
 
-def _scan(cop: Copula, u: float, opts: SolverOptions
+def _scan(cop: Copula, u: float
           ) -> tuple[np.ndarray, np.ndarray, Callable[..., PathPoint]]:
     """Scan level u on a log-spaced grid.
 
@@ -169,7 +144,7 @@ def _scan(cop: Copula, u: float, opts: SolverOptions
     """
     log_u = math.log(u)
     t_lo, t_hi = 2.0 * log_u, 0.0
-    ts = np.linspace(t_lo, t_hi, opts.scan_n)
+    ts = np.linspace(t_lo, t_hi, _SCAN_N)
     # the diagonal x = u is always admissible; pin it into the scan so the
     # reported maximum can never fall below C(u, u)
     at = np.searchsorted(ts, log_u)
@@ -180,10 +155,7 @@ def _scan(cop: Copula, u: float, opts: SolverOptions
             f"C(x, u^2/x) vanished at every scanned x at level u={u!r}; "
             "the level carries no tail mass in double precision")
 
-    # tie window in log space: |log(1 - tie_tol)| ~ tie_tol
-    tie_log = -math.log1p(-opts.tie_tol)
-
-    if float(np.max(fs) - np.min(fs)) <= tie_log:
+    if float(np.max(fs) - np.min(fs)) <= _TIE_LOG:
         # independence-like plateau: every admissible x is a maximizer
         log_pi = float(np.max(fs))
         plateau = PathPoint(u=u, maximizers=(u,), pi_star=math.exp(log_pi),
@@ -200,10 +172,10 @@ def _scan(cop: Copula, u: float, opts: SolverOptions
         candidates = [(t_lo, f_lo), (t_hi, f_hi), *zip(t_ref, f_ref)]
         interior_best = max([-math.inf, *f_ref])
         best = max(f for _, f in candidates)
-        kept = sorted((t, f) for t, f in candidates if best - f <= tie_log)
+        kept = sorted((t, f) for t, f in candidates if best - f <= _TIE_LOG)
 
         # merge candidates closer than the refinement resolution
-        edge = max(10.0 * opts.xtol, 1e-11)
+        edge = 10.0 * _XTOL
         merged: list[tuple[float, float]] = []
         for t, f in kept:
             if merged and t - merged[-1][0] <= edge:
@@ -213,7 +185,7 @@ def _scan(cop: Copula, u: float, opts: SolverOptions
             merged.append((t, f))
 
         on_boundary = [t <= t_lo + edge or t >= t_hi - edge for t, _ in merged]
-        boundary_attained = all(on_boundary) and interior_best < best - tie_log
+        boundary_attained = all(on_boundary) and interior_best < best - _TIE_LOG
 
         log_maximizers = tuple(t for t, _ in merged)
         return PathPoint(u=u, maximizers=tuple(map(math.exp, log_maximizers)),
@@ -225,30 +197,30 @@ def _scan(cop: Copula, u: float, opts: SolverOptions
     return ts[interior[run_start] - 1], ts[interior[run_end] + 1], finish
 
 
-def _refine(cop: Copula, log_u: np.ndarray, lo: np.ndarray, hi: np.ndarray,
-            opts: SolverOptions) -> tuple[np.ndarray, np.ndarray]:
+def _refine(cop: Copula, log_u: np.ndarray, lo: np.ndarray,
+            hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Zoom-step maximization of every bracket [lo, hi] at once.
 
     Each step evaluates ``_ZOOM`` evenly spaced points across every bracket,
     ends included, in one kernel call, and keeps the grid neighbours of each
     bracket's best point.  A bracket leaves the batch once its width is at
-    most xtol, so its iterates do not depend on the others.  Slices of
-    scan_n // _ZOOM brackets keep each step within the size of a scan.
+    most _XTOL, so its iterates do not depend on the others.  Slices of
+    _SCAN_N // _ZOOM brackets keep each step within the size of a scan.
     Returns the best (t, log pi) of each bracket's last step.
     """
     t_out, f_out = np.empty(lo.size), np.empty(lo.size)
-    size = max(1, opts.scan_n // _ZOOM)
+    size = _SCAN_N // _ZOOM
     for start in range(0, lo.size, size):
         pos = np.arange(start, min(start + size, lo.size))
         a, w, lu = lo[pos], hi[pos] - lo[pos], log_u[pos]
-        for _ in range(opts.max_iter):
+        for _ in range(_MAX_ITER):
             ts = a[:, None] + w[:, None] * _ZOOM_GRID
             fs = _log_pi(cop, lu[:, None], ts)
             rows = np.arange(a.size)
             best = fs.argmax(axis=1)
             a = ts[rows, np.maximum(best - 1, 0)]
             w = ts[rows, np.minimum(best + 1, _ZOOM - 1)] - a
-            done = w <= opts.xtol
+            done = w <= _XTOL
             if done.any():
                 t_out[pos[done]] = ts[rows[done], best[done]]
                 f_out[pos[done]] = fs[rows[done], best[done]]
@@ -258,15 +230,13 @@ def _refine(cop: Copula, log_u: np.ndarray, lo: np.ndarray, hi: np.ndarray,
         else:
             raise NumericError(
                 f"zoom refinement at u={math.exp(lu[0]):.6g} left a bracket "
-                f"of width {w[0]:.3g} > xtol={opts.xtol!r} after "
-                f"max_iter={opts.max_iter} steps")
+                f"of width {w[0]:.3g} > {_XTOL!r} after {_MAX_ITER} steps")
     return t_out, f_out
 
 
-def pointwise_max(cop: Copula, u: float,
-                  opts: SolverOptions = SolverOptions()) -> PathPoint:
+def pointwise_max(cop: Copula, u: float) -> PathPoint:
     """All global maximizers of x -> C(x, u^2/x) on [u^2, 1] at level u."""
-    return solve_path(cop, [_check_level(u)], opts).points[0]
+    return solve_path(cop, [_check_level(u)]).points[0]
 
 
 def _check_grid(u_grid) -> tuple[float, ...]:
@@ -283,39 +253,33 @@ def _check_grid(u_grid) -> tuple[float, ...]:
     return tuple(levels.tolist())
 
 
-def solve_path(cop: Copula, u_grid,
-               opts: SolverOptions = SolverOptions()) -> PathSolution:
+def solve_path(cop: Copula, u_grid) -> PathSolution:
     """Maximal-dependence record over a strictly decreasing grid of levels.
 
     Levels are scanned one at a time; the brackets of all of them are then
     refined together by batched zoom steps, so ``points[k]`` equals
-    ``pointwise_max(cop, u_grid[k])`` exactly.
+    ``pointwise_max(cop, u_grid[k])`` exactly.  The tolerances are fixed
+    (module docstring); a starved bracket raises :class:`NumericError`.
     """
     grid = _check_grid(u_grid)
-    # the bracket width in t = log x can shrink no further than a few ulps
-    # of |t|, which is largest at t = 2 log(min u)
-    xtol_floor = 2.0 * float(np.spacing(-2.0 * math.log(grid[-1])))
-    if opts.xtol < xtol_floor:
-        raise ParameterError(
-            f"xtol={opts.xtol!r} is below {xtol_floor!r}, two ulps of "
-            f"|2 log u| at u={grid[-1]!r}; the refinement cannot reach it")
-    levels = [_scan(cop, u, opts) for u in grid]
+    levels = [_scan(cop, u) for u in grid]
     sizes = [lo.size for lo, _, _ in levels]
     t_ref, f_ref = _refine(cop, np.repeat([math.log(u) for u in grid], sizes),
                            np.concatenate([lo for lo, _, _ in levels]),
-                           np.concatenate([hi for _, hi, _ in levels]), opts)
+                           np.concatenate([hi for _, hi, _ in levels]))
     cut = np.cumsum(sizes)[:-1]
     points = tuple(finish(t.tolist(), f.tolist()) for (_, _, finish), t, f
                    in zip(levels, np.split(t_ref, cut), np.split(f_ref, cut)))
-    return PathSolution(u_grid=grid, points=points, options=opts)
+    return PathSolution(u_grid=grid, points=points)
 
 
 # ---------------------------------------------------------------------------
 # generalized Clayton: root characterization of the maximizer
 # ---------------------------------------------------------------------------
 
-def _zeta_logs(cop: GeneralizedClayton, u: float, x) -> tuple[np.ndarray, float]:
-    """Logs of the two positive parts of the maximizer equation.
+def _zeta_logs(cop: GeneralizedClayton, log_u: float,
+               lx) -> tuple[np.ndarray, float]:
+    """Logs of the two positive parts of the maximizer equation at log x.
 
     The equation for the interior maximizer of the generalized Clayton level
     function reads  x^(-1/g0) (x^(-1/gt) - g1/gt) = (g0/gt) u^(-2/g0); both
@@ -324,13 +288,9 @@ def _zeta_logs(cop: GeneralizedClayton, u: float, x) -> tuple[np.ndarray, float]
     g0 and u).
     """
     gamma0, gamma1, gt = cop.gamma0, cop.gamma1, cop.gamma1_tilde
-    xa = np.asarray(x, dtype=float)
-    if np.any(xa < u * u * (1.0 - 1e-12)) or np.any(xa > 1.0 + 1e-12):
-        raise ParameterError(f"x must lie in [u^2, 1], got {x!r}")
-    lx = np.log(np.clip(xa, u * u, 1.0))
     lhs = -(1.0 / gamma0 + 1.0 / gt) * lx + np.log1p(
         -(gamma1 / gt) * np.exp(lx / gt))
-    rhs = math.log(gamma0 / gt) - (2.0 / gamma0) * math.log(u)
+    rhs = math.log(gamma0 / gt) - (2.0 / gamma0) * log_u
     return lhs, rhs
 
 
@@ -343,7 +303,11 @@ def zeta(gamma0: float, gamma1: float, u: float, x) -> float | np.ndarray:
     :class:`EvaluationOverflowError` when the value itself exceeds double
     range (tiny gamma0 together with tiny u).
     """
-    lhs, rhs = _zeta_logs(GeneralizedClayton(gamma0, gamma1), _check_level(u), x)
+    cop, u = GeneralizedClayton(gamma0, gamma1), _check_level(u)
+    xa = np.asarray(x, dtype=float)
+    if np.any(xa < u * u * (1.0 - 1e-12)) or np.any(xa > 1.0 + 1e-12):
+        raise ParameterError(f"x must lie in [u^2, 1], got {x!r}")
+    lhs, rhs = _zeta_logs(cop, math.log(u), np.log(np.clip(xa, u * u, 1.0)))
     with np.errstate(over="ignore"):
         out = np.exp(rhs) * np.expm1(lhs - rhs)
     if np.any(np.isinf(out)):
@@ -355,24 +319,26 @@ def zeta(gamma0: float, gamma1: float, u: float, x) -> float | np.ndarray:
 
 def zeta_root(gamma0: float, gamma1: float, u: float,
               xtol: float = 1e-9) -> float:
-    """Unique root of ``zeta`` on [u^2, 1], by bisection.
+    """Unique root of ``zeta`` on [u^2, 1], by bisection in t = log x.
 
-    The sign change at the endpoints plus strict monotonicity make
-    bisection unconditionally correct.
+    The sign change at the endpoints plus strict monotonicity make bisection
+    unconditionally correct.  ``xtol`` is a width in log x (relative in x); a
+    root below the normal double range raises :class:`NumericError`.
     """
     cop, u = GeneralizedClayton(gamma0, gamma1), _check_level(u)
     if not (0.0 < xtol < 1.0):
         raise ParameterError(f"xtol must be in (0, 1), got {xtol!r}")
+    log_u = math.log(u)
 
-    def margin(x: float) -> float:
-        lhs, rhs = _zeta_logs(cop, u, x)
+    def margin(t: float) -> float:
+        lhs, rhs = _zeta_logs(cop, log_u, t)
         return float(lhs) - rhs
 
-    lo, hi = u * u, 1.0
+    lo, hi = 2.0 * log_u, 0.0
     m_lo, m_hi = margin(lo), margin(hi)
     if not (m_lo > 0.0 and m_hi < 0.0):
         raise BracketError(
-            f"zeta sign conditions failed on [{lo!r}, 1]: "
+            f"zeta sign conditions failed on [exp({lo!r}), 1]: "
             f"margins ({m_lo!r}, {m_hi!r}); parameters may be "
             "underflowing")
     while hi - lo > xtol:
@@ -383,7 +349,10 @@ def zeta_root(gamma0: float, gamma1: float, u: float,
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+    root = math.exp(0.5 * (lo + hi))
+    if root < np.finfo(float).tiny:
+        raise NumericError(f"zeta root at u={u!r} is below the double range")
+    return root
 
 
 # ---------------------------------------------------------------------------

@@ -103,6 +103,14 @@ class TestExitCodes:
         assert exc.value.code == 2
         assert "invalid choice" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--scan-n", "--xtol", "--tie-tol"])
+    def test_removed_solver_flags_are_2(self, capsys, flag):
+        # the solver's tolerances are fixed; the CLI offers no flag for them
+        with pytest.raises(SystemExit) as exc:
+            main(["path", "--family", "independence", flag, "1e-10"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_success_is_0(self, capsys):
         code, _, _ = run(capsys, "axioms", "--family", "independence",
                          "--grid-n", "20")
@@ -127,7 +135,7 @@ class TestPath:
         assert code == 0
         payload = json.loads(out)
         assert len(payload["points"]) == 3
-        assert payload["options"]["scan_n"] == 4096
+        assert set(payload) == {"u_grid", "points"}
 
     def test_out_file(self, capsys, tmp_path, mo_config):
         target = tmp_path / "path.csv"

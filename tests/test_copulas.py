@@ -96,10 +96,13 @@ class TestEval:
         arr = MarshallOlkin(A, B).cdf(np.array([0.3, 0.5]), np.array([0.4, 0.2]))
         assert arr.shape == (2,)
 
-    @pytest.mark.parametrize("bad", [(1.2, 0.5), (-0.1, 0.5), (0.3, float("nan"))])
+    @pytest.mark.parametrize("bad", [(1.2, 0.5), (-0.1, 0.5), (0.3, float("nan")),
+                                     (float("inf"), 0.5), (0.5, float("-inf"))])
     def test_rejects_points_outside_unit_square(self, bad):
         with pytest.raises(ParameterError):
             Independence().cdf(*bad)
+        with pytest.raises(ParameterError):
+            Independence().log_cdf(*bad)
 
 
 class TestParameterValidation:

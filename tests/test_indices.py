@@ -148,8 +148,7 @@ class TestStarIndices:
                                log_pi_star=flagged[2].log_pi_star,
                                boundary_attained=True, all_paths_maximal=False,
                                log_maximizers=flagged[2].log_maximizers)
-        broken = PathSolution(u_grid=good.u_grid, points=tuple(flagged),
-                              options=good.options)
+        broken = PathSolution(u_grid=good.u_grid, points=tuple(flagged))
         with pytest.raises(ParameterError):
             star_indices(broken)
 

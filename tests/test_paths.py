@@ -3,6 +3,8 @@
 import csv
 import io
 import math
+import sys
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -26,7 +28,6 @@ from taildep import (
     MixtureMO,
     NumericError,
     ParameterError,
-    SolverOptions,
     archimedean_diagonal_check,
     clayton_generator,
     closed_form_path,
@@ -36,6 +37,9 @@ from taildep import (
     zeta,
     zeta_root,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+from oracles import gc_maximizer  # noqa: E402
 
 A, B = 0.3529, 0.75
 GRID_4 = [1e-1, 1e-2, 1e-3, 1e-4]
@@ -281,26 +285,24 @@ class TestSolvePath:
         u = np.repeat([1e-1, 1e-3, 1e-6], 4)
         lo = 2.0 * np.log(u) * rng.uniform(0.5, 1.0, u.size)
         hi = lo * rng.uniform(0.0, 0.9, u.size)
-        opts = SolverOptions()
         for cop in (MarshallOlkin(A, B), MixtureMO(A, B), FGM(0.5)):
             log_u = np.array([math.log(x) for x in u])
-            t, f = paths._refine(cop, log_u, lo, hi, opts)
+            t, f = paths._refine(cop, log_u, lo, hi)
             for k in range(u.size):
-                ref = zoom_max(cop, u[k], lo[k], hi[k], opts.xtol)
+                ref = zoom_max(cop, u[k], lo[k], hi[k], paths._XTOL)
                 assert (t[k], f[k]) == ref, (cop, k)
 
     def test_refinement_slices_equal_single_brackets(self):
-        # more brackets than one slice of scan_n // 34 = 120
+        # more brackets than one slice of _SCAN_N // 34 = 120
         rng = np.random.default_rng(9)
         log_u = np.log(np.repeat([1e-2, 1e-5], 150))
         lo = 2.0 * log_u * rng.uniform(0.05, 1.0, log_u.size)
         hi = lo * rng.uniform(0.0, 0.999, log_u.size)
-        opts = SolverOptions()
         for cop in (MixtureMO(A, B), GeneralizedClayton(0.5, 0.3)):
-            t, f = paths._refine(cop, log_u, lo, hi, opts)
+            t, f = paths._refine(cop, log_u, lo, hi)
             for k in range(log_u.size):
                 one = paths._refine(cop, log_u[k:k + 1], lo[k:k + 1],
-                                    hi[k:k + 1], opts)
+                                    hi[k:k + 1])
                 assert (t[k], f[k]) == (one[0][0], one[1][0]), (cop, k)
 
     def test_no_brackets_no_kernel_call(self, monkeypatch):
@@ -308,7 +310,7 @@ class TestSolvePath:
             raise AssertionError("refinement called the kernel")
         monkeypatch.setattr(paths, "_log_pi", no_kernel)
         t, f = paths._refine(MarshallOlkin(A, B), np.empty(0), np.empty(0),
-                             np.empty(0), SolverOptions())
+                             np.empty(0))
         assert t.size == f.size == 0
 
     @pytest.mark.parametrize("u", [1e-200, 1e-300])
@@ -413,6 +415,19 @@ class TestZetaRoot:
                 (um * um, 1), solver="anderson")
         assert abs(root - float(ref)) <= 1e-15 * float(ref)
 
+    @pytest.mark.parametrize("u", [1e-2, 1e-6, 1e-8, 1e-100])
+    def test_default_xtol_is_relative_against_mpmath(self, u):
+        # xtol is a width in log x, so the default holds as the root shrinks
+        # (as a width in x it returned 4.66e-10 for a root of 1.65e-10)
+        want = gc_maximizer(0.5, 0.3, u)
+        assert abs(zeta_root(0.5, 0.3, u) - want) <= 1e-9 * want
+
+    def test_root_below_the_double_range_is_an_error(self):
+        assert zeta_root(0.5, 0.3, 1e-200) == pytest.approx(
+            gc_maximizer(0.5, 0.3, 1e-200), rel=1e-9)
+        with pytest.raises(NumericError, match="u=1e-300"):
+            zeta_root(0.5, 0.3, 1e-300)
+
     @settings(max_examples=40, deadline=None)
     @given(g0=st.floats(0.05, 3.0), g1=st.floats(0.0, 3.0),
            u=st.floats(0.01, 0.9))
@@ -424,8 +439,7 @@ class TestZetaRoot:
 class TestArchimedeanDiagonalCheck:
     @pytest.mark.parametrize("theta", [0.5, 1.0, 2.0])
     def test_clayton_is_diagonal(self, theta):
-        out = archimedean_diagonal_check(clayton_generator(theta), 1e-6)
-        assert out.increasing and out.diagonal_is_maximal
+        assert archimedean_diagonal_check(clayton_generator(theta), 1e-6).increasing
 
     def test_clayton_slope_function_is_analytic_minus_power(self):
         # x psi'(x) = -x^(-theta), increasing on (0, 1]
@@ -442,8 +456,10 @@ class TestArchimedeanDiagonalCheck:
             archimedean_diagonal_check(linear, 0.1)
 
     def test_grid_validation(self):
-        with pytest.raises(ParameterError):
-            archimedean_diagonal_check(clayton_generator(1.0), 0.1, grid_n=4)
+        # the checked grid spans [u^2, 1]; a level outside (0, 1) has none
+        for u in (0.0, 1.0, math.nan):
+            with pytest.raises(ParameterError):
+                archimedean_diagonal_check(clayton_generator(1.0), u)
 
 
 class TestClosedFormPath:
@@ -506,47 +522,14 @@ class TestPathCsv:
 
 
 class TestSolverOptions:
-    def test_validation(self):
-        with pytest.raises(ParameterError):
-            SolverOptions(scan_n=4)
-        with pytest.raises(ParameterError):
-            SolverOptions(xtol=0.0)
-        with pytest.raises(ParameterError):
-            SolverOptions(tie_tol=1.5)
-        with pytest.raises(ParameterError):
-            SolverOptions(max_iter=0)
-
-    def test_unreachable_xtol_is_rejected_up_front(self, monkeypatch):
-        # below two ulps of |2 log 1e-8| no bracket can ever get that narrow
-        def no_kernel(*args):
-            raise AssertionError("kernel called before the xtol check")
-        monkeypatch.setattr(paths, "_log_pi", no_kernel)
-        cop = MarshallOlkin(A, B)
-        with pytest.raises(ParameterError, match="xtol"):
-            pointwise_max(cop, 1e-8, SolverOptions(xtol=1e-15))
-        with pytest.raises(ParameterError, match="xtol"):
-            solve_path(cop, [1e-1, 1e-8], SolverOptions(xtol=1e-14))
-
-    @pytest.mark.parametrize("cop", [MarshallOlkin(A, B), MixtureMO(A, B)],
-                             ids=lambda c: c.family)
-    def test_xtol_at_the_floor_converges(self, cop):
-        u = 1e-8
-        floor = 2.0 * float(np.spacing(abs(2.0 * math.log(u))))
-        point = pointwise_max(cop, u, SolverOptions(xtol=floor))
-        expected = closed_form_path(cop, u)
-        assert len(point.maximizers) == len(expected)
-        for x, ref in zip(point.maximizers, expected):
-            assert x == pytest.approx(ref, rel=1e-10)
-        with pytest.raises(ParameterError):
-            pointwise_max(cop, u, SolverOptions(xtol=float(np.nextafter(floor, 0.0))))
-
     def test_default_xtol_accepted_down_to_smallest_grids(self):
         for u_min in (1e-8, 1e-100, 1e-300):
             solve_path(MarshallOlkin(A, B), [1e-1, u_min])
 
-    def test_starved_refinement_is_reported(self):
-        # three zoom steps leave a bracket far wider than xtol
+    def test_starved_refinement_is_reported(self, monkeypatch):
+        # three zoom steps leave a bracket far wider than the fixed width
+        monkeypatch.setattr(paths, "_MAX_ITER", 3)
         with pytest.raises(NumericError, match=r"u=0\.001 .*width 1\.5e-06"):
-            pointwise_max(MarshallOlkin(A, B), 1e-3, SolverOptions(max_iter=3))
+            pointwise_max(MarshallOlkin(A, B), 1e-3)
         with pytest.raises(NumericError):
-            solve_path(MarshallOlkin(A, B), GRID_4, SolverOptions(max_iter=3))
+            solve_path(MarshallOlkin(A, B), GRID_4)
