@@ -17,7 +17,6 @@ from taildep.copulas import (
     Archimedean,
     AxiomReport,
     Copula,
-    DiagonalCheck,
     FrechetUpper,
     GeneralizedClayton,
     Generator,
@@ -83,7 +82,7 @@ __all__ = [
     "clayton_generator", "AxiomReport", "check_axioms", "kendall_tau",
     "parse_config", "copula_from_mapping", "copula_from_config",
     "PathPoint", "PathSolution", "pi_phi", "pointwise_max",
-    "solve_path", "zeta", "zeta_root", "DiagonalCheck",
+    "solve_path", "zeta", "zeta_root",
     "archimedean_diagonal_check", "closed_form_path",
     "PathKind", "TailIndexReport", "Verdict", "ComparisonReport",
     "default_u_grid", "classical_indices", "star_indices",

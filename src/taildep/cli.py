@@ -35,10 +35,6 @@ from taildep.config import FAMILY_PARAMS, copula_from_mapping, parse_config
 from taildep.copulas import check_axioms
 from taildep.errors import (
     ConfigError,
-    NoAdmissiblePathError,
-    NumericError,
-    GeneratorError,
-    InsufficientTailError,
     ParameterError,
     TailDepError,
     UnsupportedMethodError,
@@ -324,10 +320,6 @@ def main(argv=None) -> int:
     except (ParameterError, UnsupportedMethodError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (NumericError, GeneratorError, NoAdmissiblePathError,
-            InsufficientTailError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -47,7 +47,6 @@ __all__ = [
     "Archimedean",
     "SurvivalCopula",
     "clayton_generator",
-    "DiagonalCheck",
     "archimedean_diagonal_check",
     "FAMILIES",
     "AxiomReport",
@@ -407,11 +406,6 @@ def clayton_generator(theta: float) -> Generator:
     )
 
 
-@dataclass(frozen=True)
-class DiagonalCheck:
-    increasing: bool
-
-
 # A strict generator diverges at 0; a non-strict one plateaus at psi(0).
 _STRICT_PROBE = 1e-10
 _STRICT_THRESHOLD = 50.0
@@ -430,8 +424,8 @@ def _require_strict(gen: Generator) -> None:
                     f"= {near!r} shows no divergence at 0", component="psi")
 
 
-def archimedean_diagonal_check(generator: Generator, u: float) -> DiagonalCheck:
-    """Check whether x psi'(x) is nondecreasing on [u^2, 1].
+def archimedean_diagonal_check(generator: Generator, u: float) -> bool:
+    """Whether x psi'(x) is nondecreasing on [u^2, 1].
 
     When it is, the diagonal maximizes C(x, u^2/x) for the Archimedean
     copula built on ``generator``; the generator must be strict, otherwise
@@ -447,8 +441,7 @@ def archimedean_diagonal_check(generator: Generator, u: float) -> DiagonalCheck:
             f"generator {generator.name!r}: x psi'(x) not finite on [u^2, 1]",
             component="psi_prime")
     slack = 1e-9 * float(np.max(np.abs(g)))
-    increasing = bool(np.all(np.diff(g) >= -slack))
-    return DiagonalCheck(increasing=increasing)
+    return bool(np.all(np.diff(g) >= -slack))
 
 
 _GENERATOR_CHECK_GRID = np.linspace(0.05, 0.95, 19)
@@ -507,8 +500,7 @@ class Archimedean(Copula):
         return out
 
     def maximizers(self, u):
-        check = archimedean_diagonal_check(self.generator, u)
-        return (u,) if check.increasing else None
+        return (u,) if archimedean_diagonal_check(self.generator, u) else None
 
     def params(self):
         if self.generator.name == "clayton":

@@ -5,7 +5,8 @@ For a level u, sliding a rectangle of fixed area u^2 along the hyperbola
 finds every global maximizer of x -> C(x, u^2/x):
 
 * scan a log-spaced grid of 4096 points over [u^2, 1] (tail maximizers such
-  as u^(2b/(a+b)) cluster near 0, so uniform-in-x grids would miss them);
+  as u^(2b/(a+b)) cluster near 0, so uniform-in-x grids would miss them),
+  plus the diagonal; its log x are ``np.linspace``'s values bit for bit;
 * bracket each local maximum and refine the brackets of all levels at once
   by batched zoom steps in log x, each bracket to a width of 1e-12 (relative
   in x) within 200 steps, else :class:`NumericError`;
@@ -62,6 +63,16 @@ __all__ = [
 _ZOOM = 34
 _ZOOM_GRID = np.arange(_ZOOM) / (_ZOOM - 1)
 _SCAN_N = 4096  # points of the log-spaced scan of each level
+_SLICE = _SCAN_N // _ZOOM  # brackets per zoom batch, a scan's worth of points
+# flat offset of each row of a batch's (rows, _ZOOM) grid, and the flat
+# index of the lower and upper grid neighbour of each flat index, ends clamped
+_ROW_OFF = np.arange(_SLICE)[:, None] * _ZOOM
+_LO_NB = (_ROW_OFF + np.maximum(np.arange(_ZOOM) - 1, 0)).ravel()
+_HI_NB = (_ROW_OFF + np.minimum(np.arange(_ZOOM) + 1, _ZOOM - 1)).ravel()
+# linspace's multipliers j of its points j * step + t_lo, and a slot for log u
+# where searchsorted puts it: half a step above point _SCAN_MID - 1
+_SCAN_MID = _SCAN_N // 2
+_SCAN_J = np.insert(np.arange(_SCAN_N, dtype=float), _SCAN_MID, 0.0)
 _XTOL = 1e-12  # refined bracket width in log x, a relative width in x
 _TIE_LOG = -math.log1p(-1e-9)  # log of the relative 1e-9 tie window
 _MAX_ITER = 200  # zoom steps per bracket before NumericError
@@ -138,34 +149,39 @@ def _scan(cop: Copula, u: float
           ) -> tuple[np.ndarray, np.ndarray, Callable[..., PathPoint]]:
     """Scan level u on a log-spaced grid.
 
-    Returns the brackets [lo, hi] in log x around the scan's interior local
-    maxima, and a function that turns their refined (t, log pi) into the
-    level's PathPoint.  Only scalars outlive the scan itself.
+    The abscissas are ``np.linspace(2 log u, 0, 4096)``'s values bit for
+    bit, plus the diagonal x = u: it is always admissible, so the reported
+    maximum can never fall below C(u, u).  Returns the brackets [lo, hi] in
+    log x around the scan's interior local maxima, and a function that turns
+    their refined (t, log pi) into the level's PathPoint.  Only scalars
+    outlive the scan itself.
     """
     log_u = math.log(u)
     t_lo, t_hi = 2.0 * log_u, 0.0
-    ts = np.linspace(t_lo, t_hi, _SCAN_N)
-    # the diagonal x = u is always admissible; pin it into the scan so the
-    # reported maximum can never fall below C(u, u)
-    at = np.searchsorted(ts, log_u)
-    ts = np.concatenate((ts[:at], [log_u], ts[at:]))
+    # linspace's own arithmetic: j * step + t_lo, the last point pinned
+    ts = _SCAN_J * ((t_hi - t_lo) / (_SCAN_N - 1))
+    ts += t_lo
+    ts[-1], ts[_SCAN_MID] = t_hi, log_u
     fs = _log_pi(cop, log_u, ts)
-    if not np.isfinite(fs).any():
+    f_max = float(fs.max())
+    if not math.isfinite(f_max) and not np.isfinite(fs).any():
         raise DegenerateTailError(
             f"C(x, u^2/x) vanished at every scanned x at level u={u!r}; "
             "the level carries no tail mass in double precision")
 
-    if float(np.max(fs) - np.min(fs)) <= _TIE_LOG:
+    if f_max - float(fs.min()) <= _TIE_LOG:
         # independence-like plateau: every admissible x is a maximizer
-        log_pi = float(np.max(fs))
-        plateau = PathPoint(u=u, maximizers=(u,), pi_star=math.exp(log_pi),
-                            log_pi_star=log_pi, boundary_attained=False,
+        plateau = PathPoint(u=u, maximizers=(u,), pi_star=math.exp(f_max),
+                            log_pi_star=f_max, boundary_attained=False,
                             all_paths_maximal=True, log_maximizers=(log_u,))
         return np.empty(0), np.empty(0), lambda t_ref, f_ref: plateau
 
-    # interior local maxima of the scan, collapsing flat runs to one bracket
-    interior = np.flatnonzero((fs[1:-1] >= fs[:-2]) & (fs[1:-1] >= fs[2:])) + 1
-    run_start = np.diff(interior, prepend=-2) != 1
+    # interior local maxima of the scan, collapsing flat runs to one bracket:
+    # peak is False at both ends, so it rises into a run and falls after it
+    peak = np.zeros(fs.size, dtype=bool)
+    np.greater_equal(fs[1:-1], fs[:-2], out=peak[1:-1])
+    peak[1:-1] &= fs[1:-1] >= fs[2:]
+    edges = (peak[1:] != peak[:-1]).nonzero()[0]
     f_lo, f_hi = float(fs[0]), float(fs[-1])
 
     def finish(t_ref: list[float], f_ref: list[float]) -> PathPoint:
@@ -193,8 +209,7 @@ def _scan(cop: Copula, u: float
                          boundary_attained=boundary_attained,
                          all_paths_maximal=False, log_maximizers=log_maximizers)
 
-    run_end = np.concatenate((run_start[1:], run_start[:1]))  # np.roll(-1)
-    return ts[interior[run_start] - 1], ts[interior[run_end] + 1], finish
+    return ts[edges[::2]], ts[edges[1::2] + 1], finish
 
 
 def _refine(cop: Copula, log_u: np.ndarray, lo: np.ndarray,
@@ -205,32 +220,34 @@ def _refine(cop: Copula, log_u: np.ndarray, lo: np.ndarray,
     ends included, in one kernel call, and keeps the grid neighbours of each
     bracket's best point.  A bracket leaves the batch once its width is at
     most _XTOL, so its iterates do not depend on the others.  Slices of
-    _SCAN_N // _ZOOM brackets keep each step within the size of a scan.
-    Returns the best (t, log pi) of each bracket's last step.
+    _SLICE brackets keep each step within the size of a scan.  Returns the
+    best (t, log pi) of each bracket's last step.
     """
     t_out, f_out = np.empty(lo.size), np.empty(lo.size)
-    size = _SCAN_N // _ZOOM
-    for start in range(0, lo.size, size):
-        pos = np.arange(start, min(start + size, lo.size))
-        a, w, lu = lo[pos], hi[pos] - lo[pos], log_u[pos]
+    for start in range(0, lo.size, _SLICE):
+        pos = np.arange(start, min(start + _SLICE, lo.size))
+        # columns, so that each row broadcasts against the zoom grid
+        a, lu = lo[pos, None], log_u[pos, None]
+        w = hi[pos, None] - a
         for _ in range(_MAX_ITER):
-            ts = a[:, None] + w[:, None] * _ZOOM_GRID
-            fs = _log_pi(cop, lu[:, None], ts)
-            rows = np.arange(a.size)
-            best = fs.argmax(axis=1)
-            a = ts[rows, np.maximum(best - 1, 0)]
-            w = ts[rows, np.minimum(best + 1, _ZOOM - 1)] - a
-            done = w <= _XTOL
+            ts = w * _ZOOM_GRID
+            ts += a
+            fs = _log_pi(cop, lu, ts)
+            best = fs.argmax(axis=1, keepdims=True)
+            best += _ROW_OFF[:best.size]  # flat index into ts and fs
+            a = ts.take(_LO_NB.take(best))
+            w = ts.take(_HI_NB.take(best)) - a
+            done = w[:, 0] <= _XTOL
             if done.any():
-                t_out[pos[done]] = ts[rows[done], best[done]]
-                f_out[pos[done]] = fs[rows[done], best[done]]
+                t_out[pos[done]] = ts.take(best[done, 0])
+                f_out[pos[done]] = fs.take(best[done, 0])
                 a, w, lu, pos = (arr[~done] for arr in (a, w, lu, pos))
                 if pos.size == 0:
                     break
         else:
             raise NumericError(
-                f"zoom refinement at u={math.exp(lu[0]):.6g} left a bracket "
-                f"of width {w[0]:.3g} > {_XTOL!r} after {_MAX_ITER} steps")
+                f"zoom refinement at u={math.exp(lu[0, 0]):.6g} left a bracket "
+                f"of width {w[0, 0]:.3g} > {_XTOL!r} after {_MAX_ITER} steps")
     return t_out, f_out
 
 
@@ -248,7 +265,7 @@ def _check_grid(u_grid) -> tuple[float, ...]:
     inside = (levels > 0.0) & (levels < 1.0)  # False for nan
     if not inside.all():
         _check_level(float(levels[~inside][0]))
-    if np.any(np.diff(levels) >= 0.0):
+    if (levels[1:] >= levels[:-1]).any():
         raise ParameterError("u_grid must be strictly decreasing")
     return tuple(levels.tolist())
 
@@ -267,9 +284,9 @@ def solve_path(cop: Copula, u_grid) -> PathSolution:
     t_ref, f_ref = _refine(cop, np.repeat([math.log(u) for u in grid], sizes),
                            np.concatenate([lo for lo, _, _ in levels]),
                            np.concatenate([hi for _, hi, _ in levels]))
-    cut = np.cumsum(sizes)[:-1]
-    points = tuple(finish(t.tolist(), f.tolist()) for (_, _, finish), t, f
-                   in zip(levels, np.split(t_ref, cut), np.split(f_ref, cut)))
+    cut = np.cumsum([0, *sizes]).tolist()
+    points = tuple(finish(t_ref[i:j].tolist(), f_ref[i:j].tolist())
+                   for (_, _, finish), i, j in zip(levels, cut, cut[1:]))
     return PathSolution(u_grid=grid, points=points)
 
 

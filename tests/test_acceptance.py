@@ -151,7 +151,7 @@ def test_criterion_6_archimedean_clayton():
     all_increasing = True
     for theta in (0.5, 1.0, 2.0):
         gen = clayton_generator(theta)
-        all_increasing &= archimedean_diagonal_check(gen, 1e-6).increasing
+        all_increasing &= archimedean_diagonal_check(gen, 1e-6)
         sol = solve_path(Archimedean(gen), GRID)
         worst_x = max(worst_x,
                       max(abs(p.maximizers[0] - p.u) for p in sol.points))

@@ -313,6 +313,67 @@ class TestSolvePath:
                              np.empty(0))
         assert t.size == f.size == 0
 
+    # 6.7e-112: the last point j * step + t_lo misses 0.0 unless pinned
+    @pytest.mark.parametrize("u", [0.5, 0.1, 1e-3, 10 ** -4.25, 1e-8,
+                                   6.7e-112, 1e-300])
+    def test_scan_abscissas_are_linspace_with_log_u(self, u, monkeypatch):
+        seen = []
+
+        def record(cop, log_u, t):
+            seen.append(t.copy())
+            return -np.abs(t - log_u)
+        monkeypatch.setattr(paths, "_log_pi", record)
+        paths._scan(MarshallOlkin(A, B), u)
+        log_u = math.log(u)
+        ref = np.linspace(2.0 * log_u, 0.0, 4096)
+        ref = np.insert(ref, np.searchsorted(ref, log_u), log_u)
+        assert seen[0].tobytes() == ref.tobytes()
+
+    @staticmethod
+    def _runs_by_loop(ts, fs):
+        peaks = [i for i in range(1, len(fs) - 1)
+                 if fs[i] >= fs[i - 1] and fs[i] >= fs[i + 1]]
+        runs = []
+        for i in peaks:
+            if runs and runs[-1][1] == i - 1:
+                runs[-1][1] = i
+            else:
+                runs.append([i, i])
+        return [ts[i - 1] for i, _ in runs], [ts[j + 1] for _, j in runs]
+
+    @pytest.mark.parametrize("case, runs", [
+        ("none", 0), ("one_flat", 1), ("two", 2), ("at_start", 1),
+        ("at_end", 1), ("random_ties", 1422)])
+    def test_scan_brackets_equal_python_loop(self, case, runs, monkeypatch):
+        n = paths._SCAN_N + 1
+        k = np.arange(n, dtype=float)
+        if case == "none":  # both ends maximal, as for FGM(-0.5)
+            fs = np.abs(k - 1700.0)
+        elif case == "one_flat":
+            fs = -np.abs(k - 1500.0)
+            fs[1498:1503] = 0.0
+        elif case == "two":
+            fs = np.maximum(-np.abs(k - 1000.0), -np.abs(k - 3000.0) - 0.5)
+            fs[2990:3000] = -0.5
+        elif case == "at_start":
+            fs = -k
+            fs[0] = fs[1]
+        elif case == "at_end":
+            fs = k.copy()
+            fs[-1] = fs[-2]
+        else:
+            fs = np.random.default_rng(3).integers(0, 3, n).astype(float)
+        seen = []
+
+        def hand_built(cop, log_u, t):
+            seen.append(t)
+            return fs
+        monkeypatch.setattr(paths, "_log_pi", hand_built)
+        lo, hi, _ = paths._scan(MarshallOlkin(A, B), 1e-3)
+        ref_lo, ref_hi = self._runs_by_loop(seen[0].tolist(), fs.tolist())
+        assert (lo.tolist(), hi.tolist()) == (ref_lo, ref_hi)
+        assert len(ref_lo) == runs
+
     @pytest.mark.parametrize("u", [1e-200, 1e-300])
     def test_deep_levels_match_closed_forms_in_log_space(self, u):
         # u^2 and the maximizers are below the double range; their logs are
@@ -439,7 +500,7 @@ class TestZetaRoot:
 class TestArchimedeanDiagonalCheck:
     @pytest.mark.parametrize("theta", [0.5, 1.0, 2.0])
     def test_clayton_is_diagonal(self, theta):
-        assert archimedean_diagonal_check(clayton_generator(theta), 1e-6).increasing
+        assert archimedean_diagonal_check(clayton_generator(theta), 1e-6) is True
 
     def test_clayton_slope_function_is_analytic_minus_power(self):
         # x psi'(x) = -x^(-theta), increasing on (0, 1]
