@@ -31,8 +31,8 @@ from pathlib import Path
 
 import numpy as np
 
-from taildep.config import FAMILY_PARAMS, copula_from_mapping, parse_config
-from taildep.copulas import check_axioms
+from taildep.config import copula_from_mapping, parse_config
+from taildep.copulas import FAMILIES, check_axioms
 from taildep.errors import (
     ConfigError,
     ParameterError,
@@ -51,12 +51,12 @@ from taildep.serialize import dumps_json, format_float
 
 # --family plus one flag per parameter key of any family, in registry order
 _COPULA_FLAGS = ("family", *dict.fromkeys(
-    key for keys in FAMILY_PARAMS.values() for key in keys))
+    key for _, keys in FAMILIES.values() for key in keys))
 
 def _add_copula_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", action="append", default=[],
                         metavar="FILE", help="copula config file")
-    parser.add_argument("--family", choices=sorted(FAMILY_PARAMS))
+    parser.add_argument("--family", choices=sorted(FAMILIES))
     for key in _COPULA_FLAGS[1:]:
         parser.add_argument(f"--{key}", type=float, default=None)
     parser.add_argument("--survival", action="store_true",
@@ -173,22 +173,6 @@ def _emit(text: str, out: str | None) -> None:
         Path(out).write_text(text)
 
 
-def _path_json_dict(solution) -> dict:
-    return {
-        "u_grid": list(solution.u_grid),
-        "points": [
-            {
-                "u": p.u,
-                "maximizers": list(p.maximizers),
-                "pi_star": p.pi_star,
-                "boundary_attained": p.boundary_attained,
-                "all_paths_maximal": p.all_paths_maximal,
-            }
-            for p in solution.points
-        ],
-    }
-
-
 def _cmd_eval(args) -> str:
     cop = _build_copula(args)
     value = cop.cdf(args.u, args.v)
@@ -221,7 +205,7 @@ def _cmd_path(args) -> str:
     cop = _build_copula(args)
     solution = solve_path(cop, _u_grid(args))
     if args.format == "json":
-        return dumps_json(_path_json_dict(solution))
+        return dumps_json(solution.to_json_dict())
     return solution.to_csv()
 
 

@@ -7,7 +7,7 @@ ignored::
     a = 0.3529
     b = 0.75
 
-Recognized families and their parameter keys (``FAMILY_PARAMS``):
+Recognized families and their parameter keys (``copulas.FAMILIES``):
 
 ==================== =====================
 family               parameters
@@ -30,11 +30,7 @@ from __future__ import annotations
 from taildep.copulas import FAMILIES, Copula
 from taildep.errors import ConfigError
 
-__all__ = ["parse_config", "copula_from_mapping", "copula_from_config",
-           "FAMILY_PARAMS"]
-
-FAMILY_PARAMS: dict[str, tuple[str, ...]] = {
-    name: keys for name, (_, keys) in FAMILIES.items()}
+__all__ = ["parse_config", "copula_from_mapping", "copula_from_config"]
 
 
 def parse_config(text: str) -> dict[str, str]:
@@ -74,8 +70,8 @@ def copula_from_mapping(mapping: dict) -> Copula:
     if "family" not in mapping:
         raise ConfigError("config is missing the 'family' key")
     family = str(mapping["family"]).strip().lower()
-    if family not in FAMILY_PARAMS:
-        known = ", ".join(sorted(FAMILY_PARAMS))
+    if family not in FAMILIES:
+        known = ", ".join(sorted(FAMILIES))
         raise ConfigError(f"unknown family {family!r}; known families: {known}")
 
     constructor, wanted = FAMILIES[family]

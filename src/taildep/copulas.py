@@ -89,12 +89,16 @@ def _check_level(u: float) -> float:
 
 
 class Copula:
-    """Common interface: a bivariate CDF on the unit square."""
+    """Common interface: a bivariate CDF on the unit square.
+
+    The kernels ``_cdf(u, v)`` and ``_log_cdf(lu, lv)`` default to each
+    other, so a family defines at least one of them.
+    """
 
     family: ClassVar[str] = "abstract"
 
     def _cdf(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+        return np.exp(self._log_cdf_unit(u, v))
 
     def _log_cdf(self, lu: np.ndarray, lv: np.ndarray) -> np.ndarray:
         """log C(e^lu, e^lv) for finite lu, lv <= 0."""
@@ -367,9 +371,6 @@ class GeneralizedClayton(Copula):
         inner = np.exp(a - m) + np.exp(b - m) - np.exp(-m)
         return (self.gamma1 / gt) * lu - g0 * (m + np.log(inner))
 
-    def _cdf(self, u, v):
-        return np.exp(self._log_cdf_unit(u, v))
-
     def kappa_star(self):
         return 1.0 + self.gamma1 / (self.gamma1 + 2.0 * self.gamma0)
 
@@ -510,13 +511,13 @@ class Archimedean(Copula):
         return {"family": self.family, "generator": self.generator.name}
 
 
+@dataclass(frozen=True, repr=False)
 class SurvivalCopula(Copula):
     """Survival copula of a base copula: u + v - 1 + C(1-u, 1-v)."""
 
-    family: ClassVar[str] = "survival"
+    base: Copula
 
-    def __init__(self, base: Copula):
-        self.base = base
+    family: ClassVar[str] = "survival"
 
     def _cdf(self, u, v):
         # Clip the tiny negative excursions that cancellation can produce.

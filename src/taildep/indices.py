@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -101,13 +101,7 @@ class ComparisonReport:
     kappa_2: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "lambda_pair": self.lambda_pair,
-            "chi_pair": self.chi_pair,
-            "verdict": self.verdict.value,
-            "kappa_1": self.kappa_1,
-            "kappa_2": self.kappa_2,
-        }
+        return asdict(self)  # Verdict is a str, so JSON writes its value
 
 
 def default_u_grid(min_exponent: int = 6, max_exponent: int = 1,

@@ -76,7 +76,7 @@ _SCAN_J = np.insert(np.arange(_SCAN_N, dtype=float), _SCAN_MID, 0.0)
 _XTOL = 1e-12  # refined bracket width in log x, a relative width in x
 _TIE_LOG = -math.log1p(-1e-9)  # log of the relative 1e-9 tie window
 _MAX_ITER = 200  # zoom steps per bracket before NumericError
-
+_TINY = np.finfo(float).tiny  # smallest normal double
 
 
 @dataclass(frozen=True)
@@ -100,8 +100,39 @@ class PathSolution:
     u_grid: tuple[float, ...]
     points: tuple[PathPoint, ...]
 
+    def _check_printable(self) -> None:
+        """Raise :class:`NumericError` where a printed maximizer or pi_star
+        has underflowed below the normal double range while its log is
+        finite (a level below u ~ 1e-154, say)."""
+        for p in self.points:
+            for x, log_x in zip((*p.maximizers, p.pi_star),
+                                (*p.log_maximizers, p.log_pi_star)):
+                if x < _TINY and math.isfinite(log_x):
+                    raise NumericError(
+                        f"at u={p.u:.6g} a maximizer or pi_star is "
+                        f"exp({log_x:.6g}), below the double range; "
+                        "read log_maximizers and log_pi_star instead")
+
+    def to_json_dict(self) -> dict:
+        """The path as JSON-ready data, without the log fields."""
+        self._check_printable()
+        return {
+            "u_grid": list(self.u_grid),
+            "points": [
+                {
+                    "u": p.u,
+                    "maximizers": list(p.maximizers),
+                    "pi_star": p.pi_star,
+                    "boundary_attained": p.boundary_attained,
+                    "all_paths_maximal": p.all_paths_maximal,
+                }
+                for p in self.points
+            ],
+        }
+
     def to_csv(self) -> str:
         """CSV with variable-width maximizer columns, padded empty."""
+        self._check_printable()
         width = max(len(p.maximizers) for p in self.points)
         header = ["u"]
         header += [f"x_star_{k + 1}" for k in range(width)]

@@ -19,9 +19,12 @@ the whole-batch draw.  Every chunk is addressed on its own, so chunks can
 be drawn in any order on any thread.
 
 Risk is computed in streaming chunks, one worker thread per available CPU
-(at most 8): each worker draws a chunk, sends it through the Pareto-II
-quantile, sums it, drops it and keeps its own largest n(1 - q) + 1 sums.
-The caller merges those buffers.  The largest sums form one multiset
+(at most 8), the caller's thread among them.  Chunks are handed out one at
+a time: a worker takes the next chunk nobody has taken, under one lock,
+until none is left or some worker has failed.  Each worker draws its
+chunk, sends it through the Pareto-II quantile, sums it, drops it and keeps
+its own largest n(1 - q) + 1 sums; the caller merges those buffers and
+raises the first failure, if any.  The largest sums form one multiset
 whichever thread saw them, so results are bit-identical for a fixed seed,
 any thread count, and memory is O(workers * (batch + n(1 - q))) rather
 than O(n).  ``reference_table`` (``taildep table1``) draws once per b and reads
@@ -34,8 +37,8 @@ import math
 import numbers
 import os
 import threading
-from collections.abc import Callable, Iterable, Iterator
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -111,16 +114,7 @@ class RiskReport:
     stderr_cte: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "q": self.q,
-            "var_q": self.var_q,
-            "cte_q": self.cte_q,
-            "mtvar_q": self.mtvar_q,
-            "n": self.n,
-            "seed": self.seed,
-            "n_exceed": self.n_exceed,
-            "stderr_cte": self.stderr_cte,
-        }
+        return asdict(self)
 
 
 def _is_int(x) -> bool:
@@ -135,11 +129,6 @@ def _check_n_seed(n, seed, n_min: int) -> tuple[int, int]:
         raise ParameterError(
             f"seed must be an integer in [0, 2**128), got {seed!r}")
     return int(n), int(seed)
-
-
-def _check_q(q) -> None:
-    if not (0.0 < q < 1.0):
-        raise ParameterError(f"q must lie in (0, 1), got {q!r}")
 
 
 _Chunk = tuple[int, int, int]
@@ -225,37 +214,38 @@ def _top_m(sums: Iterable[np.ndarray], m: int, n: int) -> np.ndarray:
     return _largest(buf[start:], m)
 
 
-def _in_threads(work: Callable[[Iterator], object], tasks: list,
-                count: int) -> list:
-    """``work(stream)`` in ``count`` threads, the caller's being one of them.
+def _top_sums(cop: Copula, marginal: ParetoII, n: int, seed: int,
+              k: int) -> np.ndarray:
+    """The sorted order statistics k..n of Z = X + Y over n draws.
 
-    The streams share ``tasks``: each hands its thread the next task that no
-    thread has taken.  If any thread raises, the hand-out stops, every
-    thread is joined and the first exception is raised here.
+    Up to ``_WORKERS`` threads, the caller's being one of them, take chunks
+    in turn, each keeping the m = n - k + 1 largest sums it has seen; the
+    caller keeps the m largest of their buffers.  A worker that raises stops
+    the hand-out; every thread is joined and the first exception is raised
+    here.
     """
-    lock = threading.Lock()
-    pending = iter(tasks)
-    results, errors = [None] * count, []
+    m = n - k + 1
+    ncols, sample = cop.sampler()
+    chunks = _chunks(n)
+    count = min(_WORKERS, len(chunks))
+    pending, lock = iter(chunks), threading.Lock()
+    tops, errors = [None] * count, []
 
-    def stream():
+    def sums() -> Iterator[np.ndarray]:
         while True:
             with lock:
-                task = next(pending, None)
-            if task is None:
+                chunk = None if errors else next(pending, None)
+            if chunk is None:
                 return
-            yield task
+            u, v = sample(_draw(seed, ncols, chunk))
+            yield marginal._quantile(u) + marginal._quantile(v)
 
-    def halt():
-        nonlocal pending
-        with lock:
-            pending = iter(())
-
-    def run(j):
+    def run(j: int) -> None:
         try:
-            results[j] = work(stream())
+            tops[j] = _top_m(sums(), m, n)
         except BaseException as exc:  # raised again in the caller
-            errors.append(exc)
-            halt()
+            with lock:
+                errors.append(exc)
 
     threads = [threading.Thread(target=run, args=(j,), daemon=True,
                                 name=f"taildep-risk-{j}")
@@ -267,28 +257,6 @@ def _in_threads(work: Callable[[Iterator], object], tasks: list,
         t.join()
     if errors:
         raise errors[0]
-    return results
-
-
-def _top_sums(cop: Copula, marginal: ParetoII, n: int, seed: int,
-              k: int) -> np.ndarray:
-    """The sorted order statistics k..n of Z = X + Y over n draws.
-
-    Up to ``_WORKERS`` threads take chunks in turn, each keeping the
-    m = n - k + 1 largest sums it has seen; the caller keeps the m largest
-    of their buffers.
-    """
-    m = n - k + 1
-    ncols, sample = cop.sampler()
-    chunks = _chunks(n)
-
-    def sums(stream: Iterator[_Chunk]) -> Iterator[np.ndarray]:
-        for chunk in stream:
-            u, v = sample(_draw(seed, ncols, chunk))
-            yield marginal._quantile(u) + marginal._quantile(v)
-
-    tops = _in_threads(lambda stream: _top_m(sums(stream), m, n), chunks,
-                       min(_WORKERS, len(chunks)))
     top = _largest(np.concatenate(tops), m)
     top.sort()
     return top
@@ -323,7 +291,8 @@ def risk_measures(cop: Copula, marginal: ParetoII, q: float,
     thread per available CPU, and only the top n - ceil(n q) + 1 of them
     are kept; the result does not depend on the thread count.
     """
-    _check_q(q)
+    if not (0.0 < q < 1.0):
+        raise ParameterError(f"q must lie in (0, 1), got {q!r}")
     n, seed = _check_n_seed(n, seed, _MIN_N)
     top = _top_sums(cop, marginal, n, seed, _order_index(n, q))
     return _report(top, n, q, seed)
@@ -360,13 +329,18 @@ class RiskTable:
         return "\n".join(lines) + "\n"
 
 
-def reference_table(seed: int, n: int = 2_000_000,
-                    qs: tuple[float, ...] = (0.990, 0.995),
-                    bs: tuple[float, ...] = (0.75, 0.5, 0.3529),
-                    a: float = 0.3529,
-                    marginal: ParetoII = ParetoII(0.0, 1.0, 4.0)) -> RiskTable:
+# the published Table 1: its levels q, shock parameters b at fixed a, and
+# the Pareto-II marginals of both losses
+_TABLE_QS = (0.990, 0.995)
+_TABLE_BS = (0.75, 0.5, 0.3529)
+_TABLE_A = 0.3529
+_TABLE_MARGINAL = ParetoII(0.0, 1.0, 4.0)
+
+
+def reference_table(seed: int, n: int = 2_000_000) -> RiskTable:
     """Sweep of tau, tail exponents and risk measures for Marshall-Olkin
-    losses with Pareto-II marginals.
+    losses with Pareto-II marginals, fixed at the published Table 1
+    (``_TABLE_QS``, ``_TABLE_BS``, ``_TABLE_A`` and ``_TABLE_MARGINAL``).
 
     The losses are coupled through their survival functions,
     P(X > x, Y > y) = C_ab(sf(x), sf(y)), the standard common-shock
@@ -383,11 +357,7 @@ def reference_table(seed: int, n: int = 2_000_000,
     for the smallest q, answers every q, and each row equals
     ``risk_measures(MarshallOlkin(a, b).survival(), marginal, q, n, seed)``.
     """
-    if not qs or not bs:
-        raise ParameterError(
-            f"qs and bs must be nonempty, got qs={qs!r}, bs={bs!r}")
-    for q in qs:
-        _check_q(q)
+    qs, bs, a, marginal = _TABLE_QS, _TABLE_BS, _TABLE_A, _TABLE_MARGINAL
     n, seed = _check_n_seed(n, seed, _MIN_N)
     k_min = min(_order_index(n, q) for q in qs)
     reports = {}

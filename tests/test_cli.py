@@ -96,6 +96,21 @@ class TestExitCodes:
                              "--umin-exp", "18")
         assert code == 3 and out == "" and "u=1e-18" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["path"], ["path", "--format", "json"],
+        ["contour", "--resolution", "3", "--out", "c.csv"]])
+    def test_underflowed_path_is_3(self, capsys, tmp_path, monkeypatch, argv):
+        # nothing is written either: neither contour's lattice nor its path file
+        monkeypatch.chdir(tmp_path)
+        mo = ["--family", "marshall_olkin", "--a", "0.3529", "--b", "0.75"]
+        code, out, err = run(capsys, *argv, *mo,
+                             "--umin-exp", "300", "--umax-exp", "299")
+        assert code == 3 and out == "" and "u=1e-299 " in err
+        assert not list(tmp_path.iterdir())
+        code, _, err = run(capsys, *argv, *mo,
+                           "--umin-exp", "300", "--umax-exp", "300")
+        assert code == 3 and "u=1e-300 " in err
+
     @pytest.mark.parametrize("command", ["axioms", "indices", "risk"])
     def test_format_the_command_cannot_write_is_2(self, capsys, command):
         with pytest.raises(SystemExit) as exc:

@@ -199,6 +199,15 @@ class TestSurvival:
         assert p["family"] == "survival"
         assert p["base"]["a"] == A
 
+    def test_compares_by_value(self):
+        s1 = MarshallOlkin(0.3, 0.7).survival()
+        s2 = MarshallOlkin(0.3, 0.7).survival()
+        assert s1 is not s2
+        assert s1 == s2 and hash(s1) == hash(s2)
+        assert s1 != MarshallOlkin(0.7, 0.3).survival()
+        assert s1 != MarshallOlkin(0.3, 0.7)
+        assert repr(s1) == "SurvivalCopula(MarshallOlkin(a=0.3, b=0.7))"
+
 
 class TestAxioms:
     @pytest.mark.parametrize("cop", ALL_FAMILIES, ids=_ids(ALL_FAMILIES))

@@ -6,13 +6,17 @@ below; ``test_every_family_has_an_entry`` fails until both exist.
 
 import json
 import sys
+from dataclasses import dataclass
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 import pytest
 
 from taildep import (
+    Copula,
     UnsupportedMethodError,
+    check_axioms,
     copula_from_mapping,
     default_u_grid,
     pointwise_max,
@@ -90,3 +94,30 @@ class TestFamilyContract:
             u, v = sample_pairs(c, 1000, seed=1)
             assert u.shape == v.shape == (1000,)
             assert np.all((u >= 0.0) & (u <= 1.0) & (v >= 0.0) & (v <= 1.0))
+
+
+@dataclass(frozen=True)
+class LogKernelOnly(Copula):
+    """The independence copula given only by its log kernel, the least a
+    new family defines."""
+
+    family: ClassVar[str] = "log_kernel_only"
+
+    def _log_cdf(self, lu, lv):
+        return lu + lv
+
+
+def test_a_log_kernel_is_a_whole_family():
+    cop = LogKernelOnly()
+    g = np.linspace(0.0, 1.0, 41)
+    uu, vv = np.meshgrid(g, g)
+    np.testing.assert_allclose(cop.cdf(uu, vv), uu * vv, rtol=1e-15, atol=0.0)
+    assert check_axioms(cop).all_ok
+    # independence is its own survival copula
+    np.testing.assert_allclose(cop.survival().cdf(uu, vv), uu * vv,
+                               rtol=0.0, atol=1e-15)
+    point = pointwise_max(cop, 1e-3)
+    assert point.all_paths_maximal
+    assert point.pi_star == pytest.approx(1e-6, rel=1e-12)
+    kappa = star_indices(solve_path(cop, default_u_grid(8))).kappa
+    assert kappa == pytest.approx(2.0, abs=1e-12)

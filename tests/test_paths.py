@@ -581,6 +581,21 @@ class TestPathCsv:
         header = sol.to_csv().splitlines()[0]
         assert header == "u,x_star_1,pi_star,boundary_attained,all_paths_maximal"
 
+    def test_underflowed_values_are_not_printed(self):
+        # at u = 1e-300 the maximizer and pi_star underflow to 0, their logs
+        # do not; the writers refuse to print the zeros
+        deep = solve_path(MarshallOlkin(A, B), [1e-150, 1e-300])
+        point = deep.points[1]
+        assert point.maximizers == (0.0,) and point.pi_star == 0.0
+        assert math.isfinite(point.log_pi_star)
+        for write in (deep.to_csv, deep.to_json_dict):
+            with pytest.raises(NumericError, match=r"u=1e-300 "):
+                write()
+        shallow = solve_path(MarshallOlkin(A, B), [1e-150])
+        row = shallow.to_csv().splitlines()[1].split(",")
+        assert float(row[1]) == shallow.points[0].maximizers[0] > 0.0
+        assert float(row[2]) == shallow.points[0].pi_star > 0.0
+
 
 class TestSolverOptions:
     def test_default_xtol_accepted_down_to_smallest_grids(self):
