@@ -439,6 +439,7 @@ class TestReferenceTable:
                 rep.var_q, rep.cte_q, rep.mtvar_q)
 
     @pytest.mark.parametrize("kwargs", [
+        dict(n=9_999), dict(n=True), dict(seed=2 ** 128), dict(seed="1"),
         dict(n=2e5), dict(n=5000), dict(seed=-1), dict(seed=0.5)])
     def test_validation(self, kwargs):
         args = dict(seed=1, n=50_000) | kwargs
