@@ -19,8 +19,10 @@ table1     (q, b) sweep of indices and risk measures for Marshall-Olkin (CSV)
 contour    (u, v, C) lattice plus the solved path points, for external plots
 =========  ==================================================================
 
-Exit codes: 0 success, 1 config parse error, 2 parameter validation error,
-3 numeric failure (bracketing, overflow, degenerate tails).
+Floats print as their shortest round-trip ``repr``; JSON is strict, so a
+NaN or infinity is not printed.  Exit codes: 0 success, 1 config parse
+error, 2 parameter validation error, 3 numeric failure (bracketing,
+overflow, degenerate tails, a non-finite value to print).
 """
 
 from __future__ import annotations
@@ -246,17 +248,7 @@ def _cmd_risk(args) -> str:
 def _cmd_table1(args) -> str:
     table = reference_table(seed=args.seed, n=args.n)
     if args.format == "json":
-        return dumps_json({
-            "a": table.a,
-            "n": table.n,
-            "seed": table.seed,
-            "rows": [
-                {"q": r.q, "b": r.b, "tau": r.tau, "kappa_L": r.kappa_l,
-                 "kappa_L_star": r.kappa_l_star, "VaR": r.var_q,
-                 "CTE": r.cte_q, "MTVar": r.mtvar_q}
-                for r in table.rows
-            ],
-        })
+        return dumps_json(table.to_json_dict())
     return table.to_csv()
 
 

@@ -21,8 +21,11 @@ generalized_clayton  gamma0, gamma1
 clayton              theta
 ==================== =====================
 
-``clayton`` is the built-in strict Archimedean copula; arbitrary generator
-handles carry Python callables and are therefore constructible in code only.
+``clayton`` is the built-in strict Archimedean copula.  The survival copula
+of any config is the mapping ``{"family": "survival", "base": {...}}`` that
+``Copula.params`` prints, so every printed config re-enters the grammar; it
+nests, so it has no flat text form.  An ``Archimedean`` on a custom
+generator carries Python callables and is constructible in code only.
 """
 
 from __future__ import annotations
@@ -61,7 +64,8 @@ def _to_float(key: str, value) -> float:
 
 
 def copula_from_mapping(mapping: dict) -> Copula:
-    """Build a copula from a parsed config mapping.
+    """Build a copula from a parsed config mapping, or from the nested
+    mapping of a survival copula that ``Copula.params`` prints.
 
     Unknown keys and missing parameters raise :class:`ConfigError`;
     out-of-range values raise :class:`ParameterError` from the family
@@ -70,8 +74,14 @@ def copula_from_mapping(mapping: dict) -> Copula:
     if "family" not in mapping:
         raise ConfigError("config is missing the 'family' key")
     family = str(mapping["family"]).strip().lower()
+    if family == "survival":
+        base = mapping.get("base")
+        if set(mapping) != {"family", "base"} or not isinstance(base, dict):
+            raise ConfigError("a survival config has the keys 'family' and "
+                              "'base', and its 'base' is a copula mapping")
+        return copula_from_mapping(base).survival()
     if family not in FAMILIES:
-        known = ", ".join(sorted(FAMILIES))
+        known = ", ".join(sorted((*FAMILIES, "survival")))
         raise ConfigError(f"unknown family {family!r}; known families: {known}")
 
     constructor, wanted = FAMILIES[family]
@@ -82,7 +92,6 @@ def copula_from_mapping(mapping: dict) -> Copula:
     missing = [k for k in wanted if k not in mapping]
     if missing:
         raise ConfigError(f"family {family!r} requires keys {missing}")
-
     return constructor(**{k: _to_float(k, mapping[k]) for k in wanted})
 
 

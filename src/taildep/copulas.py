@@ -92,12 +92,16 @@ class Copula:
     """Common interface: a bivariate CDF on the unit square.
 
     The kernels ``_cdf(u, v)`` and ``_log_cdf(lu, lv)`` default to each
-    other, so a family defines at least one of them.
+    other, so a family defines at least one of them; with neither, the
+    first evaluation raises :class:`TypeError`.
     """
 
     family: ClassVar[str] = "abstract"
 
     def _cdf(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        if type(self)._log_cdf is Copula._log_cdf:
+            raise TypeError(f"{type(self).__name__} defines neither of the "
+                            "kernels _cdf and _log_cdf")
         return np.exp(self._log_cdf_unit(u, v))
 
     def _log_cdf(self, lu: np.ndarray, lv: np.ndarray) -> np.ndarray:

@@ -38,12 +38,13 @@ import numbers
 import os
 import threading
 from collections.abc import Iterable, Iterator
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, astuple, dataclass
+from typing import ClassVar
 
 import numpy as np
 
 from taildep.copulas import Copula, MarshallOlkin
-from taildep.errors import InsufficientTailError, ParameterError
+from taildep.errors import InsufficientTailError, NumericError, ParameterError
 from taildep.serialize import format_float
 
 __all__ = [
@@ -242,7 +243,8 @@ def _top_sums(cop: Copula, marginal: ParetoII, n: int, seed: int,
 
     def run(j: int) -> None:
         try:
-            tops[j] = _top_m(sums(), m, n)
+            with np.errstate(over="ignore"):  # _report rejects overflowed sums
+                tops[j] = _top_m(sums(), m, n)
         except BaseException as exc:  # raised again in the caller
             with lock:
                 errors.append(exc)
@@ -264,6 +266,10 @@ def _top_sums(cop: Copula, marginal: ParetoII, n: int, seed: int,
 
 def _report(top: np.ndarray, n: int, q: float, seed: int) -> RiskReport:
     """RiskReport at level q from the largest sorted sums ``top`` of n."""
+    if not math.isfinite(top[-1]):
+        raise NumericError(
+            f"a loss sum overflowed to {float(top[-1])}: the marginal's tail "
+            "is too heavy or its scale too large for double precision")
     # position ceil(n q) - 1 of the full sort, less the sums dropped below
     var_q = float(top[_order_index(n, q) - 1 - (n - top.size)])
     exceed = top[top > var_q]
@@ -320,12 +326,17 @@ class RiskTable:
     seed: int
     rows: tuple[RiskTableRow, ...]
 
+    # the printed name of each RiskTableRow field, in field order
+    columns: ClassVar[tuple[str, ...]] = (
+        "q", "b", "tau", "kappa_L", "kappa_L_star", "VaR", "CTE", "MTVar")
+
+    def to_json_dict(self) -> dict:
+        rows = [dict(zip(self.columns, astuple(r))) for r in self.rows]
+        return {"a": self.a, "n": self.n, "seed": self.seed, "rows": rows}
+
     def to_csv(self) -> str:
-        lines = ["q,b,tau,kappa_L,kappa_L_star,VaR,CTE,MTVar"]
-        for r in self.rows:
-            lines.append(",".join(format_float(x) for x in (
-                r.q, r.b, r.tau, r.kappa_l, r.kappa_l_star,
-                r.var_q, r.cte_q, r.mtvar_q)))
+        lines = [",".join(self.columns)]
+        lines += [",".join(map(format_float, astuple(r))) for r in self.rows]
         return "\n".join(lines) + "\n"
 
 

@@ -1,61 +1,25 @@
-"""Text emission helpers: floats at 17 significant digits, tiny JSON writer.
+"""Text emission for every CSV and JSON surface of the package.
 
-Every CSV and JSON surface of the package goes through :func:`format_float`
-so that emitted files are byte-reproducible and round-trip to the exact
-double they came from.
+Floats print as ``repr``, the shortest text that parses back to the same
+double, so emitted files are byte-reproducible and exact.  JSON comes from
+the standard library; NaN and infinity are not JSON and are refused.
 """
 
-from __future__ import annotations
+import json
 
-import math
+from taildep.errors import NumericError
 
 __all__ = ["format_float", "dumps_json"]
 
 
 def format_float(x: float) -> str:
-    """Format a float with 17 significant digits (full double precision)."""
-    if isinstance(x, bool):  # bool is an int subclass; keep it out
-        raise TypeError("format_float expects a number, got bool")
-    xf = float(x)
-    if math.isnan(xf):
-        return "nan"
-    if math.isinf(xf):
-        return "inf" if xf > 0 else "-inf"
-    return format(xf, ".17g")
+    """The shortest text that parses back to the double ``float(x)``."""
+    return repr(float(x))  # float(): numpy 2 reprs np.float64 as np.float64(...)
 
 
-def _encode(obj, indent: int, level: int) -> str:
-    pad = " " * (indent * level)
-    pad_in = " " * (indent * (level + 1))
-    if obj is None:
-        return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, float):
-        return format_float(obj)
-    if isinstance(obj, str):
-        out = obj.replace("\\", "\\\\").replace('"', '\\"')
-        return f'"{out}"'
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        items = [_encode(item, indent, level + 1) for item in obj]
-        return "[\n" + ",\n".join(pad_in + it for it in items) + "\n" + pad + "]"
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = []
-        for key, value in obj.items():
-            if not isinstance(key, str):
-                raise TypeError(f"JSON keys must be strings, got {key!r}")
-            items.append(
-                f'{pad_in}"{key}": {_encode(value, indent, level + 1)}')
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-    raise TypeError(f"cannot serialize {type(obj).__name__!r} to JSON")
-
-
-def dumps_json(obj, indent: int = 2) -> str:
-    """Serialize nested dicts/lists/scalars; floats carry 17 digits."""
-    return _encode(obj, indent, 0) + "\n"
+def dumps_json(obj) -> str:
+    """``obj`` as JSON indented by 2; a NaN or infinity raises NumericError."""
+    try:
+        return json.dumps(obj, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise NumericError(f"cannot print as JSON: {exc}") from exc

@@ -3,13 +3,23 @@
 import csv
 import io
 import json
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 
+from taildep import (
+    MarshallOlkin,
+    NumericError,
+    default_u_grid,
+    reference_table,
+    solve_path,
+)
 from taildep.cli import main
+from taildep.serialize import dumps_json
 
 MO_TEXT = "family = marshall_olkin\na = 0.3529\nb = 0.75\n"
+MO_FLAGS = ("--family", "marshall_olkin", "--a", "0.3529", "--b", "0.75")
 MIX_TEXT = "family = mixture_mo\na = 0.3529\nb = 0.75\n"
 
 
@@ -214,6 +224,12 @@ class TestRisk:
         assert code == 2 and out == ""
         assert err.startswith("error: q=1e-14 is below 1/n")
 
+    def test_overflowed_sums_are_3(self, capsys):
+        # the sums overflow to inf; no invalid JSON (inf, nan) is printed
+        code, out, err = run(capsys, "risk", "--family", "independence",
+                             "--tail-index", "0.01", "--n", "10000")
+        assert code == 3 and out == "" and "overflowed to inf" in err
+
     def test_insufficient_tail_is_3(self, capsys):
         code, _, _ = run(capsys, "risk", "--family", "independence",
                          "--q", "0.9999", "--n", "10000")
@@ -277,4 +293,60 @@ class TestFloatPrecision:
         sol_u = [float(r["u"]) for r in rows]
         assert sol_u == [0.1, 0.01, 0.001]
         pi = float(rows[0]["pi_star"])
-        assert f"{pi:.17g}" == rows[0]["pi_star"]
+        assert repr(pi) == rows[0]["pi_star"]
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", *MO_FLAGS, "--u", "0.1", "--v", "0.2"],
+        ["eval", *MO_FLAGS, "--survival", "--u", "0.1", "--v", "0.2"],
+        ["axioms", *MO_FLAGS, "--grid-n", "20"],
+        ["path", *MO_FLAGS, "--umin-exp", "8", "--format", "json"],
+        ["indices", "--family", "clayton", "--theta", "2"],
+        ["indices", "--family", "generalized_clayton", "--gamma0", "0.5",
+         "--gamma1", "0.3", "--survival"],
+        ["compare", "--config", "MO", "--config", "MIX"],
+        ["risk", *MO_FLAGS, "--survival", "--n", "20000", "--seed", "5"],
+        ["table1", "--n", "20000", "--format", "json"],
+    ], ids=["eval", "eval-survival", "axioms", "path", "indices-clayton",
+            "indices-gc-survival", "compare", "risk-survival", "table1"])
+    def test_json_is_strict_with_shortest_floats(self, capsys, mo_config,
+                                                 mix_config, argv):
+        argv = [{"MO": mo_config, "MIX": mix_config}.get(a, a) for a in argv]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+
+        def reject(name):
+            raise ValueError(f"{name} is not JSON")
+
+        def shortest(text):
+            assert repr(float(text)) == text
+            return float(text)
+
+        json.loads(out, parse_constant=reject, parse_float=shortest)
+
+    def test_csv_floats_are_the_library_doubles(self, capsys):
+        mo = MarshallOlkin(0.3529, 0.75)
+        table = reference_table(seed=3, n=20_000)
+        solution = solve_path(mo, default_u_grid(8))
+        expected = {
+            ("eval", *MO_FLAGS, "--u", "0.1", "--v", "0.2", "--format", "csv"):
+                [[0.1, 0.2, mo.cdf(0.1, 0.2)]],
+            ("path", *MO_FLAGS, "--umin-exp", "8"):
+                [[p.u, *p.maximizers, p.pi_star] for p in solution.points],
+            ("table1", "--seed", "3", "--n", "20000"):
+                [astuple(r) for r in table.rows],
+        }
+        for argv, rows in expected.items():
+            code, out, _ = run(capsys, *argv)
+            assert code == 0
+            printed = [[c for c in line.split(",") if c not in ("true", "false")]
+                       for line in out.splitlines()[1:]]
+            assert len(printed) == len(rows)
+            for cells, values in zip(printed, rows):
+                assert cells == [repr(float(c)) for c in cells]
+                assert [float(c).hex() for c in cells] == [
+                    float(x).hex() for x in values]
+
+    def test_non_finite_json_is_a_numeric_error(self):
+        for x in (float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(NumericError):
+                dumps_json({"x": x})

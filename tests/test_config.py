@@ -46,6 +46,16 @@ def test_parse_errors(text, fragment):
         parse_config(text)
 
 
+@pytest.mark.parametrize("mapping", [
+    {"family": "survival"},
+    {"family": "survival", "base": "marshall_olkin"},
+    {"family": "survival", "base": {"family": "fgm", "alpha": 0.5}, "a": 1},
+])
+def test_malformed_survival_config(mapping):
+    with pytest.raises(ConfigError, match="survival config"):
+        copula_from_mapping(mapping)
+
+
 def test_unknown_family():
     with pytest.raises(ConfigError, match="unknown family"):
         copula_from_config("family = gumbel")

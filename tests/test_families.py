@@ -58,7 +58,8 @@ class TestFamilyContract:
     def test_params_round_trip(self, name):
         cop = example(name)
         assert cop.params()["family"] == name
-        assert copula_from_mapping(cop.params()) == cop
+        for printed in (cop, cop.survival()):
+            assert copula_from_mapping(printed.params()) == printed
 
     def test_cli_builds_it_from_flags(self, name, capsys):
         flags = [f"--{k}={v!r}" for k, v in EXAMPLES[name][0].items()]
@@ -121,3 +122,12 @@ def test_a_log_kernel_is_a_whole_family():
     assert point.pi_star == pytest.approx(1e-6, rel=1e-12)
     kappa = star_indices(solve_path(cop, default_u_grid(8))).kappa
     assert kappa == pytest.approx(2.0, abs=1e-12)
+
+
+def test_a_class_without_kernels_names_them():
+    class Bare(Copula):
+        pass
+
+    for evaluate in (Bare().cdf, Bare().log_cdf):
+        with pytest.raises(TypeError, match="_cdf and _log_cdf"):
+            evaluate(0.5, 0.5)

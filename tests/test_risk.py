@@ -27,6 +27,7 @@ from taildep import (
     InsufficientTailError,
     MarshallOlkin,
     MixtureMO,
+    NumericError,
     ParameterError,
     ParetoII,
     RiskReport,
@@ -232,6 +233,14 @@ class TestRiskMeasures:
     def test_insufficient_tail(self):
         with pytest.raises(InsufficientTailError):
             risk_measures(Independence(), MARGINAL, 0.999, 10_000, seed=1)
+
+    @pytest.mark.parametrize("marginal", [ParetoII(0.0, 1.0, 0.01),
+                                          ParetoII(0.0, 1e308, 4.0)])
+    def test_overflowed_sums_are_a_numeric_error(self, marginal):
+        # not inf or nan in the report, and not "increase n or lower q",
+        # which cannot help; nor a RuntimeWarning from a worker thread
+        with pytest.raises(NumericError, match="overflowed to inf"):
+            risk_measures(Independence(), marginal, 0.99, 10_000, 0)
 
     def test_validation(self):
         with pytest.raises(ParameterError):
