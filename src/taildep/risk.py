@@ -11,7 +11,7 @@ agreement between its empirical copula and the analytic CDF.
 Randomness comes from counter-based Philox streams.  Batch i of at most
 2^18 pairs is ``Philox(key=seed).jumped(i).random((rows, ncols))``, with
 ncols uniforms per pair (1 to 4, by family).  Each batch is drawn in chunks
-of 2^15 rows: the chunk starting at row r of batch i comes from its own
+of 2^13 rows: the chunk starting at row r of batch i comes from its own
 ``Philox(key=seed).jumped(i)`` advanced by r * ncols / 4 counter steps,
 that is Philox counter i * 2^128 + r * ncols / 4 (Philox makes four 64-bit
 words per step, and r is a multiple of 4), which are exactly rows r.. of
@@ -26,7 +26,7 @@ chunk, sends it through the Pareto-II quantile, sums it, drops it and keeps
 its own largest n(1 - q) + 1 sums; the caller merges those buffers and
 raises the first failure, if any.  The largest sums form one multiset
 whichever thread saw them, so results are bit-identical for a fixed seed,
-any thread count, and memory is O(workers * (batch + n(1 - q))) rather
+any thread count, and memory is O(workers * (2^15 + n(1 - q))) rather
 than O(n).  ``reference_table`` (``taildep table1``) draws once per b and reads
 every q from that one buffer.
 """
@@ -58,7 +58,8 @@ __all__ = [
 ]
 
 _BATCH = 1 << 18
-_CHUNK = 1 << 15  # divides _BATCH, and a multiple of 4 rows
+_CHUNK = 1 << 13  # divides _BATCH, a multiple of 4 rows; small: see _top_sums
+_POOL = 1 << 15  # candidates past m that _top_m gathers before it cuts back
 _MIN_N = 10_000
 # worker threads of _top_sums: one per CPU this process may run on, at most 8
 _WORKERS = min(8, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
@@ -191,24 +192,22 @@ def _largest(z: np.ndarray, m: int) -> np.ndarray:
     return z[z.size - m:]
 
 
-def _top_m(sums: Iterable[np.ndarray], m: int, n: int) -> np.ndarray:
-    """The m largest values of all the arrays in ``sums`` (n values at most),
-    unordered.
+def _top_m(sums: Iterable[np.ndarray], m: int, buf: np.ndarray) -> np.ndarray:
+    """The m largest values of all the arrays in ``sums``, unordered.
 
-    Candidates fill a pool from the end of one buffer downwards.  Once they
-    are a batch more than m, an in-place ``np.partition`` moves the m
-    largest to the end of the buffer, and from then on only values above the
-    smallest of them are candidates.  Equal values are interchangeable, so
-    the result is the same multiset as a full sort's.
+    Candidates fill a pool downwards from the end of ``buf``, which holds
+    m + _POOL + _CHUNK of them, or all.  Once they are _POOL more than m, an
+    in-place ``np.partition`` moves the m largest to the end, and from then
+    on only values above the smallest of them are candidates.  Equal values
+    are interchangeable, so the result is a full sort's.
     """
-    buf = np.empty(min(m + _BATCH + _CHUNK, n))
     start, floor = buf.size, None  # the pool is buf[start:]
     for z in sums:
         if floor is not None:
             z = z[z > floor]
         buf[start - z.size:start] = z
         start -= z.size
-        if buf.size - start >= m + _BATCH:
+        if buf.size - start >= m + _POOL:
             _largest(buf[start:], m)  # now the last m of buf
             start = buf.size - m
             floor = buf[start]
@@ -219,11 +218,12 @@ def _top_sums(cop: Copula, marginal: ParetoII, n: int, seed: int,
               k: int) -> np.ndarray:
     """The sorted order statistics k..n of Z = X + Y over n draws.
 
-    Up to ``_WORKERS`` threads, the caller's being one of them, take chunks
-    in turn, each keeping the m = n - k + 1 largest sums it has seen; the
-    caller keeps the m largest of their buffers.  A worker that raises stops
-    the hand-out; every thread is joined and the first exception is raised
-    here.
+    Up to ``_WORKERS`` threads, the caller's being one of them, take chunks in
+    turn, each keeping the m = n - k + 1 largest sums it has seen; the caller
+    keeps the m largest of their buffers, which it allocates itself.  Chunks
+    are small: a worker may get a fresh malloc arena, which keeps its peak.
+    A worker that raises stops the hand-out; every thread is joined and the
+    first exception is raised here.
     """
     m = n - k + 1
     ncols, sample = cop.sampler()
@@ -231,6 +231,7 @@ def _top_sums(cop: Copula, marginal: ParetoII, n: int, seed: int,
     count = min(_WORKERS, len(chunks))
     pending, lock = iter(chunks), threading.Lock()
     tops, errors = [None] * count, []
+    bufs = np.empty((count, min(m + _POOL + _CHUNK, n)))
 
     def sums() -> Iterator[np.ndarray]:
         while True:
@@ -244,7 +245,7 @@ def _top_sums(cop: Copula, marginal: ParetoII, n: int, seed: int,
     def run(j: int) -> None:
         try:
             with np.errstate(over="ignore"):  # _report rejects overflowed sums
-                tops[j] = _top_m(sums(), m, n)
+                tops[j] = _top_m(sums(), m, bufs[j])
         except BaseException as exc:  # raised again in the caller
             with lock:
                 errors.append(exc)

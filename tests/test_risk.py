@@ -327,10 +327,12 @@ class TestChunkedThreads:
         # distinct values make ties at the floor common
         monkeypatch.setattr(risk, "_BATCH", 16)
         monkeypatch.setattr(risk, "_CHUNK", 8)
+        monkeypatch.setattr(risk, "_POOL", 16)
         rng = np.random.default_rng(m)
         parts = [rng.integers(0, 30, rng.integers(0, 9)).astype(float)
                  + 0.5 * k / 100 for k in range(100)]
-        top = risk._top_m(iter(parts), m, sum(p.size for p in parts))
+        buf = np.empty(min(m + 16 + 8, sum(p.size for p in parts)))  # as _top_sums
+        top = risk._top_m(iter(parts), m, buf)
         assert np.array_equal(np.sort(top), np.sort(np.concatenate(parts))[-m:])
 
     @pytest.mark.parametrize("workers", [1, 2, 3, 7])
