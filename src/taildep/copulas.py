@@ -54,9 +54,6 @@ __all__ = [
     "kendall_tau",
 ]
 
-_Pair = tuple[np.ndarray, np.ndarray]
-
-
 def _as_unit(x, name: str) -> np.ndarray:
     """Coerce to float array and reject anything outside [0, 1], nan too."""
     arr = np.asarray(x, dtype=float)
@@ -152,8 +149,9 @@ class Copula:
         raise UnsupportedMethodError(
             f"no closed-form Kendall tau for family {self.family!r}")
 
-    def sampler(self) -> tuple[int, Callable[[np.ndarray], _Pair]]:
-        """Uniform columns per pair, and the map from a block of them to (u, v)."""
+    def sampler(self) -> tuple[int, Callable[..., None]]:
+        """Uniforms per pair, ncols, and ``fill(w, uv)``, which writes the pairs
+        of ncols rows w of uniforms into rows uv in place; it may overwrite w."""
         raise UnsupportedMethodError(f"no sampler for family {self.family!r}")
 
 
@@ -173,7 +171,7 @@ class Independence(Copula):
         return 2.0
 
     def sampler(self):
-        return 2, lambda w: (w[:, 0], w[:, 1])
+        return 2, lambda w, uv: np.copyto(uv, w)
 
 
 @dataclass(frozen=True)
@@ -195,7 +193,7 @@ class FrechetUpper(Copula):
         return 1.0
 
     def sampler(self):
-        return 1, lambda w: (w[:, 0], w[:, 0])
+        return 1, lambda w, uv: np.copyto(uv, w)  # the one row to both
 
 
 @dataclass(frozen=True)
@@ -217,18 +215,9 @@ class _ShockPair(Copula):
         return 2.0 - 2.0 * self.a * self.b / s
 
 
-def _shock(w_shock: np.ndarray, a: float) -> np.ndarray:
-    """The shock term W^(1/a) of a Marshall-Olkin margin (W itself at a >= 1)."""
-    return w_shock if a <= 0.0 or a >= 1.0 else w_shock ** (1.0 / a)
-
-
-def _mo_component(w_own: np.ndarray, shock: np.ndarray, a: float) -> np.ndarray:
-    # a = 0 removes the shock entirely; a = 1 makes the margin pure shock
-    if a <= 0.0:
-        return w_own
-    if a >= 1.0:
-        return shock
-    return np.maximum(w_own ** (1.0 / (1.0 - a)), shock)
+def _root(s: float) -> float:
+    # x ** inf = 0 on [0, 1): at a = 0 a margin is its own draw, at a = 1 the shock
+    return 1.0 / s if s > 0.0 else math.inf
 
 
 @dataclass(frozen=True)
@@ -259,21 +248,16 @@ class MarshallOlkin(_ShockPair):
         return self.a * self.b / denom
 
     def sampler(self):
-        a, b = self.a, self.b
-        return 3, lambda w: (_mo_component(w[:, 0], _shock(w[:, 2], a), a),
-                             _mo_component(w[:, 1], _shock(w[:, 2], b), b))
+        return 3, self._fill
 
-
-def _mixture_pair(w: np.ndarray, a: float, b: float) -> _Pair:
-    # a fair coin picks the (a, b) or the (b, a) Marshall-Olkin ordering;
-    # both orderings share the two shock terms
-    shock_a, shock_b = _shock(w[:, 2], a), _shock(w[:, 2], b)
-    u_ab = _mo_component(w[:, 0], shock_a, a)
-    v_ab = _mo_component(w[:, 1], shock_b, b)
-    u_ba = _mo_component(w[:, 0], shock_b, b)
-    v_ba = _mo_component(w[:, 1], shock_a, a)
-    swap = w[:, 3] < 0.5
-    return np.where(swap, u_ba, u_ab), np.where(swap, v_ba, v_ab)
+    def _fill(self, w, uv):
+        # u = max(w0^(1/(1-a)), w2^(1/a)), v alike; **= dispatches as ** does
+        w[0] **= _root(1.0 - self.a)
+        w[1] **= _root(1.0 - self.b)
+        np.copyto(uv, w[2])
+        uv[0] **= _root(self.a)
+        uv[1] **= _root(self.b)
+        np.maximum(w[:2], uv, out=uv)
 
 
 @dataclass(frozen=True)
@@ -301,16 +285,40 @@ class MixtureMO(_ShockPair):
         return tuple(sorted(ab + MarshallOlkin(self.b, self.a).maximizers(u)))
 
     def sampler(self):
-        return 4, lambda w: _mixture_pair(w, self.a, self.b)
+        return 4, self._fill
+
+    def _fill(self, w, uv):
+        # a fair coin picks the (b, a) or (a, b) ordering; both share the shocks
+        ra, rb = _root(1.0 - self.a), _root(1.0 - self.b)
+        swap = w[3] < 0.5
+        np.copyto(uv, w[:2])
+        uv[0] **= ra
+        uv[1] **= rb
+        w[0] **= rb
+        w[1] **= ra
+        np.copyto(w[3], w[2])
+        w[2] **= _root(self.a)
+        w[3] **= _root(self.b)
+        np.maximum(uv, w[2:], out=uv)  # (u, v) of the (a, b) ordering
+        np.maximum(w[:2], w[:1:-1], out=w[:2])  # and of the (b, a) one
+        np.copyto(uv, w[:2], where=swap)
 
 
-def _fgm_conditional_inverse(u: np.ndarray, w: np.ndarray, alpha: float) -> np.ndarray:
-    # Solve w = v (1 + A (1 - v)) for v, A = alpha (1 - 2u); the stable
-    # quadratic root 2w / (1 + A + sqrt((1+A)^2 - 4Aw)) degrades gracefully
-    # to v = w as A -> 0.
-    a_coef = alpha * (1.0 - 2.0 * u)
-    disc = (1.0 + a_coef) ** 2 - 4.0 * a_coef * w
-    return 2.0 * w / (1.0 + a_coef + np.sqrt(disc))
+def _fgm_conditional_inverse(w: np.ndarray, uv: np.ndarray, alpha: float) -> None:
+    # Solve w1 = v (1 + A (1 - v)) for v, A = alpha (1 - 2 w0), and u = w0;
+    # the stable quadratic root 2 w1 / (1 + A + sqrt((1+A)^2 - 4 A w1))
+    # degrades gracefully to v = w1 as A -> 0.  u holds A, made twice alike.
+    u, v = uv
+
+    def a_coef():
+        np.subtract(1.0, np.multiply(w[0], 2.0, out=u), out=u)
+        return np.multiply(u, alpha, out=u)
+
+    np.square(np.add(a_coef(), 1.0, out=v), out=v)  # what ** 2 runs
+    v -= np.multiply(np.multiply(u, 4.0, out=u), w[1], out=u)
+    np.add(np.add(a_coef(), 1.0, out=u), np.sqrt(v, out=v), out=u)
+    np.divide(np.multiply(w[1], 2.0, out=v), u, out=v)
+    np.copyto(u, w[0])
 
 
 @dataclass(frozen=True)
@@ -338,8 +346,7 @@ class FGM(Copula):
         return 2.0 if self.alpha > 0.0 else None
 
     def sampler(self):
-        return 2, lambda w: (
-            w[:, 0], _fgm_conditional_inverse(w[:, 0], w[:, 1], self.alpha))
+        return 2, lambda w, uv: _fgm_conditional_inverse(w, uv, self.alpha)
 
 
 @dataclass(frozen=True)
@@ -534,7 +541,7 @@ class SurvivalCopula(Copula):
     def sampler(self):
         """The reflection (1-U, 1-V) of a base draw."""
         ncols, base = self.base.sampler()
-        return ncols, lambda w: tuple(1.0 - x for x in base(w))
+        return ncols, lambda w, uv: (base(w, uv), np.subtract(1.0, uv, out=uv))
 
     def __repr__(self):
         return f"SurvivalCopula({self.base!r})"

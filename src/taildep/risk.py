@@ -10,34 +10,31 @@ agreement between its empirical copula and the analytic CDF.
 
 Randomness comes from counter-based Philox streams.  Batch i of at most
 2^18 pairs is ``Philox(key=seed).jumped(i).random((rows, ncols))``, with
-ncols uniforms per pair (1 to 4, by family).  Each batch is drawn in chunks
-of 2^13 rows: the chunk starting at row r of batch i comes from its own
-``Philox(key=seed).jumped(i)`` advanced by r * ncols / 4 counter steps,
-that is Philox counter i * 2^128 + r * ncols / 4 (Philox makes four 64-bit
-words per step, and r is a multiple of 4), which are exactly rows r.. of
-the whole-batch draw.  Every chunk is addressed on its own, so chunks can
-be drawn in any order on any thread.
+ncols uniforms per pair (1 to 4, by family), drawn in chunks of 2^14 rows:
+the chunk at row r, a multiple of 4, starts at Philox counter step
+r * ncols / 4 of its batch, so chunks can be drawn in any order.
 
-Risk is computed in streaming chunks, one worker thread per available CPU
-(at most 8), the caller's thread among them.  Chunks are handed out one at
-a time: a worker takes the next chunk nobody has taken, under one lock,
-until none is left or some worker has failed.  Each worker draws its
-chunk, sends it through the Pareto-II quantile, sums it, drops it and keeps
-its own largest n(1 - q) + 1 sums; the caller merges those buffers and
-raises the first failure, if any.  The largest sums form one multiset
-whichever thread saw them, so results are bit-identical for a fixed seed,
-any thread count, and memory is O(workers * (2^15 + n(1 - q))) rather
-than O(n).  ``reference_table`` (``taildep table1``) draws once per b and reads
-every q from that one buffer.
+Risk runs those chunks on one worker thread per available CPU (at most 8),
+the caller's among them, each taking the next chunk nobody has taken.  A
+worker draws its chunk into a block the caller allocated, makes pairs and
+sums in place, and keeps its largest m = n(1 - q) + 1 sums in a buffer the
+caller allocated too; once that has a floor f, pairs with both uniforms at
+or below ``ParetoII._level_below(f)`` sum to less than f and skip the
+quantile.  The largest sums form one multiset whichever thread saw them, so
+results are bit-identical for a fixed seed and any thread count, and memory
+is workers * (m + 2^15 + (ncols + 3) 2^14) doubles rather than O(n).
+``reference_table`` (``taildep table1``) draws once per b and reads every
+q from that one buffer.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import os
 import threading
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable
 from dataclasses import asdict, astuple, dataclass
 from typing import ClassVar
 
@@ -58,7 +55,7 @@ __all__ = [
 ]
 
 _BATCH = 1 << 18
-_CHUNK = 1 << 13  # divides _BATCH, a multiple of 4 rows; small: see _top_sums
+_CHUNK = 1 << 14  # divides _BATCH, a multiple of 4 rows
 _POOL = 1 << 15  # candidates past m that _top_m gathers before it cuts back
 _MIN_N = 10_000
 # worker threads of _top_sums: one per CPU this process may run on, at most 8
@@ -97,9 +94,27 @@ class ParetoII:
         out = self._quantile(pa)
         return float(out) if np.ndim(p) == 0 else out
 
-    def _quantile(self, p: np.ndarray) -> np.ndarray:
-        """``quantile`` without the range check, for the samplers' own draws."""
-        return self.mu + self.sigma * ((1.0 - p) ** (-1.0 / self.alpha) - 1.0)
+    def _quantile(self, p: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """``quantile`` without the range check, into ``out`` (may be p)."""
+        x = np.subtract(1.0, p, out=out)
+        x **= -1.0 / self.alpha
+        x -= 1.0
+        x *= self.sigma
+        x += self.mu
+        return x
+
+    def _level_below(self, f: float) -> float | None:
+        """A level t in (0, 1) with 2 Q(p) < f for every p <= t, or None.
+
+        At t the power (1 - t)^(-1/alpha) in ``_quantile`` is 2e-9 below its
+        value at f/2.  t stands if, with that power raised by 1e-9 (more than
+        pow errs), Q(t) < f/2: the other steps round monotonically."""
+        power = ((0.5 * float(f) - self.mu) / self.sigma + 1.0) * (1.0 - 2e-9)
+        t = 1.0 - power ** -self.alpha if power > 1.0 else 0.0
+        with np.errstate(over="ignore", divide="ignore"):  # inf fails below
+            lift = np.float64(1.0 - t) ** (-1.0 / self.alpha) * (1.0 + 1e-9)
+            below = 2.0 * (self.mu + self.sigma * (lift - 1.0)) < f
+        return t if 0.0 < t < 1.0 and below else None
 
 
 @dataclass(frozen=True)
@@ -142,16 +157,22 @@ def _chunks(n: int) -> list[_Chunk]:
             for start in range(0, n, _CHUNK)]
 
 
-def _draw(seed: int, ncols: int, chunk: _Chunk) -> np.ndarray:
-    """One chunk of its batch's draw ``rng.random((rows, ncols))``.
-
-    The chunk starts at a row r that is a multiple of 4, so its first word
-    is the first of Philox counter step r * ncols / 4 after the batch's
-    start, ``jumped(batch)``, which is counter batch * 2^128.
-    """
+def _draw(seed: int, ncols: int, chunk: _Chunk, block: np.ndarray) -> np.ndarray:
+    """One chunk of its batch's draw ``rng.random((rows, ncols))``, as the
+    columns ``block[:ncols, :rows]``; runs of its rows are staged in the
+    last two of the block's ncols + 2 rows.  The chunk starts at a row r
+    that is a multiple of 4, so its first word is the first of Philox
+    counter step r * ncols / 4 after the batch's start, ``jumped(batch)``,
+    which is counter batch * 2^128."""
     batch, row, rows = chunk
     bitgen = np.random.Philox(counter=(batch << 128) + row * ncols // 4, key=seed)
-    return np.random.Generator(bitgen).random((rows, ncols))
+    gen, stage = np.random.Generator(bitgen), block[ncols:].reshape(-1)
+    step = stage.size // ncols
+    for r in range(0, rows, step):
+        part = stage[:min(step, rows - r) * ncols].reshape(-1, ncols)
+        gen.random(out=part)
+        block[:ncols, r:r + part.shape[0]] = part.T
+    return block[:ncols, :rows]
 
 
 def sample_pairs(cop: Copula, n: int, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
@@ -164,12 +185,11 @@ def sample_pairs(cop: Copula, n: int, seed: int = 0) -> tuple[np.ndarray, np.nda
     sampler for the generalized Clayton or generic Archimedean copulas here).
     """
     n, seed = _check_n_seed(n, seed, 1)
-    ncols, sample = cop.sampler()
-    u, v = np.empty(n), np.empty(n)
+    ncols, fill = cop.sampler()
+    uv, block = np.empty((2, n)), np.empty((ncols + 2, _CHUNK))
     for start, chunk in zip(range(0, n, _CHUNK), _chunks(n)):
-        stop = start + chunk[2]
-        u[start:stop], v[start:stop] = sample(_draw(seed, ncols, chunk))
-    return u, v
+        fill(_draw(seed, ncols, chunk, block), uv[:, start:start + chunk[2]])
+    return uv[0], uv[1]
 
 
 def _order_index(n: int, q: float) -> int:
@@ -192,17 +212,18 @@ def _largest(z: np.ndarray, m: int) -> np.ndarray:
     return z[z.size - m:]
 
 
-def _top_m(sums: Iterable[np.ndarray], m: int, buf: np.ndarray) -> np.ndarray:
-    """The m largest values of all the arrays in ``sums``, unordered.
+def _top_m(sums: Callable[..., np.ndarray | None], m: int, buf: np.ndarray):
+    """The m largest values of the arrays ``sums(floor)`` returns until None.
 
     Candidates fill a pool downwards from the end of ``buf``, which holds
     m + _POOL + _CHUNK of them, or all.  Once they are _POOL more than m, an
     in-place ``np.partition`` moves the m largest to the end, and from then
-    on only values above the smallest of them are candidates.  Equal values
-    are interchangeable, so the result is a full sort's.
+    on only values above the smallest of them, ``floor``, are candidates
+    (``sums`` may omit the others).  Equal values are interchangeable, so
+    the result is a full sort's, unordered.
     """
     start, floor = buf.size, None  # the pool is buf[start:]
-    for z in sums:
+    while (z := sums(floor)) is not None:
         if floor is not None:
             z = z[z > floor]
         buf[start - z.size:start] = z
@@ -220,32 +241,40 @@ def _top_sums(cop: Copula, marginal: ParetoII, n: int, seed: int,
 
     Up to ``_WORKERS`` threads, the caller's being one of them, take chunks in
     turn, each keeping the m = n - k + 1 largest sums it has seen; the caller
-    keeps the m largest of their buffers, which it allocates itself.  Chunks
-    are small: a worker may get a fresh malloc arena, which keeps its peak.
-    A worker that raises stops the hand-out; every thread is joined and the
-    first exception is raised here.
+    keeps the m largest of their buffers, and allocates them and each thread's
+    chunk block itself.  A worker that raises stops the hand-out; every
+    thread is joined and the first exception is raised here.
     """
     m = n - k + 1
-    ncols, sample = cop.sampler()
+    ncols, fill = cop.sampler()
     chunks = _chunks(n)
     count = min(_WORKERS, len(chunks))
     pending, lock = iter(chunks), threading.Lock()
     tops, errors = [None] * count, []
     bufs = np.empty((count, min(m + _POOL + _CHUNK, n)))
+    blocks = np.empty((count, ncols + 2, _CHUNK))
 
-    def sums() -> Iterator[np.ndarray]:
-        while True:
+    def run(j: int) -> None:
+        block, level = blocks[j], functools.lru_cache(1)(marginal._level_below)
+
+        def sums(floor: float | None) -> np.ndarray | None:
             with lock:
                 chunk = None if errors else next(pending, None)
             if chunk is None:
-                return
-            u, v = sample(_draw(seed, ncols, chunk))
-            yield marginal._quantile(u) + marginal._quantile(v)
+                return None
+            uv = block[ncols:, :chunk[2]]
+            fill(_draw(seed, ncols, chunk, block), uv)
+            if (t := None if floor is None else level(floor)) is not None:
+                keep = uv > t
+                keep[0] |= keep[1]
+                uv = uv.compress(keep[0], axis=1)
+            u, v = marginal._quantile(uv, out=uv)
+            u += v
+            return u
 
-    def run(j: int) -> None:
         try:
             with np.errstate(over="ignore"):  # _report rejects overflowed sums
-                tops[j] = _top_m(sums(), m, bufs[j])
+                tops[j] = _top_m(sums, m, bufs[j])
         except BaseException as exc:  # raised again in the caller
             with lock:
                 errors.append(exc)
@@ -278,14 +307,18 @@ def _report(top: np.ndarray, n: int, q: float, seed: int) -> RiskReport:
         raise InsufficientTailError(
             f"only {exceed.size} exceedances above VaR at q={q}; "
             "increase n or lower q")
-    cte_q = float(exceed.mean())
-    cond_var = float(exceed.var(ddof=1))
-    return RiskReport(
-        q=q, var_q=var_q, cte_q=cte_q,
-        mtvar_q=cte_q + cond_var / cte_q,
-        n=n, seed=seed, n_exceed=int(exceed.size),
-        stderr_cte=float(exceed.std(ddof=1) / math.sqrt(exceed.size)),
-    )
+    with np.errstate(over="ignore"):  # an infinite moment is refused below
+        cte_q = float(exceed.mean())
+        cond_var = float(exceed.var(ddof=1))
+        report = RiskReport(
+            q=q, var_q=var_q, cte_q=cte_q, mtvar_q=cte_q + cond_var / cte_q,
+            n=n, seed=seed, n_exceed=int(exceed.size),
+            stderr_cte=float(exceed.std(ddof=1) / math.sqrt(exceed.size)))
+    for name in ("cte_q", "mtvar_q", "stderr_cte"):
+        if not math.isfinite(x := getattr(report, name)):
+            raise NumericError(f"{name} overflowed to {x}: the loss sums are "
+                               "too large for their moments in double precision")
+    return report
 
 
 def risk_measures(cop: Copula, marginal: ParetoII, q: float,

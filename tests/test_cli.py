@@ -230,6 +230,12 @@ class TestRisk:
                              "--tail-index", "0.01", "--n", "10000")
         assert code == 3 and out == "" and "overflowed to inf" in err
 
+    def test_overflowed_moments_are_3(self, capsys):
+        # the sums are finite, their conditional variance is not
+        code, out, err = run(capsys, "risk", "--family", "independence",
+                             "--sigma", "1e153", "--n", "10000")
+        assert code == 3 and out == "" and "mtvar_q overflowed to inf" in err
+
     def test_insufficient_tail_is_3(self, capsys):
         code, _, _ = run(capsys, "risk", "--family", "independence",
                          "--q", "0.9999", "--n", "10000")

@@ -183,7 +183,10 @@ class TestSamplers:
         # the sampled v must satisfy the conditional CDF equation
         from taildep.copulas import _fgm_conditional_inverse
 
-        v = float(_fgm_conditional_inverse(np.asarray(u), np.asarray(w), alpha))
+        uv = np.empty((2, 1))
+        _fgm_conditional_inverse(np.array([[u], [w]]), uv, alpha)
+        assert uv[0, 0] == u
+        v = float(uv[1, 0])
         assert 0.0 <= v <= 1.0
         a_coef = alpha * (1.0 - 2.0 * u)
         assert v * (1.0 + a_coef * (1.0 - v)) == pytest.approx(w, abs=1e-12)
@@ -234,6 +237,14 @@ class TestRiskMeasures:
         with pytest.raises(InsufficientTailError):
             risk_measures(Independence(), MARGINAL, 0.999, 10_000, seed=1)
 
+    @pytest.mark.parametrize("marginal", [ParetoII(0.0, 1e153, 4.0),
+                                          ParetoII(0.0, 1.0, 0.02)])
+    def test_overflowed_moments_are_a_numeric_error(self, marginal):
+        # the sums are finite, but the conditional variance overflows: no
+        # inf in the report, and no RuntimeWarning from the reduction
+        with pytest.raises(NumericError, match="mtvar_q overflowed to inf"):
+            risk_measures(Independence(), marginal, 0.99, 10_000, 0)
+
     @pytest.mark.parametrize("marginal", [ParetoII(0.0, 1.0, 0.01),
                                           ParetoII(0.0, 1e308, 4.0)])
     def test_overflowed_sums_are_a_numeric_error(self, marginal):
@@ -268,12 +279,12 @@ STREAM_COPULAS = [Independence(), FrechetUpper(), MarshallOlkin(A, B),
 
 
 @functools.cache
-def full_sort_report(cop, q, n, seed):
+def full_sort_report(cop, q, n, seed, marginal=MARGINAL):
     """RiskReport from the documented definition, over one full sort: the
     ceil(n q)-th order statistic of Q(u) + Q(v) over sample_pairs, and the
     exceedances strictly above it."""
     u, v = sample_pairs(cop, n, seed)
-    z = np.sort(MARGINAL.quantile(u) + MARGINAL.quantile(v))
+    z = np.sort(marginal.quantile(u) + marginal.quantile(v))
     var_q = float(z[math.ceil(n * q) - 1])
     exceed = z[z > var_q]
     cte_q = float(exceed.mean())
@@ -301,8 +312,69 @@ class TestStreamingRisk:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # a full in-memory draw at this n peaks near 107 MB
-        assert peak < 40 * 2 ** 20
+        # a full in-memory draw at this n peaks near 107 MB; the buffers and
+        # chunk blocks of the worker threads take about 2.7 MB
+        assert peak < 8 * 2 ** 20
+
+
+class TestPruning:
+    """Pairs whose larger uniform is at most ParetoII._level_below(floor)
+    skip the quantile; the kept sums, and every report, stay a full sort's."""
+
+    @pytest.mark.parametrize("marginal", [
+        ParetoII(-3.0, 1.0, 4.0), ParetoII(-50.0, 2.0, 3.0),
+        ParetoII(0.0, 1e3, 4.0), ParetoII(0.0, 1.0, 0.5),
+        ParetoII(0.0, 1.0, 20.0), ParetoII(2.0, 0.5, 1.0)], ids=repr)
+    @pytest.mark.parametrize("q", [0.5, 0.99])
+    def test_any_marginal_equals_full_sort(self, marginal, q):
+        for cop in (MarshallOlkin(A, B).survival(), FGM(-0.7), FrechetUpper()):
+            assert risk_measures(cop, marginal, q, 300_001, seed=5) == \
+                full_sort_report(cop, q, 300_001, 5, marginal), cop
+
+    def test_many_ties_at_the_floor(self):
+        # Q(u) rounds to a few dozen values: sums tie at every floor
+        marginal = ParetoII(1e6, 1e-9, 4.0)
+        u, v = sample_pairs(Independence(), 300_001, 5)
+        z = marginal.quantile(u) + marginal.quantile(v)
+        assert np.unique(z).size < 100
+        for q in (0.5, 0.99):
+            assert risk_measures(Independence(), marginal, q, 300_001, 5) == \
+                full_sort_report(Independence(), q, 300_001, 5, marginal)
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_a_floor_that_rises_often(self, monkeypatch, workers):
+        # a pool of 64 past m cuts back, and raises the floor, every chunk
+        monkeypatch.setattr(risk, "_POOL", 64)
+        monkeypatch.setattr(risk, "_WORKERS", workers)
+        for cop in STREAM_COPULAS:
+            for q in (0.5, 0.995):
+                assert risk_measures(cop, MARGINAL, q, STREAM_N, seed=17) == \
+                    full_sort_report(cop, q, STREAM_N, 17), (cop, q)
+
+    def test_level_is_near_the_cdf_at_half_the_floor(self):
+        t = MARGINAL._level_below(5.0)
+        assert t == pytest.approx(1.0 - 3.5 ** -4.0, rel=1e-8)
+        # Z >= 2 mu: a floor at 2 mu, or none that is finite, prunes nothing
+        for f in (0.0, -1.0, math.inf, math.nan, 2e-12):
+            assert MARGINAL._level_below(f) is None, f
+        assert ParetoII(-3.0, 1.0, 4.0)._level_below(-6.0) is None
+
+    @settings(max_examples=300, deadline=None)
+    @given(mu=st.floats(-100.0, 100.0), log_sigma=st.floats(-2.0, 3.0),
+           alpha=st.floats(0.05, 50.0), p0=st.floats(0.0, 1.0 - 1e-13),
+           us=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20))
+    def test_no_sum_below_the_level_reaches_the_floor(self, mu, log_sigma,
+                                                      alpha, p0, us):
+        marginal = ParetoII(mu, 10.0 ** log_sigma, alpha)
+        f = float(2.0 * marginal.quantile(p0))
+        t = marginal._level_below(f)
+        if t is None:
+            return
+        p = np.array([t, np.nextafter(t, 0.0), 0.0] + [t * x for x in us])
+        assert np.all(2.0 * marginal._quantile(p) < f)
+        # with a relative margin of at least 1e-9 in the power of Q
+        q_t = float(marginal._quantile(np.array([t]))[0])
+        assert 2.0 * q_t < f - 1.9e-9 * (q_t - mu + marginal.sigma)
 
 
 def risk_threads():
@@ -318,7 +390,9 @@ class TestChunkedThreads:
         for i, start in enumerate((0, 1 << 18)):
             rng = np.random.Generator(np.random.Philox(key=21).jumped(i))
             whole = rng.random((min(1 << 18, n - start), ncols))
-            got = [risk._draw(21, ncols, c) for c in chunks if c[0] == i]
+            block = np.full((ncols + 2, risk._CHUNK), np.nan)
+            got = [risk._draw(21, ncols, c, block).T.copy()
+                   for c in chunks if c[0] == i]
             assert np.array_equal(np.concatenate(got), whole)
 
     @pytest.mark.parametrize("m", [1, 7, 40, 300])
@@ -332,7 +406,8 @@ class TestChunkedThreads:
         parts = [rng.integers(0, 30, rng.integers(0, 9)).astype(float)
                  + 0.5 * k / 100 for k in range(100)]
         buf = np.empty(min(m + 16 + 8, sum(p.size for p in parts)))  # as _top_sums
-        top = risk._top_m(iter(parts), m, buf)
+        it = iter(parts)
+        top = risk._top_m(lambda floor: next(it, None), m, buf)
         assert np.array_equal(np.sort(top), np.sort(np.concatenate(parts))[-m:])
 
     @pytest.mark.parametrize("workers", [1, 2, 3, 7])
@@ -372,14 +447,14 @@ class TestChunkedThreads:
         failed = threading.Event()
 
         def failing_sampler(cop):
-            ncols, sample = real(cop)
+            ncols, fill = real(cop)
 
-            def flaky(w):
+            def flaky(w, uv):
                 if (threading.current_thread() is caller) == (where == "caller"):
                     failed.set()
                     raise ZeroDivisionError("chunk failed")
                 failed.wait(10)  # the other side takes a chunk first
-                return sample(w)
+                fill(w, uv)
             return ncols, flaky
 
         monkeypatch.setattr(FGM, "sampler", failing_sampler)
