@@ -16,6 +16,7 @@ from taildep.copulas import (
     FGM,
     Archimedean,
     AxiomReport,
+    Clayton,
     Copula,
     FrechetUpper,
     GeneralizedClayton,
@@ -27,7 +28,6 @@ from taildep.copulas import (
     archimedean_diagonal_check,
     check_axioms,
     clayton_generator,
-    kendall_tau,
 )
 from taildep.config import copula_from_config, copula_from_mapping, parse_config
 from taildep.errors import (
@@ -78,8 +78,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Copula", "Independence", "FrechetUpper", "MarshallOlkin", "MixtureMO",
-    "FGM", "GeneralizedClayton", "Generator", "Archimedean", "SurvivalCopula",
-    "clayton_generator", "AxiomReport", "check_axioms", "kendall_tau",
+    "FGM", "GeneralizedClayton", "Clayton", "Generator", "Archimedean",
+    "SurvivalCopula", "clayton_generator", "AxiomReport", "check_axioms",
     "parse_config", "copula_from_mapping", "copula_from_config",
     "PathPoint", "PathSolution", "pi_phi", "pointwise_max",
     "solve_path", "zeta", "zeta_root",

@@ -21,11 +21,11 @@ generalized_clayton  gamma0, gamma1
 clayton              theta
 ==================== =====================
 
-``clayton`` is the built-in strict Archimedean copula.  The survival copula
-of any config is the mapping ``{"family": "survival", "base": {...}}`` that
-``Copula.params`` prints, so every printed config re-enters the grammar; it
-nests, so it has no flat text form.  An ``Archimedean`` on a custom
-generator carries Python callables and is constructible in code only.
+The survival copula of any config is the mapping ``{"family": "survival",
+"base": {...}}`` that ``Copula.params`` prints, so every printed config
+re-enters the grammar; it nests, so it has no flat text form.  An
+``Archimedean`` on a custom generator carries Python callables and is
+constructible in code only.
 """
 
 from __future__ import annotations

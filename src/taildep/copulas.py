@@ -5,9 +5,9 @@ construction and exposes two evaluation routes:
 
 * ``cdf(u, v)``   -- the copula value C(u, v), vectorized over numpy arrays;
 * ``log_cdf(u, v)`` -- log C(u, v) through the kernel ``_log_cdf(lu, lv)``,
-  which takes log coordinates.  All families but the Archimedean and
-  survival copulas evaluate it from the logs without exponentiating, which
-  keeps the tail machinery in :mod:`taildep.paths` exact down to u ~ 1e-300.
+  which takes log coordinates.  Every family but the generic Archimedean
+  and survival copulas evaluates it from the logs, Clayton too, which keeps
+  the tail machinery in :mod:`taildep.paths` exact down to u ~ 1e-300.
 
 Every other fact about a family is an optional method of its class, by
 default None or :class:`UnsupportedMethodError`: ``maximizers``,
@@ -17,14 +17,13 @@ family name to its constructor and parameter keys.
 ``survival()`` wraps any copula into its survival copula
 ``u + v - 1 + C(1-u, 1-v)``, mapping upper-tail questions onto the lower-tail
 machinery.  ``check_axioms`` verifies groundedness, uniform marginals and the
-two-increasing property on a lattice; ``kendall_tau`` gives Kendall's tau
-in closed form (Marshall-Olkin).
+two-increasing property on a lattice.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from typing import Callable, ClassVar
 
 import numpy as np
@@ -43,6 +42,7 @@ __all__ = [
     "MixtureMO",
     "FGM",
     "GeneralizedClayton",
+    "Clayton",
     "Generator",
     "Archimedean",
     "SurvivalCopula",
@@ -51,7 +51,6 @@ __all__ = [
     "FAMILIES",
     "AxiomReport",
     "check_axioms",
-    "kendall_tau",
 ]
 
 def _as_unit(x, name: str) -> np.ndarray:
@@ -349,13 +348,20 @@ class FGM(Copula):
         return 2, lambda w, uv: _fgm_conditional_inverse(w, uv, self.alpha)
 
 
+def _log_exp_sum_m1(a, b):
+    """log(e^a + e^b - 1) for a, b >= 0, shifted by m = max(a, b) so no huge
+    power materializes, however deep the level; expm1 keeps the small terms
+    of tiny a and b, the Clayton kernels near independence."""
+    m = np.maximum(a, b)
+    return m + np.log1p(np.expm1(a - m) + np.expm1(b - m) - np.expm1(-m))
+
+
 @dataclass(frozen=True)
 class GeneralizedClayton(Copula):
     """Asymmetric Clayton-type copula.
 
     C(u, v) = u^(g1/gt) * (u^(-1/gt) + v^(-1/g0) - 1)^(-g0) with g0 > 0,
-    g1 >= 0 and gt = g0 + g1.  g1 = 0 recovers the plain (symmetric) Clayton
-    copula with theta = 1/g0.
+    g1 >= 0 and gt = g0 + g1.  g1 = 0 recovers :class:`Clayton`, theta = 1/g0.
     """
 
     gamma0: float
@@ -373,35 +379,48 @@ class GeneralizedClayton(Copula):
 
     def _log_cdf(self, lu, lv):
         g0, gt = self.gamma0, self.gamma1_tilde
-        # log(u^{-1/gt} + v^{-1/g0} - 1) via a max-shifted exponential sum:
-        # the shifted terms stay in [0, 2], so huge intermediate powers never
-        # materialize, however deep the level.
-        a = -lu / gt
-        b = -lv / g0
-        m = np.maximum(a, b)
-        inner = np.exp(a - m) + np.exp(b - m) - np.exp(-m)
-        return (self.gamma1 / gt) * lu - g0 * (m + np.log(inner))
+        return (self.gamma1 / gt) * lu - g0 * _log_exp_sum_m1(-lu / gt, -lv / g0)
 
     def kappa_star(self):
         return 1.0 + self.gamma1 / (self.gamma1 + 2.0 * self.gamma0)
 
 
 @dataclass(frozen=True)
+class Clayton(Copula):
+    """Clayton copula (u^(-theta) + v^(-theta) - 1)^(-1/theta), theta > 0."""
+
+    theta: float
+
+    family: ClassVar[str] = "clayton"
+
+    def __post_init__(self):
+        _check_param(self.theta, "theta", 0.0, math.inf, lo_open=True)
+
+    def _log_cdf(self, lu, lv):
+        return -_log_exp_sum_m1(-self.theta * lu, -self.theta * lv) / self.theta
+
+    def maximizers(self, u):
+        return (u,)
+
+    def kappa_star(self):
+        return 1.0
+
+
+@dataclass(frozen=True, eq=False)
 class Generator:
     """Handle for an Archimedean generator psi.
 
     All four callables must be explicit and vectorized; inverting psi
     numerically is deliberately unsupported because inversion error would
     contaminate CDF values at tail levels around 1e-6.  Handles compare by
-    name and config, so two handles built from the same parameters are equal.
+    identity: the name alone does not tell two generators apart.
     """
 
     name: str
-    psi: Callable = field(compare=False)
-    psi_prime: Callable = field(compare=False)
-    psi_second: Callable = field(compare=False)
-    psi_inv: Callable = field(compare=False)
-    config: tuple[tuple[str, float], ...] = ()
+    psi: Callable
+    psi_prime: Callable
+    psi_second: Callable
+    psi_inv: Callable
 
 
 def clayton_generator(theta: float) -> Generator:
@@ -414,7 +433,6 @@ def clayton_generator(theta: float) -> Generator:
         psi_prime=lambda t: -np.power(t, -theta - 1.0),
         psi_second=lambda t: (theta + 1.0) * np.power(t, -theta - 2.0),
         psi_inv=lambda s: np.power(1.0 + theta * s, -1.0 / theta),
-        config=(("theta", float(theta)),),
     )
 
 
@@ -515,10 +533,6 @@ class Archimedean(Copula):
         return (u,) if archimedean_diagonal_check(self.generator, u) else None
 
     def params(self):
-        if self.generator.name == "clayton":
-            out = {"family": "clayton"}
-            out.update(dict(self.generator.config))
-            return out
         return {"family": self.family, "generator": self.generator.name}
 
 
@@ -547,14 +561,11 @@ class SurvivalCopula(Copula):
         return f"SurvivalCopula({self.base!r})"
 
 
-# config family name -> (constructor, parameter keys): the dataclass fields,
-# and ``clayton``, the one family built from a generator handle
+# config family name -> (constructor, parameter keys): the dataclass fields
 FAMILIES: dict[str, tuple[Callable[..., Copula], tuple[str, ...]]] = {
     cls.family: (cls, tuple(f.name for f in fields(cls)))
     for cls in (Independence, FrechetUpper, MarshallOlkin, MixtureMO, FGM,
-                GeneralizedClayton)}
-FAMILIES["clayton"] = (lambda theta: Archimedean(clayton_generator(theta)),
-                       ("theta",))
+                GeneralizedClayton, Clayton)}
 
 
 @dataclass(frozen=True)
@@ -603,9 +614,3 @@ def check_axioms(cop: Copula, grid_n: int = 100, tol: float = 1e-10) -> AxiomRep
         min_rectangle_mass=float(np.min(mass)),
         worst_rectangle=worst,
     )
-
-
-def kendall_tau(cop: Copula) -> float:
-    """Kendall's tau in closed form (``Copula.tau``): a b / (a + b - a b) for
-    Marshall-Olkin; other families raise :class:`UnsupportedMethodError`."""
-    return cop.tau()

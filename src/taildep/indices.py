@@ -118,11 +118,6 @@ def default_u_grid(min_exponent: int = 6, max_exponent: int = 1,
     return 10.0 ** (-exponents)
 
 
-def pairwise_log_slopes(log_u: np.ndarray, log_vals: np.ndarray) -> np.ndarray:
-    """Slopes of log value against log u between consecutive grid levels."""
-    return np.diff(log_vals) / np.diff(log_u)
-
-
 def extrapolate_sequence(seq) -> tuple[float, float]:
     """Limit of a convergent sequence via one Aitken delta-squared step.
 
@@ -156,7 +151,7 @@ def extrapolate_sequence(seq) -> tuple[float, float]:
 def _indices_from_logs(u: np.ndarray, log_vals: np.ndarray,
                        path_kind: PathKind) -> TailIndexReport:
     log_u = np.log(u)
-    slopes = pairwise_log_slopes(log_u, log_vals)
+    slopes = np.diff(log_vals) / np.diff(log_u)
     kappa, residual = extrapolate_sequence(slopes)
 
     degenerate = kappa > 1.0 + max(10.0 * residual, _LAMBDA_DEGENERACY_FLOOR)

@@ -412,10 +412,10 @@ def closed_form_path(cop: Copula, u: float) -> tuple[float, ...] | None:
 
     Marshall-Olkin has the single maximizer u^(2b/(a+b)); its symmetric
     mixture has the pair {u^(2b/(a+b)), u^(2a/(a+b))}; the comonotone
-    copula, positively-dependent FGM, and Archimedean copulas passing the
-    diagonal criterion all maximize on the diagonal.  Returns None for the
-    FGM with alpha <= 0 (no admissible maximum / all paths maximal), for
-    the generalized Clayton (use :func:`zeta_root`), and for
+    copula, positively-dependent FGM, Clayton, and Archimedean copulas
+    passing the diagonal criterion all maximize on the diagonal.  Returns
+    None for the FGM with alpha <= 0 (no admissible maximum / all paths
+    maximal), for the generalized Clayton (use :func:`zeta_root`), and for
     parameter corners that degenerate to independence.
     """
     return cop.maximizers(_check_level(u))

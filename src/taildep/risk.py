@@ -182,7 +182,7 @@ def sample_pairs(cop: Copula, n: int, seed: int = 0) -> tuple[np.ndarray, np.nda
     Marshall-Olkin, its symmetric mixture, FGM, and the survival copula of
     any of these (drawn exactly as the reflection (1-U, 1-V) of a base
     draw).  Raises :class:`UnsupportedMethodError` otherwise (there is no
-    sampler for the generalized Clayton or generic Archimedean copulas here).
+    sampler for the Clayton families or generic Archimedean copulas here).
     """
     n, seed = _check_n_seed(n, seed, 1)
     ncols, fill = cop.sampler()

@@ -3,7 +3,7 @@
 import pytest
 
 from taildep import (
-    Archimedean,
+    Clayton,
     ConfigError,
     GeneralizedClayton,
     MarshallOlkin,
@@ -94,7 +94,7 @@ def test_every_family_constructible():
     for text, family in texts.items():
         assert copula_from_config(text).family == family
     clayton = copula_from_config("family = clayton\ntheta = 2")
-    assert isinstance(clayton, Archimedean)
+    assert isinstance(clayton, Clayton)
     assert clayton.params() == {"family": "clayton", "theta": 2.0}
 
 

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from taildep import (
     FGM,
     Archimedean,
+    Clayton,
     FrechetUpper,
     GeneralizedClayton,
     Generator,
@@ -21,7 +23,7 @@ from taildep import (
     UnsupportedMethodError,
     check_axioms,
     clayton_generator,
-    kendall_tau,
+    pointwise_max,
 )
 
 A, B = 0.3529, 0.75
@@ -38,6 +40,8 @@ ALL_FAMILIES = [
     GeneralizedClayton(0.5, 0.3),
     Archimedean(clayton_generator(1.0)),
     Archimedean(clayton_generator(2.0)),
+    Clayton(1.0),
+    Clayton(2.0),
 ]
 
 
@@ -123,6 +127,11 @@ class TestParameterValidation:
         with pytest.raises(ParameterError):
             GeneralizedClayton(g0, g1)
 
+    @pytest.mark.parametrize("theta", [0.0, -1.0, float("nan"), float("inf")])
+    def test_clayton(self, theta):
+        with pytest.raises(ParameterError):
+            Clayton(theta)
+
 
 class TestLogCdf:
     @pytest.mark.parametrize("cop", ALL_FAMILIES, ids=_ids(ALL_FAMILIES))
@@ -133,7 +142,8 @@ class TestLogCdf:
         assert np.allclose(np.exp(cop.log_cdf(u, v)), cop.cdf(u, v), rtol=1e-12)
 
     @pytest.mark.parametrize(
-        "cop", [MarshallOlkin(A, B), MixtureMO(A, B), GeneralizedClayton(0.04, 0.02)]
+        "cop", [MarshallOlkin(A, B), MixtureMO(A, B), GeneralizedClayton(0.04, 0.02),
+                Clayton(2.0)]
     )
     def test_log_cdf_reaches_deep_tails(self, cop):
         # below double-precision underflow of the plain CDF
@@ -145,8 +155,8 @@ class TestLogCdf:
     @pytest.mark.parametrize("cop", ALL_FAMILIES, ids=_ids(ALL_FAMILIES))
     def test_log_kernel_matches_linear_cdf(self, cop):
         # the kernels take log coordinates; the reference is log C(u, v) in
-        # linear space (the generalized Clayton has no linear-space _cdf of
-        # its own, so its formula is written out here)
+        # linear space (the Clayton families have no linear-space _cdf of
+        # their own, so their formulas are written out here)
         rng = np.random.default_rng(23)
         u = rng.uniform(0.01, 0.9, 200)
         v = rng.uniform(0.01, 0.9, 200)
@@ -155,6 +165,9 @@ class TestLogCdf:
             gt = g0 + g1
             ref = np.log(u ** (g1 / gt)
                          * (u ** (-1 / gt) + v ** (-1 / g0) - 1.0) ** -g0)
+        elif isinstance(cop, Clayton):
+            th = cop.theta
+            ref = np.log((u ** -th + v ** -th - 1.0) ** (-1.0 / th))
         else:
             ref = np.log(cop.cdf(u, v))
         got = cop._log_cdf(np.log(u), np.log(v))
@@ -244,14 +257,14 @@ class TestKendallTau:
     )
     def test_closed_form_matches_reference_values(self, b, expected):
         # reference values were printed from a slightly rounded a, hence 5e-4
-        assert kendall_tau(MarshallOlkin(A, b)) == pytest.approx(expected, abs=5e-4)
+        assert MarshallOlkin(A, b).tau() == pytest.approx(expected, abs=5e-4)
 
     def test_degenerate_corner(self):
-        assert kendall_tau(MarshallOlkin(0.0, 0.0)) == 0.0
+        assert MarshallOlkin(0.0, 0.0).tau() == 0.0
 
     def test_closed_form_unsupported_elsewhere(self):
         with pytest.raises(UnsupportedMethodError):
-            kendall_tau(FGM(0.5))
+            FGM(0.5).tau()
 
 
 class TestGenerators:
@@ -263,6 +276,14 @@ class TestGenerators:
     def test_clayton_theta_validated(self, theta):
         with pytest.raises(ParameterError):
             clayton_generator(theta)
+
+    def test_handles_compare_by_identity(self):
+        # two generators of one name are told apart, and so are their copulas
+        g1, g2 = clayton_generator(1.0), clayton_generator(2.0)
+        assert g1 != g2 and g1 == g1
+        c1, c2 = Archimedean(g1), Archimedean(g2)
+        assert c1 != c2 and c1 == Archimedean(g1)
+        assert len({c1, c2}) == 2
 
     def test_nonzero_at_one_rejected(self):
         g = clayton_generator(1.0)
@@ -301,9 +322,26 @@ class TestGenerators:
         assert err.value.component == "psi_inv"
 
 
+def _log_clayton_mp(theta, u, v):
+    """log C(u, v) of the Clayton copula in 40-digit arithmetic."""
+    with mpmath.workdps(40):
+        theta, u, v = (mpmath.mpf(x) for x in (theta, u, v))
+        return float(mpmath.log((u ** -theta + v ** -theta - 1) ** (-1 / theta)))
+
+
 class TestGeneralizedClaytonStructure:
     def test_gamma1_tilde(self):
         assert GeneralizedClayton(0.04, 0.02).gamma1_tilde == pytest.approx(0.06)
+
+    @pytest.mark.parametrize("g0", [1e4, 1e8, 1e12, 1e16])
+    def test_near_independence_matches_mpmath(self, g0):
+        # as g0 grows the copula tends to independence: the small terms of
+        # the shifted sum must survive next to its shift
+        gc = GeneralizedClayton(g0, 0.0)
+        for u, v in [(0.5, 0.3), (0.9, 0.01), (1e-5, 0.7), (1e-300, 0.2)]:
+            want = _log_clayton_mp(1 / mpmath.mpf(g0), u, v)
+            assert gc.log_cdf(u, v) == pytest.approx(want, rel=1e-15)
+            assert gc.cdf(u, v) == pytest.approx(math.exp(want), rel=1e-15)
 
     def test_symmetric_case_equals_clayton(self):
         # gamma1 = 0 reduces to the Archimedean Clayton with theta = 1/gamma0
@@ -314,6 +352,37 @@ class TestGeneralizedClaytonStructure:
         u = rng.uniform(0.01, 1.0, 100)
         v = rng.uniform(0.01, 1.0, 100)
         assert np.allclose(gc.cdf(u, v), cl.cdf(u, v), rtol=1e-12)
+
+
+class TestClayton:
+    @pytest.mark.parametrize("theta", [0.5, 1.0, 2.0, 5.0])
+    def test_matches_the_archimedean_route(self, theta):
+        g = np.linspace(0.0, 1.0, 41)
+        uu, vv = np.meshgrid(g, g)
+        got = Clayton(theta).cdf(uu, vv)
+        want = Archimedean(clayton_generator(theta)).cdf(uu, vv)
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("theta", [1e-12, 1e-6, 0.5, 2.0, 10.0])
+    def test_log_cdf_matches_mpmath(self, theta):
+        for u, v in [(0.5, 0.3), (0.9, 0.01), (1e-5, 0.7), (1e-300, 0.2),
+                     (1e-300, 1e-300)]:
+            want = _log_clayton_mp(theta, u, v)
+            assert Clayton(theta).log_cdf(u, v) == pytest.approx(want, rel=1e-15)
+
+    @pytest.mark.parametrize("theta", [0.5, 1.0, 2.0, 3.0])
+    @pytest.mark.parametrize("u", [1e-3, 1e-100, 1e-300])
+    def test_exact_in_the_tail(self, theta, u):
+        # the diagonal is the maximal path, and log C(u, u) stays exact
+        # where C(u, u) itself underflows
+        point = pointwise_max(Clayton(theta), u)
+        assert len(point.maximizers) == 1
+        assert point.maximizers[0] == pytest.approx(u, rel=1e-6)
+        want = _log_clayton_mp(theta, u, u)
+        assert point.log_pi_star == pytest.approx(want, rel=1e-12)
+
+    def test_survival_passes_the_axioms(self):
+        assert check_axioms(Clayton(2.0).survival()).all_ok
 
 
 @settings(max_examples=60, deadline=None)

@@ -29,7 +29,7 @@ from taildep import (
     star_indices,
 )
 from taildep.copulas import Copula
-from taildep.indices import extrapolate_sequence, pairwise_log_slopes
+from taildep.indices import extrapolate_sequence
 
 A, B = 0.3529, 0.75
 GRID = default_u_grid()  # 1e-1 .. 1e-6
@@ -62,9 +62,10 @@ class TestExtrapolation:
             extrapolate_sequence([])
 
     def test_slopes_helper(self):
-        u = np.array([0.1, 0.01, 0.001])
-        vals = 1.7 * np.log(u)
-        assert np.allclose(pairwise_log_slopes(np.log(u), vals), 1.7)
+        # the MO diagonal is the pure power law u^(2 - min(a, b))
+        u = np.array([0.1, 0.01, 0.001, 0.0001])
+        slopes = classical_indices(MarshallOlkin(0.3, 0.7), u).local_slopes
+        assert np.allclose(slopes, 1.7)
 
 
 class TestClassicalIndices:
