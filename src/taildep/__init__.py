@@ -28,6 +28,8 @@ from taildep.copulas import (
     archimedean_diagonal_check,
     check_axioms,
     clayton_generator,
+    zeta,
+    zeta_root,
 )
 from taildep.config import copula_from_config, copula_from_mapping, parse_config
 from taildep.errors import (
@@ -61,8 +63,6 @@ from taildep.paths import (
     pi_phi,
     pointwise_max,
     solve_path,
-    zeta,
-    zeta_root,
 )
 from taildep.risk import (
     ParetoII,
@@ -78,11 +78,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Copula", "Independence", "FrechetUpper", "MarshallOlkin", "MixtureMO",
-    "FGM", "GeneralizedClayton", "Clayton", "Generator", "Archimedean",
-    "SurvivalCopula", "clayton_generator", "AxiomReport", "check_axioms",
+    "FGM", "GeneralizedClayton", "zeta", "zeta_root", "Clayton", "Generator",
+    "Archimedean", "SurvivalCopula", "clayton_generator", "AxiomReport",
+    "check_axioms",
     "parse_config", "copula_from_mapping", "copula_from_config",
     "PathPoint", "PathSolution", "pi_phi", "pointwise_max",
-    "solve_path", "zeta", "zeta_root",
+    "solve_path",
     "archimedean_diagonal_check", "closed_form_path",
     "PathKind", "TailIndexReport", "Verdict", "ComparisonReport",
     "default_u_grid", "classical_indices", "star_indices",

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -189,18 +190,8 @@ def _cmd_eval(args) -> str:
 def _cmd_axioms(args) -> str:
     cop = _build_copula(args)
     report = check_axioms(cop, grid_n=args.grid_n, tol=args.tol)
-    return dumps_json({
-        "copula": cop.params(),
-        "grid_n": report.grid_n,
-        "tol": args.tol,
-        "grounded_ok": report.grounded_ok,
-        "marginals_ok": report.marginals_ok,
-        "max_marginal_dev": report.max_marginal_dev,
-        "two_increasing_ok": report.two_increasing_ok,
-        "min_rectangle_mass": report.min_rectangle_mass,
-        "worst_rectangle": list(report.worst_rectangle),
-        "all_ok": report.all_ok,
-    })
+    return dumps_json({"copula": cop.params(), **asdict(report),
+                       "all_ok": report.all_ok})
 
 
 def _cmd_path(args) -> str:
@@ -238,9 +229,7 @@ def _cmd_risk(args) -> str:
     cop = _build_copula(args)
     marginal = ParetoII(args.mu, args.sigma, args.tail_index)
     report = risk_measures(cop, marginal, args.q, args.n, args.seed)
-    out = {"copula": cop.params(),
-           "marginal": {"mu": marginal.mu, "sigma": marginal.sigma,
-                        "alpha": marginal.alpha}}
+    out = {"copula": cop.params(), "marginal": asdict(marginal)}
     out.update(report.to_json_dict())
     return dumps_json(out)
 

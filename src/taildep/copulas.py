@@ -11,8 +11,11 @@ construction and exposes two evaluation routes:
 
 Every other fact about a family is an optional method of its class, by
 default None or :class:`UnsupportedMethodError`: ``maximizers``,
-``kappa_star``, ``tau`` and ``sampler``.  ``FAMILIES`` maps each config
-family name to its constructor and parameter keys.
+``kappa_star``, ``tau`` and ``sampler``.  Each closed form is written once:
+the generalized Clayton maximizer is the root of ``zeta`` (``zeta_root``),
+beside its class, and the mixture calls the Marshall-Olkin kernels and
+sampler.  ``FAMILIES`` maps each config family name to its constructor and
+parameter keys.
 
 ``survival()`` wraps any copula into its survival copula
 ``u + v - 1 + C(1-u, 1-v)``, mapping upper-tail questions onto the lower-tail
@@ -22,6 +25,7 @@ two-increasing property on a lattice.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, fields, is_dataclass
 from typing import Callable, ClassVar
@@ -29,7 +33,10 @@ from typing import Callable, ClassVar
 import numpy as np
 
 from taildep.errors import (
+    BracketError,
+    EvaluationOverflowError,
     GeneratorError,
+    NumericError,
     ParameterError,
     UnsupportedMethodError,
 )
@@ -42,6 +49,8 @@ __all__ = [
     "MixtureMO",
     "FGM",
     "GeneralizedClayton",
+    "zeta",
+    "zeta_root",
     "Clayton",
     "Generator",
     "Archimedean",
@@ -73,9 +82,10 @@ def _check_param(value: float, name: str, lo: float, hi: float,
     if ok and lo_open and value == lo:
         ok = False
     if not ok:
-        bracket = "(" if lo_open else "["
+        left = "(" if lo_open else "["
+        right = ")" if math.isinf(hi) else "]"
         raise ParameterError(
-            f"{name} must lie in {bracket}{lo}, {hi}], got {value!r}")
+            f"{name} must lie in {left}{lo}, {hi}{right}, got {value!r}")
 
 
 def _check_level(u: float) -> float:
@@ -261,24 +271,28 @@ class MarshallOlkin(_ShockPair):
 
 @dataclass(frozen=True)
 class MixtureMO(_ShockPair):
-    """Symmetric half-half mixture of Marshall-Olkin copulas (a,b) and (b,a)."""
+    """Symmetric half-half mixture of Marshall-Olkin copulas (a,b) and (b,a).
+
+    The (b, a) component is the (a, b) one transposed, C(v, u), so every
+    kernel and the sampler are those of :class:`MarshallOlkin` (a, b).
+    """
 
     family: ClassVar[str] = "mixture_mo"
 
+    @functools.cached_property
+    def _mo(self) -> MarshallOlkin:
+        return MarshallOlkin(self.a, self.b)
+
     def _cdf(self, u, v):
-        ca, cb = 1.0 - self.a, 1.0 - self.b
-        return 0.5 * (np.minimum(u ** ca * v, u * v ** cb)
-                      + np.minimum(u ** cb * v, u * v ** ca))
+        return 0.5 * (self._mo._cdf(u, v) + self._mo._cdf(v, u))
 
     def _log_cdf(self, lu, lv):
-        ca, cb = 1.0 - self.a, 1.0 - self.b
-        c1 = np.minimum(ca * lu + lv, lu + cb * lv)
-        c2 = np.minimum(cb * lu + lv, lu + ca * lv)
-        return np.logaddexp(c1, c2) - math.log(2.0)
+        return np.logaddexp(self._mo._log_cdf(lu, lv),
+                            self._mo._log_cdf(lv, lu)) - math.log(2.0)
 
     def maximizers(self, u):
         """The maximizers of both orderings, one point when a = b."""
-        ab = MarshallOlkin(self.a, self.b).maximizers(u)
+        ab = self._mo.maximizers(u)
         if ab is None or self.a == self.b:
             return ab
         return tuple(sorted(ab + MarshallOlkin(self.b, self.a).maximizers(u)))
@@ -287,19 +301,10 @@ class MixtureMO(_ShockPair):
         return 4, self._fill
 
     def _fill(self, w, uv):
-        # a fair coin picks the (b, a) or (a, b) ordering; both share the shocks
-        ra, rb = _root(1.0 - self.a), _root(1.0 - self.b)
+        # an (a, b) draw, its pair swapped on a fair coin for the (b, a) one
         swap = w[3] < 0.5
-        np.copyto(uv, w[:2])
-        uv[0] **= ra
-        uv[1] **= rb
-        w[0] **= rb
-        w[1] **= ra
-        np.copyto(w[3], w[2])
-        w[2] **= _root(self.a)
-        w[3] **= _root(self.b)
-        np.maximum(uv, w[2:], out=uv)  # (u, v) of the (a, b) ordering
-        np.maximum(w[:2], w[:1:-1], out=w[:2])  # and of the (b, a) one
+        self._mo._fill(w, uv)
+        np.copyto(w[:2], uv[::-1])
         np.copyto(uv, w[:2], where=swap)
 
 
@@ -381,8 +386,90 @@ class GeneralizedClayton(Copula):
         g0, gt = self.gamma0, self.gamma1_tilde
         return (self.gamma1 / gt) * lu - g0 * _log_exp_sum_m1(-lu / gt, -lv / g0)
 
+    def maximizers(self, u):
+        """The unique root of :func:`zeta`, to a relative 1e-12."""
+        return (zeta_root(self.gamma0, self.gamma1, u, xtol=1e-12),)
+
     def kappa_star(self):
         return 1.0 + self.gamma1 / (self.gamma1 + 2.0 * self.gamma0)
+
+
+def _zeta_logs(cop: GeneralizedClayton, log_u: float,
+               lx) -> tuple[np.ndarray, float]:
+    """Logs of the two positive parts of the maximizer equation at log x.
+
+    The equation for the interior maximizer of the generalized Clayton level
+    function reads  x^(-1/g0) (x^(-1/gt) - g1/gt) = (g0/gt) u^(-2/g0); both
+    sides are positive on [u^2, 1], so their logs subtract stably where the
+    raw values would overflow (u^(-2/g0) blows past double range for small
+    g0 and u).
+    """
+    gamma0, gamma1, gt = cop.gamma0, cop.gamma1, cop.gamma1_tilde
+    lhs = -(1.0 / gamma0 + 1.0 / gt) * lx + np.log1p(
+        -(gamma1 / gt) * np.exp(lx / gt))
+    rhs = math.log(gamma0 / gt) - (2.0 / gamma0) * log_u
+    return lhs, rhs
+
+
+def zeta(gamma0: float, gamma1: float, u: float, x) -> float | np.ndarray:
+    """Stationarity function whose unique root is the interior maximizer.
+
+    zeta(x) = x^(-1/g0) (x^(-1/gt) - g1/gt) - (1 - g1/gt) u^(-2/g0), with
+    gt = g0 + g1.  It is positive at x = u^2, negative at x = 1 and strictly
+    decreasing in between.  Evaluated in log-stabilized form; raises
+    :class:`EvaluationOverflowError` when the value itself exceeds double
+    range (tiny gamma0 together with tiny u).
+    """
+    cop, u = GeneralizedClayton(gamma0, gamma1), _check_level(u)
+    xa = np.asarray(x, dtype=float)
+    if np.any(xa < u * u * (1.0 - 1e-12)) or np.any(xa > 1.0 + 1e-12):
+        raise ParameterError(f"x must lie in [u^2, 1], got {x!r}")
+    lhs, rhs = _zeta_logs(cop, math.log(u), np.log(np.clip(xa, u * u, 1.0)))
+    with np.errstate(over="ignore"):
+        out = np.exp(rhs) * np.expm1(lhs - rhs)
+    if np.any(np.isinf(out)):
+        raise EvaluationOverflowError(
+            f"zeta overflowed: u^(-2/gamma0) = exp({rhs - math.log(gamma0 / (gamma0 + gamma1)):.1f}) "
+            "exceeds double-precision range; work with zeta_root instead")
+    return float(out) if np.ndim(x) == 0 else out
+
+
+def zeta_root(gamma0: float, gamma1: float, u: float,
+              xtol: float = 1e-9) -> float:
+    """Unique root of ``zeta`` on [u^2, 1], by bisection in t = log x.
+
+    The sign change at the endpoints plus strict monotonicity make bisection
+    unconditionally correct.  ``xtol`` is a width in log x (relative in x); a
+    root below the normal double range raises :class:`NumericError`.
+    """
+    cop, u = GeneralizedClayton(gamma0, gamma1), _check_level(u)
+    if not (0.0 < xtol < 1.0):
+        raise ParameterError(f"xtol must be in (0, 1), got {xtol!r}")
+    log_u = math.log(u)
+
+    def margin(t: float) -> float:
+        lhs, rhs = _zeta_logs(cop, log_u, t)
+        return float(lhs) - rhs
+
+    lo, hi = 2.0 * log_u, 0.0
+    m_lo, m_hi = margin(lo), margin(hi)
+    if not (m_lo > 0.0 and m_hi < 0.0):
+        raise BracketError(
+            f"zeta sign conditions failed on [exp({lo!r}), 1]: "
+            f"margins ({m_lo!r}, {m_hi!r}); parameters may be "
+            "underflowing")
+    while hi - lo > xtol:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):  # adjacent doubles: xtol is below their spacing
+            break
+        if margin(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    root = math.exp(0.5 * (lo + hi))
+    if root < np.finfo(float).tiny:
+        raise NumericError(f"zeta root at u={u!r} is below the double range")
+    return root
 
 
 @dataclass(frozen=True)
@@ -573,6 +660,7 @@ class AxiomReport:
     """Result of a lattice check of the three copula axioms."""
 
     grid_n: int
+    tol: float
     grounded_ok: bool
     marginals_ok: bool
     max_marginal_dev: float
@@ -594,6 +682,8 @@ def check_axioms(cop: Copula, grid_n: int = 100, tol: float = 1e-10) -> AxiomRep
     """
     if grid_n < 2:
         raise ParameterError(f"grid_n must be >= 2, got {grid_n}")
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ParameterError(f"tol must be finite and >= 0, got {tol!r}")
     g = np.linspace(0.0, 1.0, grid_n + 1)
     uu, vv = np.meshgrid(g, g, indexing="ij")
     c = np.asarray(cop.cdf(uu, vv), dtype=float)
@@ -607,6 +697,7 @@ def check_axioms(cop: Copula, grid_n: int = 100, tol: float = 1e-10) -> AxiomRep
 
     return AxiomReport(
         grid_n=grid_n,
+        tol=tol,
         grounded_ok=bool(grounded <= tol),
         marginals_ok=bool(marg <= tol),
         max_marginal_dev=float(max(grounded, marg)),

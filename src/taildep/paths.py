@@ -23,10 +23,10 @@ A scan that is flat to within that tie window (independence-like) sets
 A level whose scan finds C(x, u^2/x) zero at every x raises
 :class:`DegenerateTailError` rather than returning an empty answer.
 
-The module also carries the closed-form machinery that exists for specific
-families: the known maximizer formulas (``closed_form_path``, which asks
-the family's ``maximizers``) and the root-characterization of the
-generalized Clayton maximizer (``zeta``, ``zeta_root``).
+``closed_form_path`` reports the known maximizers of a family, which are
+facts of its class in :mod:`taildep.copulas` (``Copula.maximizers``): the
+closed forms of Marshall-Olkin, its mixture and the diagonal families, and
+the generalized Clayton root of ``zeta``, found by ``zeta_root``.
 """
 
 from __future__ import annotations
@@ -38,14 +38,8 @@ from typing import Callable
 
 import numpy as np
 
-from taildep.copulas import Copula, GeneralizedClayton, _check_level
-from taildep.errors import (
-    BracketError,
-    DegenerateTailError,
-    EvaluationOverflowError,
-    NumericError,
-    ParameterError,
-)
+from taildep.copulas import Copula, _check_level
+from taildep.errors import DegenerateTailError, NumericError, ParameterError
 from taildep.serialize import format_float
 
 __all__ = [
@@ -54,8 +48,6 @@ __all__ = [
     "pi_phi",
     "pointwise_max",
     "solve_path",
-    "zeta",
-    "zeta_root",
     "closed_form_path",
 ]
 
@@ -322,88 +314,6 @@ def solve_path(cop: Copula, u_grid) -> PathSolution:
 
 
 # ---------------------------------------------------------------------------
-# generalized Clayton: root characterization of the maximizer
-# ---------------------------------------------------------------------------
-
-def _zeta_logs(cop: GeneralizedClayton, log_u: float,
-               lx) -> tuple[np.ndarray, float]:
-    """Logs of the two positive parts of the maximizer equation at log x.
-
-    The equation for the interior maximizer of the generalized Clayton level
-    function reads  x^(-1/g0) (x^(-1/gt) - g1/gt) = (g0/gt) u^(-2/g0); both
-    sides are positive on [u^2, 1], so their logs subtract stably where the
-    raw values would overflow (u^(-2/g0) blows past double range for small
-    g0 and u).
-    """
-    gamma0, gamma1, gt = cop.gamma0, cop.gamma1, cop.gamma1_tilde
-    lhs = -(1.0 / gamma0 + 1.0 / gt) * lx + np.log1p(
-        -(gamma1 / gt) * np.exp(lx / gt))
-    rhs = math.log(gamma0 / gt) - (2.0 / gamma0) * log_u
-    return lhs, rhs
-
-
-def zeta(gamma0: float, gamma1: float, u: float, x) -> float | np.ndarray:
-    """Stationarity function whose unique root is the interior maximizer.
-
-    zeta(x) = x^(-1/g0) (x^(-1/gt) - g1/gt) - (1 - g1/gt) u^(-2/g0), with
-    gt = g0 + g1.  It is positive at x = u^2, negative at x = 1 and strictly
-    decreasing in between.  Evaluated in log-stabilized form; raises
-    :class:`EvaluationOverflowError` when the value itself exceeds double
-    range (tiny gamma0 together with tiny u).
-    """
-    cop, u = GeneralizedClayton(gamma0, gamma1), _check_level(u)
-    xa = np.asarray(x, dtype=float)
-    if np.any(xa < u * u * (1.0 - 1e-12)) or np.any(xa > 1.0 + 1e-12):
-        raise ParameterError(f"x must lie in [u^2, 1], got {x!r}")
-    lhs, rhs = _zeta_logs(cop, math.log(u), np.log(np.clip(xa, u * u, 1.0)))
-    with np.errstate(over="ignore"):
-        out = np.exp(rhs) * np.expm1(lhs - rhs)
-    if np.any(np.isinf(out)):
-        raise EvaluationOverflowError(
-            f"zeta overflowed: u^(-2/gamma0) = exp({rhs - math.log(gamma0 / (gamma0 + gamma1)):.1f}) "
-            "exceeds double-precision range; work with zeta_root instead")
-    return float(out) if np.ndim(x) == 0 else out
-
-
-def zeta_root(gamma0: float, gamma1: float, u: float,
-              xtol: float = 1e-9) -> float:
-    """Unique root of ``zeta`` on [u^2, 1], by bisection in t = log x.
-
-    The sign change at the endpoints plus strict monotonicity make bisection
-    unconditionally correct.  ``xtol`` is a width in log x (relative in x); a
-    root below the normal double range raises :class:`NumericError`.
-    """
-    cop, u = GeneralizedClayton(gamma0, gamma1), _check_level(u)
-    if not (0.0 < xtol < 1.0):
-        raise ParameterError(f"xtol must be in (0, 1), got {xtol!r}")
-    log_u = math.log(u)
-
-    def margin(t: float) -> float:
-        lhs, rhs = _zeta_logs(cop, log_u, t)
-        return float(lhs) - rhs
-
-    lo, hi = 2.0 * log_u, 0.0
-    m_lo, m_hi = margin(lo), margin(hi)
-    if not (m_lo > 0.0 and m_hi < 0.0):
-        raise BracketError(
-            f"zeta sign conditions failed on [exp({lo!r}), 1]: "
-            f"margins ({m_lo!r}, {m_hi!r}); parameters may be "
-            "underflowing")
-    while hi - lo > xtol:
-        mid = 0.5 * (lo + hi)
-        if mid in (lo, hi):  # adjacent doubles: xtol is below their spacing
-            break
-        if margin(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    root = math.exp(0.5 * (lo + hi))
-    if root < np.finfo(float).tiny:
-        raise NumericError(f"zeta root at u={u!r} is below the double range")
-    return root
-
-
-# ---------------------------------------------------------------------------
 # closed-form maximizers, where they exist
 # ---------------------------------------------------------------------------
 
@@ -411,11 +321,12 @@ def closed_form_path(cop: Copula, u: float) -> tuple[float, ...] | None:
     """Known maximizer set at level u, or None when no closed form applies.
 
     Marshall-Olkin has the single maximizer u^(2b/(a+b)); its symmetric
-    mixture has the pair {u^(2b/(a+b)), u^(2a/(a+b))}; the comonotone
-    copula, positively-dependent FGM, Clayton, and Archimedean copulas
-    passing the diagonal criterion all maximize on the diagonal.  Returns
-    None for the FGM with alpha <= 0 (no admissible maximum / all paths
-    maximal), for the generalized Clayton (use :func:`zeta_root`), and for
+    mixture has the pair {u^(2b/(a+b)), u^(2a/(a+b))}; the generalized
+    Clayton has the unique root of :func:`taildep.copulas.zeta`, from
+    ``zeta_root`` to a relative 1e-12; the comonotone copula,
+    positively-dependent FGM, Clayton, and Archimedean copulas passing the
+    diagonal criterion all maximize on the diagonal.  Returns None for the
+    FGM with alpha <= 0 (no admissible maximum / all paths maximal) and for
     parameter corners that degenerate to independence.
     """
     return cop.maximizers(_check_level(u))

@@ -2,7 +2,7 @@
 
 Samplers exist for the families with known stochastic representations:
 the Marshall-Olkin copula through its common-shock max transform, the
-symmetric mixture by a fair coin over component orderings, and the FGM
+symmetric mixture as an MO draw swapped on a fair coin, and the FGM
 copula by closed-form inversion of its conditional CDF.  Each lives on its
 family class in :mod:`taildep.copulas` (``Copula.sampler``).  None of these
 constructions is taken on faith -- the test suite gates every sampler on

@@ -95,6 +95,12 @@ class TestExitCodes:
                            "--u", "0.5", "--v", "0.5")
         assert code == 2 and "alpha" in err
 
+    @pytest.mark.parametrize("tol", ["-1", "nan"])
+    def test_bad_axioms_tol_is_2(self, capsys, tol):
+        code, out, err = run(capsys, "axioms", "--family", "independence",
+                             f"--tol={tol}")
+        assert code == 2 and out == "" and "tol must be" in err
+
     def test_numeric_failure_is_3(self, capsys):
         code, _, err = run(capsys, "indices", "--family", "fgm",
                            "--alpha", "-0.5", "--kind", "maximal")

@@ -132,6 +132,15 @@ class TestParameterValidation:
         with pytest.raises(ParameterError):
             Clayton(theta)
 
+    @pytest.mark.parametrize("make,name", [
+        (Clayton, "theta"),
+        (lambda x: GeneralizedClayton(x, 0.3), "gamma0"),
+        (lambda x: GeneralizedClayton(0.5, x), "gamma1")])
+    def test_infinite_upper_bound_prints_an_open_bracket(self, make, name):
+        with pytest.raises(ParameterError, match=rf"{name} must lie in "
+                           r"[(\[]0\.0, inf\), got inf$"):
+            make(math.inf)
+
 
 class TestLogCdf:
     @pytest.mark.parametrize("cop", ALL_FAMILIES, ids=_ids(ALL_FAMILIES))
@@ -180,6 +189,29 @@ class TestLogCdf:
         out = cop.log_cdf(np.array([0.0, 0.5, 0.3]), np.array([0.4, 0.0, 0.6]))
         assert out[0] == out[1] == -math.inf
         assert out[2] == cop.log_cdf(0.3, 0.6)
+
+
+_SHOCK = st.floats(0.0, 1.0)
+_LOG_UNIFORM = st.floats(math.log(1e-10), 0.0).map(math.exp)
+
+
+class TestTranspose:
+    """MO(b, a) is MO(a, b) transposed, C(v, u), so their half-half mixture
+    is symmetric in (u, v) and in (a, b), bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(a=_SHOCK, b=_SHOCK, u=_LOG_UNIFORM, v=_LOG_UNIFORM)
+    def test_marshall_olkin_transpose_is_the_swapped_copula(self, a, b, u, v):
+        assert MarshallOlkin(b, a).log_cdf(u, v) == MarshallOlkin(a, b).log_cdf(v, u)
+
+    @settings(max_examples=300, deadline=None)
+    @given(a=_SHOCK, b=_SHOCK, u=_LOG_UNIFORM, v=_LOG_UNIFORM)
+    def test_mixture_is_symmetric(self, a, b, u, v):
+        mix, swapped = MixtureMO(a, b), MixtureMO(b, a)
+        for method in ("cdf", "log_cdf"):
+            want = getattr(mix, method)(u, v)
+            assert getattr(mix, method)(v, u) == want
+            assert getattr(swapped, method)(u, v) == want
 
 
 class TestSurvival:
@@ -248,6 +280,11 @@ class TestAxioms:
     def test_grid_validation(self):
         with pytest.raises(ParameterError):
             check_axioms(Independence(), grid_n=1)
+
+    @pytest.mark.parametrize("tol", [-1.0, math.nan, math.inf])
+    def test_tol_validation(self, tol):
+        with pytest.raises(ParameterError, match="tol"):
+            check_axioms(Independence(), grid_n=4, tol=tol)
 
 
 class TestKendallTau:

@@ -556,7 +556,15 @@ class TestClosedFormPath:
         assert closed_form_path(Archimedean(clayton_generator(1.0)), 0.1) == (0.1,)
 
     def test_generalized_clayton_defers_to_root_solver(self):
-        assert closed_form_path(GeneralizedClayton(0.04, 0.02), 0.1) is None
+        assert closed_form_path(GeneralizedClayton(0.04, 0.02), 0.1) == (
+            zeta_root(0.04, 0.02, 0.1, xtol=1e-12),)
+
+    @pytest.mark.parametrize("g0,g1", [(0.04, 0.02), (0.5, 0.3), (1.0, 0.0)])
+    @pytest.mark.parametrize("u", [10.0 ** -k for k in range(1, 9)])
+    def test_generalized_clayton_root_against_mpmath(self, g0, g1, u):
+        (got,) = closed_form_path(GeneralizedClayton(g0, g1), u)
+        want = gc_maximizer(g0, g1, u)
+        assert abs(got - want) <= 1e-11 * want
 
 
 class TestPathCsv:
