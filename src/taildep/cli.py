@@ -50,7 +50,7 @@ from taildep.indices import (
 )
 from taildep.paths import solve_path
 from taildep.risk import ParetoII, reference_table, risk_measures
-from taildep.serialize import dumps_json, format_float
+from taildep.serialize import dumps_csv, dumps_json
 
 # --family plus one flag per parameter key of any family, in registry order
 _COPULA_FLAGS = ("family", *dict.fromkeys(
@@ -89,23 +89,27 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("eval", help="evaluate C(u, v)")
+    p.set_defaults(handler=_cmd_eval)
     _add_copula_flags(p)
     p.add_argument("--u", type=float, required=True)
     p.add_argument("--v", type=float, required=True)
     _add_output_flags(p, ("json", "csv"))
 
     p = sub.add_parser("axioms", help="lattice check of the copula axioms")
+    p.set_defaults(handler=_cmd_axioms)
     _add_copula_flags(p)
     p.add_argument("--grid-n", type=int, default=100)
     p.add_argument("--tol", type=float, default=1e-10)
     _add_output_flags(p, ("json",))
 
     p = sub.add_parser("path", help="solve the maximal-dependence path")
+    p.set_defaults(handler=_cmd_path)
     _add_copula_flags(p)
     _add_grid_flags(p)
     _add_output_flags(p, ("csv", "json"))
 
     p = sub.add_parser("indices", help="tail index reports")
+    p.set_defaults(handler=_cmd_indices)
     _add_copula_flags(p)
     _add_grid_flags(p)
     p.add_argument("--kind", choices=("diagonal", "maximal", "both"),
@@ -113,12 +117,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_flags(p, ("json",))
 
     p = sub.add_parser("compare", help="tail ordering of two copulas")
+    p.set_defaults(handler=_cmd_compare)
     p.add_argument("--config", action="append", default=[], metavar="FILE",
                    help="give exactly twice: the two copulas to compare")
     _add_grid_flags(p)
     _add_output_flags(p, ("json",))
 
     p = sub.add_parser("risk", help="Monte Carlo VaR / CTE / MTVar of X + Y")
+    p.set_defaults(handler=_cmd_risk)
     _add_copula_flags(p)
     p.add_argument("--q", type=float, default=0.99)
     p.add_argument("--n", type=int, default=2_000_000)
@@ -130,11 +136,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_flags(p, ("json",))
 
     p = sub.add_parser("table1", help="(q, b) sweep of indices and risk measures")
+    p.set_defaults(handler=_cmd_table1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--n", type=int, default=2_000_000)
     _add_output_flags(p, ("csv", "json"))
 
     p = sub.add_parser("contour", help="CDF lattice plus path overlay points")
+    p.set_defaults(handler=_cmd_contour)
     _add_copula_flags(p)
     _add_grid_flags(p)
     p.add_argument("--resolution", type=int, default=201)
@@ -180,9 +188,7 @@ def _cmd_eval(args) -> str:
     cop = _build_copula(args)
     value = cop.cdf(args.u, args.v)
     if args.format == "csv":
-        return ("u,v,value\n"
-                + ",".join(format_float(x) for x in (args.u, args.v, value))
-                + "\n")
+        return dumps_csv(("u", "v", "value"), [(args.u, args.v, value)])
     return dumps_json({"copula": cop.params(), "u": args.u, "v": args.v,
                        "value": value})
 
@@ -249,34 +255,20 @@ def _cmd_contour(args) -> str:
     g = np.linspace(0.0, 1.0, res)
     uu, vv = np.meshgrid(g, g, indexing="ij")
     cc = np.asarray(cop.cdf(uu, vv))
-    lines = ["u,v,C"]
-    for i in range(res):
-        for j in range(res):
-            lines.append(",".join(format_float(x)
-                                  for x in (uu[i, j], vv[i, j], cc[i, j])))
 
     solution = solve_path(cop, _u_grid(args))
     out = Path(args.out)
     path_file = out.with_name(out.stem + "_path" + (out.suffix or ".csv"))
     path_file.write_text(solution.to_csv())
-    return "\n".join(lines) + "\n"
+    return dumps_csv(("u", "v", "C"), zip(
+        uu.ravel().tolist(), vv.ravel().tolist(), cc.ravel().tolist()))
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    handlers = {
-        "eval": _cmd_eval,
-        "axioms": _cmd_axioms,
-        "path": _cmd_path,
-        "indices": _cmd_indices,
-        "compare": _cmd_compare,
-        "risk": _cmd_risk,
-        "table1": _cmd_table1,
-        "contour": _cmd_contour,
-    }
     try:
-        text = handlers[args.command](args)
+        text = args.handler(args)
         _emit(text, args.out)
         return 0
     except ConfigError as exc:

@@ -636,6 +636,9 @@ class SurvivalCopula(Copula):
         raw = u + v - 1.0 + self.base._cdf(1.0 - u, 1.0 - v)
         return np.clip(raw, 0.0, 1.0)
 
+    def survival(self) -> Copula:
+        return self.base  # reflecting twice is the identity
+
     def params(self):
         return {"family": self.family, "base": self.base.params()}
 

@@ -216,7 +216,8 @@ def compare(spec1: Copula, spec2: Copula, u_grid=None) -> ComparisonReport:
     floored at 1e-4, so the test tracks achieved accuracy), the strong
     ordering applies: the extrapolated ratio Pi*(u|C1)/Pi*(u|C2) above /
     below / at 1 decides the verdict.  Otherwise the weak ordering applies
-    through the extrapolated log-ratio index, decided by its sign.  Both
+    through the extrapolated log-ratio index above / below / at 0.  Either
+    index is "at" its centre within max(1e-3, its residual).  Both
     maximal paths come from :func:`solve_path` and its fixed tolerances.
     """
     u = _check_index_grid(default_u_grid() if u_grid is None else u_grid)
@@ -230,26 +231,24 @@ def compare(spec1: Copula, spec2: Copula, u_grid=None) -> ComparisonReport:
 
     kappa_tol = max(1e-4, 10.0 * max(rep1.residual, rep2.residual))
     if abs(rep1.kappa - rep2.kappa) <= kappa_tol:
-        ratio, res = extrapolate_sequence(np.exp(log_pi1 - log_pi2))
-        tol = max(1e-3, res)
-        if ratio > 1.0 + tol:
-            verdict = Verdict.MORE_LTMD
-        elif ratio < 1.0 - tol:
-            verdict = Verdict.LESS_LTMD
-        else:
-            verdict = Verdict.EQUALLY_LTMD
-        return ComparisonReport(lambda_pair=float(ratio), chi_pair=None,
-                                verdict=verdict,
-                                kappa_1=rep1.kappa, kappa_2=rep2.kappa)
-
-    chi_pair, res = extrapolate_sequence(log_pi2 / log_pi1 - 1.0)
-    tol = max(1e-3, res)
-    if chi_pair > tol:
-        verdict = Verdict.MORE_WLTMD
-    elif chi_pair < -tol:
-        verdict = Verdict.LESS_WLTMD
+        # strong ordering: the limiting ratio Pi*(u|C1)/Pi*(u|C2) against 1
+        index, res = extrapolate_sequence(np.exp(log_pi1 - log_pi2))
+        lambda_pair, chi_pair, centre = float(index), None, 1.0
+        more, less, equal = (Verdict.MORE_LTMD, Verdict.LESS_LTMD,
+                             Verdict.EQUALLY_LTMD)
     else:
-        verdict = Verdict.EQUALLY_WLTMD
-    return ComparisonReport(lambda_pair=None, chi_pair=float(chi_pair),
+        # weak ordering: the log-ratio index against 0
+        index, res = extrapolate_sequence(log_pi2 / log_pi1 - 1.0)
+        lambda_pair, chi_pair, centre = None, float(index), 0.0
+        more, less, equal = (Verdict.MORE_WLTMD, Verdict.LESS_WLTMD,
+                             Verdict.EQUALLY_WLTMD)
+    tol = max(1e-3, res)
+    if index > centre + tol:
+        verdict = more
+    elif index < centre - tol:
+        verdict = less
+    else:
+        verdict = equal
+    return ComparisonReport(lambda_pair=lambda_pair, chi_pair=chi_pair,
                             verdict=verdict,
                             kappa_1=rep1.kappa, kappa_2=rep2.kappa)

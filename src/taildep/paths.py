@@ -10,15 +10,16 @@ finds every global maximizer of x -> C(x, u^2/x):
 * bracket each local maximum and refine the brackets of all levels at once
   by batched zoom steps in log x, each bracket to a width of 1e-12 (relative
   in x) within 200 steps, else :class:`NumericError`;
-* report *all* refined maxima within a relative 1e-9 of the best --
-  symmetric mixtures genuinely carry two global maximizers and a
-  single-optimum solver would silently drop one.
+* report *all* maxima in the tie window, a relative 1e-9 below the best,
+  among the ends x = u^2, x = 1 and the refined maxima, merging neighbours
+  within 1e-11 in log x into the higher -- symmetric mixtures genuinely
+  carry two global maximizers and a single-optimum solver would drop one.
 
-Maxima attained only at x = u^2 or x = 1 are flagged
-(``boundary_attained``) rather than treated as paths: the corresponding
-rectangle does not shrink to the corner, so it carries no tail meaning.
-A scan that is flat to within that tie window (independence-like) sets
-``all_paths_maximal``.
+A level with no refined maximum in the tie window attains its maximum only
+at x = u^2 or x = 1: it is flagged (``boundary_attained``) rather than
+treated as a path, as its rectangle does not shrink to the corner and
+carries no tail meaning.  A scan flat to within the tie window
+(independence-like) sets ``all_paths_maximal``.
 
 A level whose scan finds C(x, u^2/x) zero at every x raises
 :class:`DegenerateTailError` rather than returning an empty answer.
@@ -31,7 +32,6 @@ the generalized Clayton root of ``zeta``, found by ``zeta_root``.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -40,7 +40,7 @@ import numpy as np
 
 from taildep.copulas import Copula, _check_level
 from taildep.errors import DegenerateTailError, NumericError, ParameterError
-from taildep.serialize import format_float
+from taildep.serialize import dumps_csv
 
 __all__ = [
     "PathPoint",
@@ -126,20 +126,12 @@ class PathSolution:
         """CSV with variable-width maximizer columns, padded empty."""
         self._check_printable()
         width = max(len(p.maximizers) for p in self.points)
-        header = ["u"]
-        header += [f"x_star_{k + 1}" for k in range(width)]
-        header += ["pi_star", "boundary_attained", "all_paths_maximal"]
-        buf = io.StringIO()
-        buf.write(",".join(header) + "\n")
-        for p in self.points:
-            cells = [format_float(p.u)]
-            cells += [format_float(x) for x in p.maximizers]
-            cells += [""] * (width - len(p.maximizers))
-            cells += [format_float(p.pi_star),
-                      "true" if p.boundary_attained else "false",
-                      "true" if p.all_paths_maximal else "false"]
-            buf.write(",".join(cells) + "\n")
-        return buf.getvalue()
+        header = ["u", *(f"x_star_{k + 1}" for k in range(width)),
+                  "pi_star", "boundary_attained", "all_paths_maximal"]
+        return dumps_csv(header, (
+            (p.u, *p.maximizers, *[""] * (width - len(p.maximizers)),
+             p.pi_star, p.boundary_attained, p.all_paths_maximal)
+            for p in self.points))
 
 
 def pi_phi(cop: Copula, u: float, x) -> float | np.ndarray:
@@ -208,28 +200,24 @@ def _scan(cop: Copula, u: float
     f_lo, f_hi = float(fs[0]), float(fs[-1])
 
     def finish(t_ref: list[float], f_ref: list[float]) -> PathPoint:
-        candidates = [(t_lo, f_lo), (t_hi, f_hi), *zip(t_ref, f_ref)]
-        interior_best = max([-math.inf, *f_ref])
-        best = max(f for _, f in candidates)
-        kept = sorted((t, f) for t, f in candidates if best - f <= _TIE_LOG)
-
-        # merge candidates closer than the refinement resolution
-        edge = 10.0 * _XTOL
+        best = max(f_lo, f_hi, *f_ref)
+        # the ends and refined maxima in the tie window, in order of t; one
+        # closer than the refinement resolution to the last merges into it
         merged: list[tuple[float, float]] = []
-        for t, f in kept:
-            if merged and t - merged[-1][0] <= edge:
+        for t, f in sorted([(t_lo, f_lo), (t_hi, f_hi), *zip(t_ref, f_ref)]):
+            if best - f > _TIE_LOG:
+                continue
+            if merged and t - merged[-1][0] <= 10.0 * _XTOL:
                 if f > merged[-1][1]:
                     merged[-1] = (t, f)
-                continue
-            merged.append((t, f))
-
-        on_boundary = [t <= t_lo + edge or t >= t_hi - edge for t, _ in merged]
-        boundary_attained = all(on_boundary) and interior_best < best - _TIE_LOG
+            else:
+                merged.append((t, f))
 
         log_maximizers = tuple(t for t, _ in merged)
         return PathPoint(u=u, maximizers=tuple(map(math.exp, log_maximizers)),
                          pi_star=math.exp(best), log_pi_star=best,
-                         boundary_attained=boundary_attained,
+                         boundary_attained=all(best - f > _TIE_LOG
+                                               for f in f_ref),
                          all_paths_maximal=False, log_maximizers=log_maximizers)
 
     return ts[edges[::2]], ts[edges[1::2] + 1], finish

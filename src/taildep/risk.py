@@ -42,7 +42,7 @@ import numpy as np
 
 from taildep.copulas import Copula, MarshallOlkin
 from taildep.errors import InsufficientTailError, NumericError, ParameterError
-from taildep.serialize import format_float
+from taildep.serialize import dumps_csv
 
 __all__ = [
     "ParetoII",
@@ -369,9 +369,7 @@ class RiskTable:
         return {"a": self.a, "n": self.n, "seed": self.seed, "rows": rows}
 
     def to_csv(self) -> str:
-        lines = [",".join(self.columns)]
-        lines += [",".join(map(format_float, astuple(r))) for r in self.rows]
-        return "\n".join(lines) + "\n"
+        return dumps_csv(self.columns, map(astuple, self.rows))
 
 
 # the published Table 1: its levels q, shock parameters b at fixed a, and

@@ -3,13 +3,14 @@
 Floats print as ``repr``, the shortest text that parses back to the same
 double, so emitted files are byte-reproducible and exact.  JSON comes from
 the standard library; NaN and infinity are not JSON and are refused.
+``dumps_csv`` is the one CSV writer: every CSV line is joined there.
 """
 
 import json
 
 from taildep.errors import NumericError
 
-__all__ = ["format_float", "dumps_json"]
+__all__ = ["format_float", "dumps_json", "dumps_csv"]
 
 
 def format_float(x: float) -> str:
@@ -23,3 +24,16 @@ def dumps_json(obj) -> str:
         return json.dumps(obj, indent=2, allow_nan=False) + "\n"
     except ValueError as exc:
         raise NumericError(f"cannot print as JSON: {exc}") from exc
+
+
+def _csv_cell(x) -> str:
+    if isinstance(x, bool):  # before format_float: a bool is an int
+        return "true" if x else "false"
+    return x if isinstance(x, str) else format_float(x)
+
+
+def dumps_csv(header, rows) -> str:
+    """Header and rows as comma-joined lines, each ending in a newline:
+    strings as given, booleans as true/false, other cells as floats."""
+    lines = [",".join(header), *(",".join(map(_csv_cell, r)) for r in rows)]
+    return "\n".join(lines) + "\n"

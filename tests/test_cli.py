@@ -335,23 +335,37 @@ class TestFloatPrecision:
 
         json.loads(out, parse_constant=reject, parse_float=shortest)
 
-    def test_csv_floats_are_the_library_doubles(self, capsys):
+    def test_csv_floats_are_the_library_doubles(self, capsys, tmp_path):
         mo = MarshallOlkin(0.3529, 0.75)
         table = reference_table(seed=3, n=20_000)
         solution = solve_path(mo, default_u_grid(8))
-        expected = {
-            ("eval", *MO_FLAGS, "--u", "0.1", "--v", "0.2", "--format", "csv"):
-                [[0.1, 0.2, mo.cdf(0.1, 0.2)]],
-            ("path", *MO_FLAGS, "--umin-exp", "8"):
-                [[p.u, *p.maximizers, p.pi_star] for p in solution.points],
-            ("table1", "--seed", "3", "--n", "20000"):
-                [astuple(r) for r in table.rows],
-        }
-        for argv, rows in expected.items():
+        path_rows = [[p.u, *p.maximizers, p.pi_star] for p in solution.points]
+        g = np.linspace(0.0, 1.0, 11)
+        uu, vv = np.meshgrid(g, g, indexing="ij")
+        lattice_rows = np.column_stack(
+            [uu.ravel(), vv.ravel(), np.ravel(mo.cdf(uu, vv))])
+        lattice = tmp_path / "c.csv"
+        outputs = {}
+        for argv in [
+                ("eval", *MO_FLAGS, "--u", "0.1", "--v", "0.2",
+                 "--format", "csv"),
+                ("path", *MO_FLAGS, "--umin-exp", "8"),
+                ("table1", "--seed", "3", "--n", "20000"),
+                ("contour", *MO_FLAGS, "--umin-exp", "8", "--resolution",
+                 "11", "--out", str(lattice))]:
             code, out, _ = run(capsys, *argv)
             assert code == 0
+            outputs[argv[0]] = out
+        expected = [
+            (outputs["eval"], [[0.1, 0.2, mo.cdf(0.1, 0.2)]]),
+            (outputs["path"], path_rows),
+            (outputs["table1"], [astuple(r) for r in table.rows]),
+            (lattice.read_text(), lattice_rows),
+            ((tmp_path / "c_path.csv").read_text(), path_rows),
+        ]
+        for text, rows in expected:
             printed = [[c for c in line.split(",") if c not in ("true", "false")]
-                       for line in out.splitlines()[1:]]
+                       for line in text.splitlines()[1:]]
             assert len(printed) == len(rows)
             for cells, values in zip(printed, rows):
                 assert cells == [repr(float(c)) for c in cells]

@@ -235,6 +235,7 @@ class TestSurvival:
     @pytest.mark.parametrize("cop", ALL_FAMILIES, ids=_ids(ALL_FAMILIES))
     def test_involution(self, cop):
         ss = cop.survival().survival()
+        assert ss is cop
         g = np.linspace(0.0, 1.0, 41)
         uu, vv = np.meshgrid(g, g)
         assert np.max(np.abs(ss.cdf(uu, vv) - cop.cdf(uu, vv))) <= 1e-12
