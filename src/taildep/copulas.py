@@ -422,7 +422,7 @@ def zeta(gamma0: float, gamma1: float, u: float, x) -> float | np.ndarray:
     """
     cop, u = GeneralizedClayton(gamma0, gamma1), _check_level(u)
     xa = np.asarray(x, dtype=float)
-    if np.any(xa < u * u * (1.0 - 1e-12)) or np.any(xa > 1.0 + 1e-12):
+    if not np.all((xa >= u * u * (1.0 - 1e-12)) & (xa <= 1.0 + 1e-12)):
         raise ParameterError(f"x must lie in [u^2, 1], got {x!r}")
     lhs, rhs = _zeta_logs(cop, math.log(u), np.log(np.clip(xa, u * u, 1.0)))
     with np.errstate(over="ignore"):

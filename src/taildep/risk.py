@@ -15,26 +15,25 @@ the chunk at row r, a multiple of 4, starts at Philox counter step
 r * ncols / 4 of its batch, so chunks can be drawn in any order.
 
 Risk runs those chunks on one worker thread per available CPU (at most 8),
-the caller's among them, each taking the next chunk nobody has taken.  A
-worker draws its chunk into a block the caller allocated, makes pairs and
-sums in place, and keeps its largest m = n(1 - q) + 1 sums in a buffer the
-caller allocated too; once that has a floor f, pairs with both uniforms at
-or below ``ParetoII._level_below(f)`` sum to less than f and skip the
-quantile.  The largest sums form one multiset whichever thread saw them, so
-results are bit-identical for a fixed seed and any thread count, and memory
-is workers * (m + 2^15 + (ncols + 3) 2^14) doubles rather than O(n).
-``reference_table`` (``taildep table1``) draws once per b and reads every
+the caller's among them.  Each worker runs one loop (``_top_sums``): it
+takes the next chunk nobody has taken, draws it into a block the caller
+allocated, makes pairs and sums in place, and keeps its largest
+m = n(1 - q) + 1 sums in a buffer the caller allocated too.  Once that
+buffer has a floor f, pairs with both uniforms at or below
+``ParetoII._level_below(f)`` sum to less than f and skip the quantile.  The
+largest sums form one multiset whichever thread saw them, so results are
+bit-identical for a fixed seed and any thread count, and memory is
+workers * (m + 2^15 + (ncols + 3) 2^14) doubles rather than O(n).
+``reference_table`` (``taildep table1``) draws each b once and reads every
 q from that one buffer.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import numbers
 import os
 import threading
-from collections.abc import Callable
 from dataclasses import asdict, astuple, dataclass
 from typing import ClassVar
 
@@ -56,7 +55,7 @@ __all__ = [
 
 _BATCH = 1 << 18
 _CHUNK = 1 << 14  # divides _BATCH, a multiple of 4 rows
-_POOL = 1 << 15  # candidates past m that _top_m gathers before it cuts back
+_POOL = 1 << 15  # sums past m that a worker gathers before it cuts back
 _MIN_N = 10_000
 # worker threads of _top_sums: one per CPU this process may run on, at most 8
 _WORKERS = min(8, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
@@ -80,10 +79,9 @@ class ParetoII:
             raise ParameterError(f"mu must be finite, got {self.mu!r}")
 
     def sf(self, x):
-        """Survival function, 1 at x = mu and decreasing."""
-        xa = np.asarray(x, dtype=float)
-        out = np.where(xa < self.mu, 1.0,
-                       ((xa - self.mu) / self.sigma + 1.0) ** -self.alpha)
+        """Survival function, 1 at and below x = mu and decreasing above."""
+        xa = np.maximum(np.asarray(x, dtype=float), self.mu)
+        out = ((xa - self.mu) / self.sigma + 1.0) ** -self.alpha
         return float(out) if np.ndim(x) == 0 else out
 
     def quantile(self, p):
@@ -212,38 +210,24 @@ def _largest(z: np.ndarray, m: int) -> np.ndarray:
     return z[z.size - m:]
 
 
-def _top_m(sums: Callable[..., np.ndarray | None], m: int, buf: np.ndarray):
-    """The m largest values of the arrays ``sums(floor)`` returns until None.
-
-    Candidates fill a pool downwards from the end of ``buf``, which holds
-    m + _POOL + _CHUNK of them, or all.  Once they are _POOL more than m, an
-    in-place ``np.partition`` moves the m largest to the end, and from then
-    on only values above the smallest of them, ``floor``, are candidates
-    (``sums`` may omit the others).  Equal values are interchangeable, so
-    the result is a full sort's, unordered.
-    """
-    start, floor = buf.size, None  # the pool is buf[start:]
-    while (z := sums(floor)) is not None:
-        if floor is not None:
-            z = z[z > floor]
-        buf[start - z.size:start] = z
-        start -= z.size
-        if buf.size - start >= m + _POOL:
-            _largest(buf[start:], m)  # now the last m of buf
-            start = buf.size - m
-            floor = buf[start]
-    return _largest(buf[start:], m)
-
-
 def _top_sums(cop: Copula, marginal: ParetoII, n: int, seed: int,
               k: int) -> np.ndarray:
     """The sorted order statistics k..n of Z = X + Y over n draws.
 
-    Up to ``_WORKERS`` threads, the caller's being one of them, take chunks in
-    turn, each keeping the m = n - k + 1 largest sums it has seen; the caller
-    keeps the m largest of their buffers, and allocates them and each thread's
-    chunk block itself.  A worker that raises stops the hand-out; every
-    thread is joined and the first exception is raised here.
+    Up to ``_WORKERS`` threads, the caller's being one of them, run one loop
+    each, keeping the m = n - k + 1 largest sums they have seen in a buffer
+    of m + _POOL + _CHUNK values (or all n) that the caller allocated, with
+    the block their chunks are drawn into.  Each turn of the loop takes the
+    next chunk nobody has taken, draws and fills it, prunes pairs with both
+    uniforms at or below the level t, applies the Pareto quantile, and
+    gathers the sums above the floor f into the buffer, downwards from its
+    end (there is no t or f before the first cut-back).  Once the gathered values are _POOL more than m, an in-place
+    partition cuts them back to the m largest; the smallest of those is the
+    new f, and t is ``marginal._level_below(f)``, so pruned pairs sum to
+    less than f.  Equal values are interchangeable, so the caller's m
+    largest of all buffers are a full sort's.  A worker that raises stops
+    the hand-out; every thread is joined and the first exception is raised
+    here.
     """
     m = n - k + 1
     ncols, fill = cop.sampler()
@@ -255,26 +239,33 @@ def _top_sums(cop: Copula, marginal: ParetoII, n: int, seed: int,
     blocks = np.empty((count, ncols + 2, _CHUNK))
 
     def run(j: int) -> None:
-        block, level = blocks[j], functools.lru_cache(1)(marginal._level_below)
-
-        def sums(floor: float | None) -> np.ndarray | None:
-            with lock:
-                chunk = None if errors else next(pending, None)
-            if chunk is None:
-                return None
-            uv = block[ncols:, :chunk[2]]
-            fill(_draw(seed, ncols, chunk, block), uv)
-            if (t := None if floor is None else level(floor)) is not None:
-                keep = uv > t
-                keep[0] |= keep[1]
-                uv = uv.compress(keep[0], axis=1)
-            u, v = marginal._quantile(uv, out=uv)
-            u += v
-            return u
-
+        block, buf = blocks[j], bufs[j]
+        start, floor, level = buf.size, None, None  # gathered: buf[start:]
         try:
             with np.errstate(over="ignore"):  # _report rejects overflowed sums
-                tops[j] = _top_m(sums, m, bufs[j])
+                while True:
+                    with lock:
+                        chunk = None if errors else next(pending, None)
+                    if chunk is None:
+                        break
+                    uv = block[ncols:, :chunk[2]]
+                    fill(_draw(seed, ncols, chunk, block), uv)
+                    if level is not None:
+                        keep = uv > level
+                        keep[0] |= keep[1]
+                        uv = uv.compress(keep[0], axis=1)
+                    z, v = marginal._quantile(uv, out=uv)
+                    z += v
+                    if floor is not None:
+                        z = z[z > floor]
+                    buf[start - z.size:start] = z
+                    start -= z.size
+                    if buf.size - start >= m + _POOL:
+                        _largest(buf[start:], m)  # now the last m of buf
+                        start = buf.size - m
+                        floor = buf[start]
+                        level = marginal._level_below(floor)
+            tops[j] = _largest(buf[start:], m)
         except BaseException as exc:  # raised again in the caller
             with lock:
                 errors.append(exc)
@@ -403,23 +394,13 @@ def reference_table(seed: int, n: int = 2_000_000) -> RiskTable:
     qs, bs, a, marginal = _TABLE_QS, _TABLE_BS, _TABLE_A, _TABLE_MARGINAL
     n, seed = _check_n_seed(n, seed, _MIN_N)
     k_min = min(_order_index(n, q) for q in qs)
-    reports = {}
+    by_b = []  # the rows of each b, in q order
     for b in bs:
-        top = _top_sums(MarshallOlkin(a, b).survival(), marginal, n, seed, k_min)
-        for q in qs:
-            reports[q, b] = _report(top, n, q, seed)
-    rows = []
-    for q in qs:
-        for b in bs:
-            cop = MarshallOlkin(a, b)
-            report = reports[q, b]
-            rows.append(RiskTableRow(
-                q=q, b=b,
-                tau=cop.tau(),
-                kappa_l=cop.kappa_diag(),
-                kappa_l_star=cop.kappa_star(),
-                var_q=report.var_q,
-                cte_q=report.cte_q,
-                mtvar_q=report.mtvar_q,
-            ))
-    return RiskTable(a=a, marginal=marginal, n=n, seed=seed, rows=tuple(rows))
+        cop = MarshallOlkin(a, b)
+        top = _top_sums(cop.survival(), marginal, n, seed, k_min)
+        reports = [_report(top, n, q, seed) for q in qs]
+        del top  # only one b's sums are alive at a time
+        by_b.append([RiskTableRow(r.q, b, cop.tau(), cop.kappa_diag(), cop.kappa_star(),
+                                  r.var_q, r.cte_q, r.mtvar_q) for r in reports])
+    rows = tuple(row for same_q in zip(*by_b) for row in same_q)
+    return RiskTable(a=a, marginal=marginal, n=n, seed=seed, rows=rows)

@@ -432,6 +432,9 @@ class TestZeta:
             zeta(0.5, -0.1, 0.3, 0.5)
         with pytest.raises(ParameterError):
             zeta(0.5, 0.1, 0.3, 0.05)  # x below u^2
+        for x in (math.nan, np.array([0.5, math.nan])):
+            with pytest.raises(ParameterError):
+                zeta(0.5, 0.3, 0.1, x)
 
 
 class TestZetaRoot:

@@ -71,6 +71,11 @@ class TestParetoII:
     def test_survival_anchored_at_location(self):
         m = ParetoII(2.0, 3.0, 4.0)
         assert m.sf(2.0) == 1.0
+        # below mu, also for a tail index whose power of a negative base is nan
+        low = ParetoII(0.0, 1.0, 3.5)
+        assert low.sf(-5.0) == 1.0
+        assert np.array_equal(low.sf(np.array([-5.0, 0.0, 1.0])),
+                              [1.0, 1.0, 2.0 ** -3.5])
         x = np.linspace(2.0, 50.0, 100)
         assert np.all(np.diff(m.sf(x)) < 0.0)
 
@@ -395,20 +400,23 @@ class TestChunkedThreads:
                    for c in chunks if c[0] == i]
             assert np.array_equal(np.concatenate(got), whole)
 
+    @pytest.mark.parametrize("workers", [1, 3])
     @pytest.mark.parametrize("m", [1, 7, 40, 300])
-    def test_top_m_keeps_the_largest_multiset_with_ties(self, monkeypatch, m):
-        # tiny batches make the pool merge and raise its floor often; few
-        # distinct values make ties at the floor common
+    def test_top_sums_keeps_the_largest_multiset_with_ties(self, monkeypatch,
+                                                           m, workers):
+        # tiny chunks and pool cut back, and raise the floor, many times per
+        # call; sums of fewer than 100 distinct values tie at the floor
         monkeypatch.setattr(risk, "_BATCH", 16)
         monkeypatch.setattr(risk, "_CHUNK", 8)
         monkeypatch.setattr(risk, "_POOL", 16)
-        rng = np.random.default_rng(m)
-        parts = [rng.integers(0, 30, rng.integers(0, 9)).astype(float)
-                 + 0.5 * k / 100 for k in range(100)]
-        buf = np.empty(min(m + 16 + 8, sum(p.size for p in parts)))  # as _top_sums
-        it = iter(parts)
-        top = risk._top_m(lambda floor: next(it, None), m, buf)
-        assert np.array_equal(np.sort(top), np.sort(np.concatenate(parts))[-m:])
+        monkeypatch.setattr(risk, "_WORKERS", workers)
+        marginal, n = ParetoII(1e6, 1e-9, 4.0), 2_000
+        for cop in (Independence(), FGM(-0.7), MarshallOlkin(0.3, 0.7).survival()):
+            u, v = sample_pairs(cop, n, m)
+            z = np.sort(marginal.quantile(u) + marginal.quantile(v))
+            assert np.unique(z).size < 100
+            top = risk._top_sums(cop, marginal, n, m, n - m + 1)
+            assert np.array_equal(top, z[-m:]), cop
 
     @pytest.mark.parametrize("workers", [1, 2, 3, 7])
     def test_any_worker_count_equals_full_sort(self, monkeypatch, workers):
