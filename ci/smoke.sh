@@ -1,0 +1,58 @@
+#!/usr/bin/env bash
+# Smoke checks of the command-line interface.
+#
+# Usage: ci/smoke.sh <command prefix>
+#   ci/smoke.sh taildep                                  # installed console script
+#   PYTHONPATH=src ci/smoke.sh python -m taildep.cli     # source checkout, offline
+#
+# Exits nonzero on the first failing check; files go to a temporary directory.
+set -euo pipefail
+if [ "$#" -eq 0 ]; then
+    echo "usage: $0 <command prefix, e.g. taildep or python -m taildep.cli>" >&2
+    exit 2
+fi
+td=("$@")
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+
+echo "== every command prints strict JSON"
+"${td[@]}" eval --family marshall_olkin --a 0.3529 --b 0.75 --u 0.1 --v 0.2 | python -m json.tool > /dev/null
+"${td[@]}" table1 --n 20000 --format json | python -m json.tool > /dev/null
+"${td[@]}" risk --family mixture_mo --a 0.3 --b 0.7 --n 20000 | python -m json.tool > /dev/null
+
+echo "== a negative tol is a parameter error (exit 2)"
+code=0
+"${td[@]}" axioms --family independence --tol=-1 > /dev/null 2>&1 || code=$?
+test "$code" -eq 2
+
+echo "== contour files read back: one cell per column, floats round-trip"
+"${td[@]}" contour --family mixture_mo --a 0.3 --b 0.7 --resolution 11 --out "$tmp/c.csv"
+python - "$tmp/c.csv" "$tmp/c_path.csv" <<'PY'
+import csv, sys
+for name in sys.argv[1:]:
+    header, *rows = csv.reader(open(name, newline=""))
+    assert rows, name
+    for row in rows:
+        assert len(row) == len(header), (name, row)
+        for cell in row:
+            if cell not in ("", "true", "false"):
+                assert repr(float(cell)) == cell, (name, cell)
+PY
+
+echo "== a near-equal mixture keeps both maximizers on every level"
+"${td[@]}" path --family mixture_mo --a 0.5 --b 0.5001 --format csv > "$tmp/near.csv"
+python - "$tmp/near.csv" <<'PY'
+import csv, sys
+header, *rows = csv.reader(open(sys.argv[1], newline=""))
+col = header.index("x_star_2")
+assert rows and all(row[col] for row in rows), "a level lost its second maximizer"
+PY
+
+echo "== risk output is the same pinned to one CPU and unpinned"
+for args in "risk --family mixture_mo --a 0.3 --b 0.7 --n 200000" "table1 --n 200000"; do
+    # shellcheck disable=SC2086  # args is a word list
+    taskset -c 0 "${td[@]}" $args > "$tmp/pinned.out"
+    "${td[@]}" $args > "$tmp/unpinned.out"
+    diff "$tmp/pinned.out" "$tmp/unpinned.out"
+done
+echo "== all smoke checks passed"

@@ -11,7 +11,14 @@ construction and exposes two evaluation routes:
 
 Every other fact about a family is an optional method of its class, by
 default None or :class:`UnsupportedMethodError`: ``maximizers``,
-``kappa_star``, ``tau`` and ``sampler``.  Each closed form is written once:
+``kappa_star``, ``tau`` and ``sampler``.  Two shape facts of the level
+function f(t) = log C(e^t, u^2 e^-t), False by default, steer the solver in
+:mod:`taildep.paths`: ``concave()`` (proof in each docstring: MO, comonotone,
+independence, FGM with alpha > 0, Clayton and generalized Clayton) and
+``exchangeable()``, C(u, v) = C(v, u), which makes f symmetric about log u
+(independence, comonotone, FGM, Clayton, the mixture, ``Archimedean``, MO
+with a = b, generalized Clayton with gamma1 = 0, and a survival copula
+whose base is).  Each closed form is written once:
 the generalized Clayton maximizer is the root of ``zeta`` (``zeta_root``),
 beside its class, and the mixture calls the Marshall-Olkin kernels and
 sampler.  ``FAMILIES`` maps each config family name to its constructor and
@@ -153,6 +160,18 @@ class Copula:
         """Known maximal-path exponent, or None."""
         return None
 
+    def concave(self) -> bool:
+        """Whether every level function f(t) = log C(e^t, u^2 e^-t) is
+        concave on [2 log u, 0], proven for the family: then f has one peak
+        or a plateau, and :mod:`taildep.paths` does not scan it.
+        """
+        return False
+
+    def exchangeable(self) -> bool:
+        """Whether C(u, v) = C(v, u): then f(2 log u - t) = f(t), and
+        :mod:`taildep.paths` scans half of [2 log u, 0] and mirrors."""
+        return False
+
     def tau(self) -> float:
         """Kendall's tau in closed form."""
         raise UnsupportedMethodError(
@@ -179,6 +198,13 @@ class Independence(Copula):
     def kappa_star(self):
         return 2.0
 
+    def concave(self):
+        """f(t) = 2 log u is constant."""
+        return True
+
+    def exchangeable(self):
+        return True
+
     def sampler(self):
         return 2, lambda w, uv: np.copyto(uv, w)
 
@@ -200,6 +226,13 @@ class FrechetUpper(Copula):
 
     def kappa_star(self):
         return 1.0
+
+    def concave(self):
+        """f(t) = min(t, 2 log u - t), a minimum of affine functions."""
+        return True
+
+    def exchangeable(self):
+        return True
 
     def sampler(self):
         return 1, lambda w, uv: np.copyto(uv, w)  # the one row to both
@@ -250,6 +283,14 @@ class MarshallOlkin(_ShockPair):
         """Exponent of the diagonal decay C(u, u) = u^(2 - min(a, b))."""
         return 2.0 - min(self.a, self.b)
 
+    def concave(self):
+        """f(t) = min((1-a) t + lv, t + (1-b) lv) with lv = 2 log u - t is a
+        minimum of affine functions of t."""
+        return True
+
+    def exchangeable(self):
+        return self.a == self.b
+
     def tau(self):
         denom = self.a + self.b - self.a * self.b
         if denom == 0.0:  # a = b = 0 is the independence copula
@@ -289,6 +330,10 @@ class MixtureMO(_ShockPair):
     def _log_cdf(self, lu, lv):
         return np.logaddexp(self._mo._log_cdf(lu, lv),
                             self._mo._log_cdf(lv, lu)) - math.log(2.0)
+
+    def exchangeable(self):
+        """The (a, b) and (b, a) components trade places under (u, v) -> (v, u)."""
+        return True
 
     def maximizers(self, u):
         """The maximizers of both orderings, one point when a = b."""
@@ -349,6 +394,17 @@ class FGM(Copula):
     def kappa_star(self):
         return 2.0 if self.alpha > 0.0 else None
 
+    def concave(self):
+        """For alpha > 0, f(t) = 2 log u + log1p(alpha h(t)) with
+        h(t) = (1 - e^t)(1 - u^2 e^-t) >= 0, whose second derivative
+        -e^t - u^2 e^-t is negative: a concave increasing function of a
+        concave h is concave.  No proof is claimed for alpha <= 0 (alpha < 0
+        peaks at both ends)."""
+        return self.alpha > 0.0
+
+    def exchangeable(self):
+        return True
+
     def sampler(self):
         return 2, lambda w, uv: _fgm_conditional_inverse(w, uv, self.alpha)
 
@@ -392,6 +448,18 @@ class GeneralizedClayton(Copula):
 
     def kappa_star(self):
         return 1.0 + self.gamma1 / (self.gamma1 + 2.0 * self.gamma0)
+
+    def concave(self):
+        """f(t) = (g1/gt) t - g0 g(t) with g = log S, S = e^A + e^B - 1,
+        A = -t/gt and B = -(2 log u - t)/g0, both affine in t and >= 0.
+        Then S^2 g'' = e^(A+B) ((A' - B')^2 - A'^2 e^-B - B'^2 e^-A), and
+        since A' = -1/gt and B' = 1/g0 have opposite signs,
+        (A' - B')^2 >= A'^2 + B'^2, which e^-A, e^-B <= 1 make at least the
+        subtracted terms: g is convex and f concave.  Clayton is g1 = 0."""
+        return True
+
+    def exchangeable(self):
+        return self.gamma1 == 0.0
 
 
 def _zeta_logs(cop: GeneralizedClayton, log_u: float,
@@ -491,6 +559,15 @@ class Clayton(Copula):
 
     def kappa_star(self):
         return 1.0
+
+    def concave(self):
+        """f(t) = -log(e^A + e^B - 1)/theta with A = -theta t and
+        B = -theta (2 log u - t): the generalized Clayton argument
+        (``GeneralizedClayton.concave``) with A' = -theta, B' = theta."""
+        return True
+
+    def exchangeable(self):
+        return True
 
 
 @dataclass(frozen=True, eq=False)
@@ -619,6 +696,10 @@ class Archimedean(Copula):
     def maximizers(self, u):
         return (u,) if archimedean_diagonal_check(self.generator, u) else None
 
+    def exchangeable(self):
+        """psi(u) + psi(v) is symmetric in u and v."""
+        return True
+
     def params(self):
         return {"family": self.family, "generator": self.generator.name}
 
@@ -638,6 +719,11 @@ class SurvivalCopula(Copula):
 
     def survival(self) -> Copula:
         return self.base  # reflecting twice is the identity
+
+    def exchangeable(self):
+        """The reflection (u, v) -> (1-u, 1-v) commutes with the swap.  Not
+        concave: this kernel's cancellation noise is no concave function."""
+        return self.base.exchangeable()
 
     def params(self):
         return {"family": self.family, "base": self.base.params()}

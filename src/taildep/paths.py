@@ -2,7 +2,8 @@
 
 For a level u, sliding a rectangle of fixed area u^2 along the hyperbola
 (x, u^2/x) sweeps every admissible tail path through level u.  The solver
-finds every global maximizer of x -> C(x, u^2/x):
+finds every global maximizer of f(t) = log C(e^t, u^2 e^-t), t = log x in
+[2 log u, 0]:
 
 * scan a log-spaced grid of 4096 points over [u^2, 1] (tail maximizers such
   as u^(2b/(a+b)) cluster near 0, so uniform-in-x grids would miss them),
@@ -14,14 +15,30 @@ finds every global maximizer of x -> C(x, u^2/x):
   among the ends x = u^2, x = 1 and the refined maxima, merging neighbours
   within 1e-11 in log x into the higher -- symmetric mixtures genuinely
   carry two global maximizers and a single-optimum solver would drop one.
+  The reported maximum is never below the diagonal's C(u, u).
+
+Two facts of the family's class (:mod:`taildep.copulas`) cut the scan:
+
+* ``concave()``: f has one peak or a plateau, so nothing is scanned.  One
+  kernel call evaluates every level's ends and diagonal, and each level's
+  bracket is all of [2 log u, 0].  A family that is also exchangeable needs
+  no bracket: f(log u) >= (f(t) + f(2 log u - t)) / 2 = f(t), so its
+  maximizer is the diagonal x = u.
+* ``exchangeable()``, C(u, v) = C(v, u), and not concave: f(2 log u - t) =
+  f(t), so the scan stops at the diagonal (the first 2048 points plus
+  log u) and its brackets at log u.  Each maximum refined there is
+  reported with its mirror 2 log u - t, unless the diagonal ties it in the
+  diagonal's own bracket: then x = u is the maximizer.
 
 A level with no refined maximum in the tie window attains its maximum only
 at x = u^2 or x = 1: it is flagged (``boundary_attained``) rather than
 treated as a path, as its rectangle does not shrink to the corner and
 carries no tail meaning.  A scan flat to within the tie window
-(independence-like) sets ``all_paths_maximal``.
+(independence-like), or a concave level whose two ends are both in the tie
+window of the best value (f is at least the smaller of them everywhere),
+sets ``all_paths_maximal``.
 
-A level whose scan finds C(x, u^2/x) zero at every x raises
+A level whose values of C(x, u^2/x) are zero at every evaluated x raises
 :class:`DegenerateTailError` rather than returning an empty answer.
 
 ``closed_form_path`` reports the known maximizers of a family, which are
@@ -34,6 +51,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable
 
 import numpy as np
@@ -66,6 +84,8 @@ _HI_NB = (_ROW_OFF + np.minimum(np.arange(_ZOOM) + 1, _ZOOM - 1)).ravel()
 _SCAN_MID = _SCAN_N // 2
 _SCAN_J = np.insert(np.arange(_SCAN_N, dtype=float), _SCAN_MID, 0.0)
 _XTOL = 1e-12  # refined bracket width in log x, a relative width in x
+_MERGE = 10.0 * _XTOL  # maxima closer in log x are one
+_VALUE = itemgetter(1)  # the log pi of a (log x, log pi) pair
 _TIE_LOG = -math.log1p(-1e-9)  # log of the relative 1e-9 tie window
 _MAX_ITER = 200  # zoom steps per bracket before NumericError
 _TINY = np.finfo(float).tiny  # smallest normal double
@@ -160,67 +180,146 @@ def _log_pi(cop: Copula, log_u: float | np.ndarray,
     return cop._log_cdf(t, 2.0 * log_u - t)
 
 
-def _scan(cop: Copula, u: float
-          ) -> tuple[np.ndarray, np.ndarray, Callable[..., PathPoint]]:
+def _select(u: float, log_u: float, f_lo: float, f_diag: float, f_hi: float,
+            inner: list[tuple[float, float]]) -> PathPoint:
+    """The level's PathPoint from the log pi of its ends x = u^2 and x = 1
+    and its diagonal, and its refined interior maxima, each a (log x, log pi).
+
+    The maxima in the tie window of the best value, in order of log x; one
+    closer than the refinement resolution to the last merges into it.  The
+    reported value is floored at the diagonal's f_diag: x = u is always
+    admissible, and a refined smooth peak may sit a little off it.  Log x =
+    log u is reported as x = u itself.
+    """
+    # best - f is monotone in f: every interior f is out of the tie window
+    # exactly when the highest is
+    f_inner = max(map(_VALUE, inner), default=-math.inf)
+    best = max(f_lo, f_diag, f_hi, f_inner)
+    log_x: list[float] = []
+    log_f: list[float] = []
+    for t, f in sorted([(2.0 * log_u, f_lo), (0.0, f_hi), *inner]):
+        if best - f > _TIE_LOG:
+            continue
+        if log_x and t - log_x[-1] <= _MERGE:
+            if f > log_f[-1]:
+                log_x[-1], log_f[-1] = t, f
+        else:
+            log_x.append(t)
+            log_f.append(f)
+
+    return PathPoint(u=u, maximizers=tuple([u if t == log_u else math.exp(t)
+                                            for t in log_x]),
+                     pi_star=math.exp(best), log_pi_star=best,
+                     boundary_attained=best - f_inner > _TIE_LOG,
+                     all_paths_maximal=False, log_maximizers=tuple(log_x))
+
+
+def _plateau(u: float, log_u: float, f_max: float) -> PathPoint:
+    """A level flat within the tie window: every admissible x is maximal."""
+    return PathPoint(u=u, maximizers=(u,), pi_star=math.exp(f_max),
+                     log_pi_star=f_max, boundary_attained=False,
+                     all_paths_maximal=True, log_maximizers=(log_u,))
+
+
+def _vanished(u: float) -> DegenerateTailError:
+    return DegenerateTailError(
+        f"C(x, u^2/x) vanished at every evaluated x at level u={u!r}; "
+        "the level carries no tail mass in double precision")
+
+
+_Level = tuple[np.ndarray, np.ndarray, Callable[[list, list], PathPoint]]
+
+
+def _concave_levels(cop: Copula, grid: tuple[float, ...]) -> list[_Level]:
+    """The levels of a concave family, unscanned (module docstring): one
+    kernel call for every level's ends and diagonal, and a bracket of all of
+    [2 log u, 0] per level, none if the family is exchangeable.  A refined
+    maximum at an end is that end, not an interior path.
+    """
+    log_u = np.array([math.log(u) for u in grid])
+    ts = np.zeros((log_u.size, 3))
+    ts[:, 0], ts[:, 1] = 2.0 * log_u, log_u
+    fs = _log_pi(cop, log_u[:, None], ts)
+    diagonal = cop.exchangeable()
+    levels = []
+    for u, lu, (f_lo, f_diag, f_hi) in zip(grid, log_u.tolist(), fs.tolist()):
+        if not math.isfinite(max(f_lo, f_diag, f_hi)):
+            raise _vanished(u)
+
+        def finish(t_ref, f_ref, u=u, lu=lu, f_lo=f_lo, f_diag=f_diag,
+                   f_hi=f_hi) -> PathPoint:
+            best = max(f_lo, f_diag, f_hi, *f_ref)
+            if best - min(f_lo, f_hi) <= _TIE_LOG:
+                return _plateau(u, lu, best)
+            inner = [(lu, f_diag)] if diagonal else [
+                (t, f) for t, f in zip(t_ref, f_ref) if 2.0 * lu < t < 0.0]
+            return _select(u, lu, f_lo, f_diag, f_hi, inner)
+
+        bracket = np.empty(0) if diagonal else np.array([2.0 * lu])
+        levels.append((bracket, np.zeros(bracket.size), finish))
+    return levels
+
+
+def _scan(cop: Copula, u: float) -> _Level:
     """Scan level u on a log-spaced grid.
 
     The abscissas are ``np.linspace(2 log u, 0, 4096)``'s values bit for
-    bit, plus the diagonal x = u: it is always admissible, so the reported
-    maximum can never fall below C(u, u).  Returns the brackets [lo, hi] in
-    log x around the scan's interior local maxima, and a function that turns
+    bit, plus the diagonal x = u; an exchangeable family's stop at the
+    diagonal (module docstring).  Returns the brackets [lo, hi] in log x
+    around the scan's interior local maxima, and a function that turns
     their refined (t, log pi) into the level's PathPoint.  Only scalars
     outlive the scan itself.
     """
     log_u = math.log(u)
-    t_lo, t_hi = 2.0 * log_u, 0.0
+    t_lo = 2.0 * log_u
+    half = cop.exchangeable()
     # linspace's own arithmetic: j * step + t_lo, the last point pinned
-    ts = _SCAN_J * ((t_hi - t_lo) / (_SCAN_N - 1))
+    ts = _SCAN_J[:_SCAN_MID + 1 if half else None] * (-t_lo / (_SCAN_N - 1))
     ts += t_lo
-    ts[-1], ts[_SCAN_MID] = t_hi, log_u
+    ts[_SCAN_MID] = log_u
+    if not half:
+        ts[-1] = 0.0
     fs = _log_pi(cop, log_u, ts)
     f_max = float(fs.max())
     if not math.isfinite(f_max) and not np.isfinite(fs).any():
-        raise DegenerateTailError(
-            f"C(x, u^2/x) vanished at every scanned x at level u={u!r}; "
-            "the level carries no tail mass in double precision")
+        raise _vanished(u)
 
     if f_max - float(fs.min()) <= _TIE_LOG:
         # independence-like plateau: every admissible x is a maximizer
-        plateau = PathPoint(u=u, maximizers=(u,), pi_star=math.exp(f_max),
-                            log_pi_star=f_max, boundary_attained=False,
-                            all_paths_maximal=True, log_maximizers=(log_u,))
+        plateau = _plateau(u, log_u, f_max)
         return np.empty(0), np.empty(0), lambda t_ref, f_ref: plateau
 
+    f_lo, f_diag = float(fs[0]), float(fs[_SCAN_MID])
+    f_hi = f_lo if half else float(fs[-1])
     # interior local maxima of the scan, collapsing flat runs to one bracket:
-    # peak is False at both ends, so it rises into a run and falls after it
-    peak = np.zeros(fs.size, dtype=bool)
-    np.greater_equal(fs[1:-1], fs[:-2], out=peak[1:-1])
-    peak[1:-1] &= fs[1:-1] >= fs[2:]
+    # peak is False at both ends, so it rises into a run and falls after it.
+    # The half scan's diagonal is a peak when it is no lower than its left
+    # neighbour, the mirror of its right one; a False slot closes its run,
+    # whose bracket then ends at the diagonal (take's clip).
+    n = fs.size
+    peak = np.zeros(n + half, dtype=bool)
+    np.greater_equal(fs[1:-1], fs[:-2], out=peak[1:n - 1])
+    peak[1:n - 1] &= fs[1:-1] >= fs[2:]
+    if half:
+        peak[n - 1] = fs[-1] >= fs[-2]
     edges = (peak[1:] != peak[:-1]).nonzero()[0]
-    f_lo, f_hi = float(fs[0]), float(fs[-1])
+    lo, hi = ts[edges[::2]], ts.take(edges[1::2] + 1, mode="clip")
+    if not half:
+        return lo, hi, lambda t_ref, f_ref: _select(
+            u, log_u, f_lo, f_diag, f_hi, list(zip(t_ref, f_ref)))
+
+    at_diag = (hi == log_u).tolist()
 
     def finish(t_ref: list[float], f_ref: list[float]) -> PathPoint:
-        best = max(f_lo, f_hi, *f_ref)
-        # the ends and refined maxima in the tie window, in order of t; one
-        # closer than the refinement resolution to the last merges into it
-        merged: list[tuple[float, float]] = []
-        for t, f in sorted([(t_lo, f_lo), (t_hi, f_hi), *zip(t_ref, f_ref)]):
-            if best - f > _TIE_LOG:
-                continue
-            if merged and t - merged[-1][0] <= 10.0 * _XTOL:
-                if f > merged[-1][1]:
-                    merged[-1] = (t, f)
+        inner = []
+        for t, f, diag in zip(t_ref, f_ref, at_diag):
+            if diag and f - f_diag <= _TIE_LOG:
+                inner.append((log_u, max(f, f_diag)))
             else:
-                merged.append((t, f))
+                inner += [(t, f), (t_lo - t, f)]
+        return _select(u, log_u, f_lo, f_diag, f_hi, inner)
 
-        log_maximizers = tuple(t for t, _ in merged)
-        return PathPoint(u=u, maximizers=tuple(map(math.exp, log_maximizers)),
-                         pi_star=math.exp(best), log_pi_star=best,
-                         boundary_attained=all(best - f > _TIE_LOG
-                                               for f in f_ref),
-                         all_paths_maximal=False, log_maximizers=log_maximizers)
-
-    return ts[edges[::2]], ts[edges[1::2] + 1], finish
+    return lo, hi, finish
 
 
 def _refine(cop: Copula, log_u: np.ndarray, lo: np.ndarray,
@@ -284,13 +383,20 @@ def _check_grid(u_grid) -> tuple[float, ...]:
 def solve_path(cop: Copula, u_grid) -> PathSolution:
     """Maximal-dependence record over a strictly decreasing grid of levels.
 
-    Levels are scanned one at a time; the brackets of all of them are then
-    refined together by batched zoom steps, so ``points[k]`` equals
-    ``pointwise_max(cop, u_grid[k])`` exactly.  The tolerances are fixed
-    (module docstring); a starved bracket raises :class:`NumericError`.
+    A concave family's levels are not scanned: their ends and diagonals
+    come from one kernel call, and each level's bracket is [2 log u, 0] (none
+    if the family is also exchangeable, whose maximum is the diagonal's).
+    Other families scan one level at a time, an exchangeable one over
+    [2 log u, log u] only, mirroring what it finds.  The brackets of all
+    levels are then refined together by batched zoom steps, so ``points[k]``
+    equals ``pointwise_max(cop, u_grid[k])`` exactly.  The tolerances are
+    fixed (module docstring); a starved bracket raises :class:`NumericError`.
     """
     grid = _check_grid(u_grid)
-    levels = [_scan(cop, u) for u in grid]
+    if cop.concave():
+        levels = _concave_levels(cop, grid)
+    else:
+        levels = [_scan(cop, u) for u in grid]
     sizes = [lo.size for lo, _, _ in levels]
     t_ref, f_ref = _refine(cop, np.repeat([math.log(u) for u in grid], sizes),
                            np.concatenate([lo for lo, _, _ in levels]),

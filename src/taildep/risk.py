@@ -87,7 +87,7 @@ class ParetoII:
     def quantile(self, p):
         """Inverse CDF: mu + sigma ((1 - p)^(-1/alpha) - 1) for p in [0, 1)."""
         pa = np.asarray(p, dtype=float)
-        if np.any(pa < 0.0) or np.any(pa >= 1.0):
+        if not np.all((pa >= 0.0) & (pa < 1.0)):  # False for nan
             raise ParameterError(f"p must lie in [0, 1), got {p!r}")
         out = self._quantile(pa)
         return float(out) if np.ndim(p) == 0 else out

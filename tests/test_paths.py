@@ -9,7 +9,7 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from taildep import paths
@@ -17,6 +17,7 @@ from taildep import (
     FGM,
     Archimedean,
     BracketError,
+    Clayton,
     DegenerateTailError,
     EvaluationOverflowError,
     FrechetUpper,
@@ -26,11 +27,13 @@ from taildep import (
     Independence,
     MarshallOlkin,
     MixtureMO,
+    NoAdmissiblePathError,
     NumericError,
     ParameterError,
     archimedean_diagonal_check,
     clayton_generator,
     closed_form_path,
+    default_u_grid,
     pi_phi,
     pointwise_max,
     solve_path,
@@ -570,6 +573,193 @@ class TestClosedFormPath:
         assert abs(got - want) <= 1e-11 * want
 
 
+EPS = np.finfo(float).eps
+GRID_15 = default_u_grid(8, 1, 2)  # 1e-1 .. 1e-8, two levels per decade
+
+# every registered family over its parameter range
+ANY_FAMILY = st.one_of(
+    st.just(Independence()),
+    st.just(FrechetUpper()),
+    st.builds(MarshallOlkin, st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+    st.builds(MixtureMO, st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+    st.builds(FGM, st.floats(-1.0, 1.0)),
+    st.builds(GeneralizedClayton, st.floats(0.02, 5.0), st.floats(0.0, 5.0)),
+    st.builds(Clayton, st.floats(0.05, 20.0)),
+)
+# the families that declare a concave level function, over their ranges
+CONCAVE = st.one_of(
+    st.just(Independence()),
+    st.just(FrechetUpper()),
+    st.builds(MarshallOlkin, st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+    st.builds(FGM, st.floats(1e-3, 1.0)),
+    st.builds(GeneralizedClayton, st.floats(0.02, 5.0), st.floats(0.0, 5.0)),
+    st.builds(Clayton, st.floats(0.05, 20.0)),
+)
+# the families that declare themselves exchangeable, over their ranges
+EXCHANGEABLE = st.one_of(
+    st.just(Independence()),
+    st.just(FrechetUpper()),
+    st.floats(0.0, 1.0).map(lambda a: MarshallOlkin(a, a)),
+    st.builds(MixtureMO, st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+    st.builds(FGM, st.floats(-1.0, 1.0)),
+    st.floats(0.02, 5.0).map(lambda g0: GeneralizedClayton(g0, 0.0)),
+    st.builds(Clayton, st.floats(0.05, 20.0)),
+    st.floats(0.1, 5.0).map(lambda th: Archimedean(clayton_generator(th))),
+)
+
+
+class TestShapeFacts:
+    @pytest.mark.parametrize("cop, concave, exchangeable", [
+        (Independence(), True, True),
+        (FrechetUpper(), True, True),
+        (MarshallOlkin(A, B), True, False),
+        (MarshallOlkin(0.4, 0.4), True, True),
+        (MixtureMO(A, B), False, True),
+        (FGM(0.5), True, True),
+        (FGM(0.0), False, True),
+        (FGM(-0.5), False, True),
+        (GeneralizedClayton(0.5, 0.3), True, False),
+        (GeneralizedClayton(0.5, 0.0), True, True),
+        (Clayton(2.0), True, True),
+        (Archimedean(clayton_generator(2.0)), False, True),
+        (MarshallOlkin(A, B).survival(), False, False),
+        (MixtureMO(A, B).survival(), False, True),
+        (FGM(0.5).survival(), False, True),
+        (GeneralizedClayton(0.5, 0.3).survival(), False, False),
+    ], ids=repr)
+    def test_declared_facts(self, cop, concave, exchangeable):
+        assert (cop.concave(), cop.exchangeable()) == (concave, exchangeable)
+
+    @settings(max_examples=60, deadline=None)
+    @given(cop=CONCAVE,
+           u=st.one_of(st.floats(-8.0, -1.0).map(lambda e: 10.0 ** e),
+                       st.just(1e-100)))
+    def test_concave_families_have_concave_level_functions(self, cop, u):
+        # second differences on a dense grid stay within rounding
+        assert cop.concave()
+        log_u = math.log(u)
+        t = np.linspace(2.0 * log_u, 0.0, 20001)
+        f = paths._log_pi(cop, log_u, t)
+        d2 = f[:-2] - 2.0 * f[1:-1] + f[2:]
+        scale = np.abs(f[:-2]) + 2.0 * np.abs(f[1:-1]) + np.abs(f[2:])
+        assert np.all(d2 <= 16.0 * EPS * scale)
+
+    @settings(max_examples=60, deadline=None)
+    @given(cop=EXCHANGEABLE,
+           lu=st.lists(st.floats(-20.0, 0.0), min_size=1, max_size=20))
+    def test_exchangeable_kernels_are_symmetric(self, cop, lu):
+        assert cop.exchangeable()
+        lu = np.asarray(lu)
+        lv = lu[::-1].copy()
+        np.testing.assert_allclose(cop._log_cdf(lu, lv), cop._log_cdf(lv, lu),
+                                   rtol=8.0 * EPS, atol=0.0)
+
+    def test_concave_levels_are_not_scanned(self, monkeypatch):
+        # one kernel call gives every level's ends and diagonal; only the
+        # non-exchangeable family refines a bracket per level
+        shapes = []
+        orig = paths._log_pi
+
+        def record(cop, log_u, t):
+            shapes.append(np.shape(t))
+            return orig(cop, log_u, t)
+        monkeypatch.setattr(paths, "_log_pi", record)
+        solve_path(MarshallOlkin(A, B), GRID_4)
+        assert shapes[0] == (4, 3)
+        assert all(s[0] == 4 and s[1] == paths._ZOOM for s in shapes[1:])
+        shapes.clear()
+        sol = solve_path(Clayton(2.0), GRID_4)
+        assert shapes == [(4, 3)]
+        for p in sol.points:
+            assert p.maximizers == (p.u,)
+            assert p.log_maximizers == (math.log(p.u),)
+
+    def test_exchangeable_scan_stops_at_the_diagonal(self, monkeypatch):
+        seen = []
+
+        def record(cop, log_u, t):
+            seen.append(t.copy())
+            return -np.abs(t - log_u)
+        monkeypatch.setattr(paths, "_log_pi", record)
+        u = 1e-3
+        paths._scan(MixtureMO(A, B), u)
+        ref = np.linspace(2.0 * math.log(u), 0.0, 4096)[:paths._SCAN_MID]
+        assert seen[0].tobytes() == np.append(ref, math.log(u)).tobytes()
+
+    @pytest.mark.parametrize("case, runs", [
+        ("none", 0), ("one_flat", 1), ("two", 2), ("at_diagonal", 1),
+        ("flat_into_diagonal", 1), ("below_diagonal", 1),
+        ("random_ties", 701)])
+    def test_half_scan_brackets_equal_mirrored_python_loop(self, case, runs,
+                                                           monkeypatch):
+        # reference: the full-scan loop over the half scan, the diagonal's
+        # right neighbour set to its left one, brackets cut at the diagonal
+        n = paths._SCAN_MID + 1
+        k = np.arange(n, dtype=float)
+        if case == "none":  # maximal at the ends, as for FGM(-0.5)
+            fs = -k
+        elif case == "one_flat":
+            fs = -np.abs(k - 500.0)
+            fs[498:503] = 0.0
+        elif case == "two":
+            fs = np.maximum(-np.abs(k - 500.0), -np.abs(k - 1500.0) - 0.5)
+        elif case == "at_diagonal":
+            fs = k.copy()
+        elif case == "flat_into_diagonal":
+            fs = k.copy()
+            fs[-4:] = fs[-4]
+        elif case == "below_diagonal":  # the diagonal a local minimum
+            fs = k.copy()
+            fs[-1] = fs[-2] - 1.0
+        else:
+            fs = np.random.default_rng(3).integers(0, 3, n).astype(float)
+        seen = []
+
+        def hand_built(cop, log_u, t):
+            seen.append(t)
+            return fs
+        monkeypatch.setattr(paths, "_log_pi", hand_built)
+        lo, hi, _ = paths._scan(MixtureMO(A, B), 1e-3)
+        ts = seen[0].tolist()
+        ref_lo, ref_hi = TestSolvePath._runs_by_loop(
+            ts + [2.0 * math.log(1e-3) - ts[-2]], fs.tolist() + [fs[-2]])
+        ref_hi = [min(h, math.log(1e-3)) for h in ref_hi]
+        assert (lo.tolist(), hi.tolist()) == (ref_lo, ref_hi)
+        assert len(ref_lo) == runs
+
+    @settings(max_examples=40, deadline=None)
+    @given(a=st.floats(0.05, 0.95), b=st.floats(0.05, 0.95))
+    def test_mixture_maximizers_are_mirror_pairs(self, a, b):
+        assume(abs(a - b) >= 0.01)
+        for p in solve_path(MixtureMO(a, b), default_u_grid(8)).points:
+            assert len(p.log_maximizers) == 2
+            assert p.log_maximizers[1] == 2 * math.log(p.u) - p.log_maximizers[0]
+
+    def test_near_equal_mixture_reports_both_maximizers(self):
+        cop = MixtureMO(0.5, 0.5001)
+        for u in default_u_grid(8):
+            got = pointwise_max(cop, u).maximizers
+            want = closed_form_path(cop, u)
+            assert len(got) == len(want) == 2
+            np.testing.assert_allclose(got, want, rtol=1e-10, atol=0.0)
+
+
+class TestDiagonalFloor:
+    def test_grid_logs_agree_with_numpy(self):
+        # log_cdf takes np.log of its arguments, the solver math.log
+        assert all(np.log(np.asarray(u)) == math.log(u) for u in GRID_15)
+
+    @settings(max_examples=60, deadline=None)
+    @given(cop=ANY_FAMILY)
+    def test_maximum_is_never_below_the_diagonal(self, cop):
+        try:
+            sol = solve_path(cop, GRID_15)
+        except NoAdmissiblePathError:
+            return
+        for p in sol.points:
+            assert p.log_pi_star >= cop.log_cdf(p.u, p.u), (cop, p.u)
+
+
 class TestPathCsv:
     def test_variable_width_columns_and_round_trip(self):
         sol = solve_path(MixtureMO(A, B), [0.1, 0.01])
@@ -614,9 +804,18 @@ class TestSolverOptions:
             solve_path(MarshallOlkin(A, B), [1e-1, u_min])
 
     def test_starved_refinement_is_reported(self, monkeypatch):
-        # three zoom steps leave a bracket far wider than the fixed width
+        # three zoom steps leave a bracket far wider than the fixed width;
+        # the mixture's brackets come from the scan, two scan steps wide
         monkeypatch.setattr(paths, "_MAX_ITER", 3)
         with pytest.raises(NumericError, match=r"u=0\.001 .*width 1\.5e-06"):
+            pointwise_max(MixtureMO(A, B), 1e-3)
+        with pytest.raises(NumericError):
+            solve_path(MixtureMO(A, B), GRID_4)
+
+    def test_starved_concave_refinement_is_reported(self, monkeypatch):
+        # a concave family's bracket is all of [2 log u, 0], unscanned
+        monkeypatch.setattr(paths, "_MAX_ITER", 3)
+        with pytest.raises(NumericError, match=r"u=0\.001 .*width 0\.00308"):
             pointwise_max(MarshallOlkin(A, B), 1e-3)
         with pytest.raises(NumericError):
             solve_path(MarshallOlkin(A, B), GRID_4)

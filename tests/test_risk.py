@@ -91,7 +91,8 @@ class TestParetoII:
             ParetoII(0.0, 1.0, -1.0)
         # the range check stays on the public quantile (risk calls the bare
         # formula on its sampled uniforms)
-        for p in (1.0, -0.1, np.array([0.5, 1.0])):
+        for p in (1.0, -0.1, np.array([0.5, 1.0]), math.nan,
+                  np.array([0.5, math.nan])):
             with pytest.raises(ParameterError):
                 MARGINAL.quantile(p)
 
