@@ -48,6 +48,17 @@ col = header.index("x_star_2")
 assert rows and all(row[col] for row in rows), "a level lost its second maximizer"
 PY
 
+echo "== selection flags: a flat concave family and a boundary-attained half scan"
+"${td[@]}" path --family marshall_olkin --a 0.6 --b 0 --format csv > "$tmp/flat.csv"
+"${td[@]}" path --family fgm --alpha -0.5 --format csv > "$tmp/ends.csv"
+python - "$tmp/flat.csv" all_paths_maximal "$tmp/ends.csv" boundary_attained <<'PY'
+import csv, sys
+for name, flag in zip(sys.argv[1::2], sys.argv[2::2]):
+    header, *rows = csv.reader(open(name, newline=""))
+    col = header.index(flag)
+    assert rows and all(row[col] == "true" for row in rows), (name, flag)
+PY
+
 echo "== risk output is the same pinned to one CPU and unpinned"
 for args in "risk --family mixture_mo --a 0.3 --b 0.7 --n 200000" "table1 --n 200000"; do
     # shellcheck disable=SC2086  # args is a word list

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, fields, is_dataclass
 from typing import Callable, ClassVar
 
@@ -93,6 +94,12 @@ def _check_param(value: float, name: str, lo: float, hi: float,
         right = ")" if math.isinf(hi) else "]"
         raise ParameterError(
             f"{name} must lie in {left}{lo}, {hi}{right}, got {value!r}")
+
+
+def _is_int(x) -> bool:
+    """Whether x is an integer, bool excluded: the one rule for integer
+    arguments."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
 def _check_level(u: float) -> float:
@@ -769,8 +776,8 @@ def check_axioms(cop: Copula, grid_n: int = 100, tol: float = 1e-10) -> AxiomRep
     flags, never raised, so a deliberately corrupted copula can be used as a
     negative control.
     """
-    if grid_n < 2:
-        raise ParameterError(f"grid_n must be >= 2, got {grid_n}")
+    if not (_is_int(grid_n) and grid_n >= 2):
+        raise ParameterError(f"grid_n must be an integer >= 2, got {grid_n!r}")
     if not (math.isfinite(tol) and tol >= 0.0):
         raise ParameterError(f"tol must be finite and >= 0, got {tol!r}")
     g = np.linspace(0.0, 1.0, grid_n + 1)

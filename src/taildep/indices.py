@@ -29,7 +29,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from taildep.copulas import Copula
+from taildep.copulas import Copula, _is_int
 from taildep.errors import DegenerateTailError, NoAdmissiblePathError, ParameterError
 from taildep.paths import PathSolution, _check_grid, solve_path
 
@@ -107,6 +107,10 @@ class ComparisonReport:
 def default_u_grid(min_exponent: int = 6, max_exponent: int = 1,
                    per_decade: int = 1) -> np.ndarray:
     """Decreasing levels 10^-max_exponent down to 10^-min_exponent."""
+    if not all(map(_is_int, (min_exponent, max_exponent, per_decade))):
+        raise ParameterError(
+            f"exponents and per_decade must be integers, got "
+            f"({min_exponent!r}, {max_exponent!r}, {per_decade!r})")
     if max_exponent < 1 or min_exponent < max_exponent:
         raise ParameterError(
             f"need min_exponent >= max_exponent >= 1, got "

@@ -3,48 +3,57 @@
 For a level u, sliding a rectangle of fixed area u^2 along the hyperbola
 (x, u^2/x) sweeps every admissible tail path through level u.  The solver
 finds every global maximizer of f(t) = log C(e^t, u^2 e^-t), t = log x in
-[2 log u, 0]:
+[2 log u, 0].  One of three routes evaluates each level and passes on
+brackets around its maxima; the routes differ only in what they evaluate
+and which brackets they pass on.  The brackets of all levels are then
+refined at once, and one ``_select`` decides every level.
 
-* scan a log-spaced grid of 4096 points over [u^2, 1] (tail maximizers such
-  as u^(2b/(a+b)) cluster near 0, so uniform-in-x grids would miss them),
-  plus the diagonal; its log x are ``np.linspace``'s values bit for bit;
-* bracket each local maximum and refine the brackets of all levels at once
-  by batched zoom steps in log x, each bracket to a width of 1e-12 (relative
-  in x) within 200 steps, else :class:`NumericError`;
-* report *all* maxima in the tie window, a relative 1e-9 below the best,
-  among the ends x = u^2, x = 1 and the refined maxima, merging neighbours
-  within 1e-11 in log x into the higher -- symmetric mixtures genuinely
-  carry two global maximizers and a single-optimum solver would drop one.
-  The reported maximum is never below the diagonal's C(u, u).
+Two facts of the family's class (:mod:`taildep.copulas`) pick the route:
 
-Two facts of the family's class (:mod:`taildep.copulas`) cut the scan:
-
+* full scan: a log-spaced grid of 4096 points over [u^2, 1] (tail maximizers
+  such as u^(2b/(a+b)) cluster near 0, so uniform-in-x grids would miss
+  them), plus the diagonal; its log x are ``np.linspace``'s values bit for
+  bit.  Each interior local maximum gets a bracket, and a scan flat to within
+  the tie window gets none.
+* half scan, for an ``exchangeable()`` family, C(u, v) = C(v, u), that is not
+  concave: f(2 log u - t) = f(t), so the scan stops at the diagonal (the
+  first 2048 points plus log u) and its brackets at log u.
 * ``concave()``: f has one peak or a plateau, so nothing is scanned.  One
   kernel call evaluates every level's ends and diagonal, and each level's
   bracket is all of [2 log u, 0].  A family that is also exchangeable needs
   no bracket: f(log u) >= (f(t) + f(2 log u - t)) / 2 = f(t), so its
   maximizer is the diagonal x = u.
-* ``exchangeable()``, C(u, v) = C(v, u), and not concave: f(2 log u - t) =
-  f(t), so the scan stops at the diagonal (the first 2048 points plus
-  log u) and its brackets at log u.  Each maximum refined there is
-  reported with its mirror 2 log u - t, unless the diagonal ties it in the
-  diagonal's own bracket: then x = u is the maximizer.
 
-A level with no refined maximum in the tie window attains its maximum only
+Refinement: batched zoom steps in log x take each bracket to a width of
+1e-12 (relative in x) within 200 steps, else :class:`NumericError`.
+
+Selection, the same rules for every route:
+
+* plateau: a level whose best value is within the tie window, a relative
+  1e-9, of its lower bound (the scan's minimum, or a concave level's smaller
+  end, as f is at least that everywhere) is flat and sets
+  ``all_paths_maximal``;
+* ends: a refined maximum exactly at x = u^2 or x = 1 is that end;
+* mirror: each maximum refined on a half scan is reported with its mirror
+  2 log u - t, unless the diagonal ties it in the diagonal's own bracket:
+  then x = u is the maximizer;
+* diagonal: a concave exchangeable level's one inner maximum is x = u;
+* *all* maxima in the tie window of the best are reported, among the ends
+  and the inner maxima, merging neighbours within 1e-11 in log x into the
+  higher -- symmetric mixtures genuinely carry two global maximizers and a
+  single-optimum solver would drop one;
+* floor: the reported maximum is never below the diagonal's C(u, u).
+
+A level with no inner maximum in the tie window attains its maximum only
 at x = u^2 or x = 1: it is flagged (``boundary_attained``) rather than
 treated as a path, as its rectangle does not shrink to the corner and
-carries no tail meaning.  A scan flat to within the tie window
-(independence-like), or a concave level whose two ends are both in the tie
-window of the best value (f is at least the smaller of them everywhere),
-sets ``all_paths_maximal``.
+carries no tail meaning.
 
 A level whose values of C(x, u^2/x) are zero at every evaluated x raises
 :class:`DegenerateTailError` rather than returning an empty answer.
 
 ``closed_form_path`` reports the known maximizers of a family, which are
-facts of its class in :mod:`taildep.copulas` (``Copula.maximizers``): the
-closed forms of Marshall-Olkin, its mixture and the diagonal families, and
-the generalized Clayton root of ``zeta``, found by ``zeta_root``.
+facts of its class in :mod:`taildep.copulas` (``Copula.maximizers``).
 """
 
 from __future__ import annotations
@@ -52,7 +61,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Callable
 
 import numpy as np
 
@@ -164,7 +172,7 @@ def pi_phi(cop: Copula, u: float, x) -> float | np.ndarray:
     """
     u = _check_level(u)
     xa = np.asarray(x, dtype=float)
-    log_uu = 2.0 * math.log(u)
+    log_uu = 2.0 * float(np.log(u))
     with np.errstate(divide="ignore", invalid="ignore"):
         lx = np.where(xa == u * u, log_uu, np.log(xa))
     if not np.all((lx >= log_uu) & (lx <= 0.0)):
@@ -180,24 +188,49 @@ def _log_pi(cop: Copula, log_u: float | np.ndarray,
     return cop._log_cdf(t, 2.0 * log_u - t)
 
 
-def _select(u: float, log_u: float, f_lo: float, f_diag: float, f_hi: float,
-            inner: list[tuple[float, float]]) -> PathPoint:
-    """The level's PathPoint from the log pi of its ends x = u^2 and x = 1
-    and its diagonal, and its refined interior maxima, each a (log x, log pi).
+# a level's brackets [lo, hi] in log x, and its scalars: u, log u, f at
+# x = u^2, at x = u and at x = 1, a lower bound of f on the level, and the
+# highest f evaluated
+_Level = tuple[np.ndarray, np.ndarray, tuple[float, ...]]
 
-    The maxima in the tie window of the best value, in order of log x; one
-    closer than the refinement resolution to the last merges into it.  The
-    reported value is floored at the diagonal's f_diag: x = u is always
-    admissible, and a refined smooth peak may sit a little off it.  Log x =
-    log u is reported as x = u itself.
+
+def _flat(f_top: float, f_floor: float) -> bool:
+    """Whether a level whose values run from f_floor up to f_top is a
+    plateau: every value in the tie window of the best."""
+    return f_top - f_floor <= _TIE_LOG
+
+
+def _select(level: _Level, t_ref: list[float], f_ref: list[float],
+            mirror: bool, diagonal: bool) -> PathPoint:
+    """The PathPoint of a level from its brackets and scalars and the
+    refined maxima (t, log pi) of its brackets, in bracket order.
+
+    Every route's level is decided here, by the selection rules of the
+    module docstring; ``mirror`` and ``diagonal`` switch on the rules of
+    those names.  Candidates closer than the refinement resolution merge
+    into the higher; log x = log u is reported as x = u itself.
     """
+    _, hi, (u, log_u, f_lo, f_diag, f_hi, f_floor, f_top) = level
+    top = max([f_top, *f_ref])
+    if _flat(top, f_floor):
+        return PathPoint(u=u, maximizers=(u,), pi_star=math.exp(top),
+                         log_pi_star=top, boundary_attained=False,
+                         all_paths_maximal=True, log_maximizers=(log_u,))
+    t_lo = 2.0 * log_u
+    inner = [(log_u, f_diag)] if diagonal else []
+    for t, f, t_hi in zip(t_ref, f_ref, hi.tolist()):
+        if mirror and t_hi == log_u and f - f_diag <= _TIE_LOG:
+            inner.append((log_u, max(f, f_diag)))
+        elif t_lo < t < 0.0:
+            inner += [(t, f), (t_lo - t, f)] if mirror else [(t, f)]
     # best - f is monotone in f: every interior f is out of the tie window
-    # exactly when the highest is
+    # exactly when the highest is.  best is floored at the diagonal's f: x = u
+    # is always admissible, and a refined smooth peak may sit a little off it
     f_inner = max(map(_VALUE, inner), default=-math.inf)
     best = max(f_lo, f_diag, f_hi, f_inner)
     log_x: list[float] = []
     log_f: list[float] = []
-    for t, f in sorted([(2.0 * log_u, f_lo), (0.0, f_hi), *inner]):
+    for t, f in sorted([(t_lo, f_lo), (0.0, f_hi), *inner]):
         if best - f > _TIE_LOG:
             continue
         if log_x and t - log_x[-1] <= _MERGE:
@@ -214,49 +247,31 @@ def _select(u: float, log_u: float, f_lo: float, f_diag: float, f_hi: float,
                      all_paths_maximal=False, log_maximizers=tuple(log_x))
 
 
-def _plateau(u: float, log_u: float, f_max: float) -> PathPoint:
-    """A level flat within the tie window: every admissible x is maximal."""
-    return PathPoint(u=u, maximizers=(u,), pi_star=math.exp(f_max),
-                     log_pi_star=f_max, boundary_attained=False,
-                     all_paths_maximal=True, log_maximizers=(log_u,))
-
-
 def _vanished(u: float) -> DegenerateTailError:
     return DegenerateTailError(
         f"C(x, u^2/x) vanished at every evaluated x at level u={u!r}; "
         "the level carries no tail mass in double precision")
 
 
-_Level = tuple[np.ndarray, np.ndarray, Callable[[list, list], PathPoint]]
-
-
-def _concave_levels(cop: Copula, grid: tuple[float, ...]) -> list[_Level]:
+def _concave_levels(cop: Copula, grid: tuple[float, ...],
+                    diagonal: bool) -> list[_Level]:
     """The levels of a concave family, unscanned (module docstring): one
     kernel call for every level's ends and diagonal, and a bracket of all of
-    [2 log u, 0] per level, none if the family is exchangeable.  A refined
-    maximum at an end is that end, not an interior path.
+    [2 log u, 0] per level, none on the ``diagonal`` route.  f is at least
+    its smaller end everywhere, the level's lower bound.
     """
-    log_u = np.array([math.log(u) for u in grid])
+    log_u = np.log(grid)
     ts = np.zeros((log_u.size, 3))
     ts[:, 0], ts[:, 1] = 2.0 * log_u, log_u
     fs = _log_pi(cop, log_u[:, None], ts)
-    diagonal = cop.exchangeable()
     levels = []
     for u, lu, (f_lo, f_diag, f_hi) in zip(grid, log_u.tolist(), fs.tolist()):
-        if not math.isfinite(max(f_lo, f_diag, f_hi)):
+        f_top = max(f_lo, f_diag, f_hi)
+        if not math.isfinite(f_top):
             raise _vanished(u)
-
-        def finish(t_ref, f_ref, u=u, lu=lu, f_lo=f_lo, f_diag=f_diag,
-                   f_hi=f_hi) -> PathPoint:
-            best = max(f_lo, f_diag, f_hi, *f_ref)
-            if best - min(f_lo, f_hi) <= _TIE_LOG:
-                return _plateau(u, lu, best)
-            inner = [(lu, f_diag)] if diagonal else [
-                (t, f) for t, f in zip(t_ref, f_ref) if 2.0 * lu < t < 0.0]
-            return _select(u, lu, f_lo, f_diag, f_hi, inner)
-
-        bracket = np.empty(0) if diagonal else np.array([2.0 * lu])
-        levels.append((bracket, np.zeros(bracket.size), finish))
+        lo = np.empty(0) if diagonal else np.array([2.0 * lu])
+        levels.append((lo, np.zeros(lo.size),
+                       (u, lu, f_lo, f_diag, f_hi, min(f_lo, f_hi), f_top)))
     return levels
 
 
@@ -266,11 +281,11 @@ def _scan(cop: Copula, u: float) -> _Level:
     The abscissas are ``np.linspace(2 log u, 0, 4096)``'s values bit for
     bit, plus the diagonal x = u; an exchangeable family's stop at the
     diagonal (module docstring).  Returns the brackets [lo, hi] in log x
-    around the scan's interior local maxima, and a function that turns
-    their refined (t, log pi) into the level's PathPoint.  Only scalars
+    around the scan's interior local maxima, none if the scan is flat, and
+    the level's scalars, its lower bound the scan's minimum.  Only scalars
     outlive the scan itself.
     """
-    log_u = math.log(u)
+    log_u = float(np.log(u))
     t_lo = 2.0 * log_u
     half = cop.exchangeable()
     # linspace's own arithmetic: j * step + t_lo, the last point pinned
@@ -280,17 +295,14 @@ def _scan(cop: Copula, u: float) -> _Level:
     if not half:
         ts[-1] = 0.0
     fs = _log_pi(cop, log_u, ts)
-    f_max = float(fs.max())
-    if not math.isfinite(f_max) and not np.isfinite(fs).any():
+    f_floor, f_top = float(fs.min()), float(fs.max())
+    if not math.isfinite(f_top) and not np.isfinite(fs).any():
         raise _vanished(u)
+    level = (u, log_u, float(fs[0]), float(fs[_SCAN_MID]),
+             float(fs[0 if half else -1]), f_floor, f_top)
+    if _flat(f_top, f_floor):
+        return np.empty(0), np.empty(0), level
 
-    if f_max - float(fs.min()) <= _TIE_LOG:
-        # independence-like plateau: every admissible x is a maximizer
-        plateau = _plateau(u, log_u, f_max)
-        return np.empty(0), np.empty(0), lambda t_ref, f_ref: plateau
-
-    f_lo, f_diag = float(fs[0]), float(fs[_SCAN_MID])
-    f_hi = f_lo if half else float(fs[-1])
     # interior local maxima of the scan, collapsing flat runs to one bracket:
     # peak is False at both ends, so it rises into a run and falls after it.
     # The half scan's diagonal is a peak when it is no lower than its left
@@ -303,23 +315,7 @@ def _scan(cop: Copula, u: float) -> _Level:
     if half:
         peak[n - 1] = fs[-1] >= fs[-2]
     edges = (peak[1:] != peak[:-1]).nonzero()[0]
-    lo, hi = ts[edges[::2]], ts.take(edges[1::2] + 1, mode="clip")
-    if not half:
-        return lo, hi, lambda t_ref, f_ref: _select(
-            u, log_u, f_lo, f_diag, f_hi, list(zip(t_ref, f_ref)))
-
-    at_diag = (hi == log_u).tolist()
-
-    def finish(t_ref: list[float], f_ref: list[float]) -> PathPoint:
-        inner = []
-        for t, f, diag in zip(t_ref, f_ref, at_diag):
-            if diag and f - f_diag <= _TIE_LOG:
-                inner.append((log_u, max(f, f_diag)))
-            else:
-                inner += [(t, f), (t_lo - t, f)]
-        return _select(u, log_u, f_lo, f_diag, f_hi, inner)
-
-    return lo, hi, finish
+    return ts[edges[::2]], ts.take(edges[1::2] + 1, mode="clip"), level
 
 
 def _refine(cop: Copula, log_u: np.ndarray, lo: np.ndarray,
@@ -383,27 +379,31 @@ def _check_grid(u_grid) -> tuple[float, ...]:
 def solve_path(cop: Copula, u_grid) -> PathSolution:
     """Maximal-dependence record over a strictly decreasing grid of levels.
 
-    A concave family's levels are not scanned: their ends and diagonals
-    come from one kernel call, and each level's bracket is [2 log u, 0] (none
-    if the family is also exchangeable, whose maximum is the diagonal's).
-    Other families scan one level at a time, an exchangeable one over
-    [2 log u, log u] only, mirroring what it finds.  The brackets of all
-    levels are then refined together by batched zoom steps, so ``points[k]``
-    equals ``pointwise_max(cop, u_grid[k])`` exactly.  The tolerances are
-    fixed (module docstring); a starved bracket raises :class:`NumericError`.
+    Each level takes one route (module docstring): a concave family's
+    levels are not scanned, their ends and diagonals coming from one kernel
+    call; other families scan one level at a time, an exchangeable one over
+    [2 log u, log u] only.  The routes differ only in what they evaluate and
+    which brackets they pass on.  The brackets of all levels are refined
+    together by batched zoom steps, so ``points[k]`` equals
+    ``pointwise_max(cop, u_grid[k])`` exactly, and one ``_select`` decides
+    every level.  The tolerances are fixed (module docstring); a starved
+    bracket raises :class:`NumericError`.
     """
     grid = _check_grid(u_grid)
-    if cop.concave():
-        levels = _concave_levels(cop, grid)
+    concave, exchangeable = cop.concave(), cop.exchangeable()
+    mirror, diagonal = exchangeable and not concave, exchangeable and concave
+    if concave:
+        levels = _concave_levels(cop, grid, diagonal)
     else:
         levels = [_scan(cop, u) for u in grid]
     sizes = [lo.size for lo, _, _ in levels]
-    t_ref, f_ref = _refine(cop, np.repeat([math.log(u) for u in grid], sizes),
+    t_ref, f_ref = _refine(cop, np.repeat([s[1] for _, _, s in levels], sizes),
                            np.concatenate([lo for lo, _, _ in levels]),
                            np.concatenate([hi for _, hi, _ in levels]))
+    t_ref, f_ref = t_ref.tolist(), f_ref.tolist()
     cut = np.cumsum([0, *sizes]).tolist()
-    points = tuple(finish(t_ref[i:j].tolist(), f_ref[i:j].tolist())
-                   for (_, _, finish), i, j in zip(levels, cut, cut[1:]))
+    points = tuple(_select(level, t_ref[i:j], f_ref[i:j], mirror, diagonal)
+                   for level, i, j in zip(levels, cut, cut[1:]))
     return PathSolution(u_grid=grid, points=points)
 
 
@@ -414,13 +414,7 @@ def solve_path(cop: Copula, u_grid) -> PathSolution:
 def closed_form_path(cop: Copula, u: float) -> tuple[float, ...] | None:
     """Known maximizer set at level u, or None when no closed form applies.
 
-    Marshall-Olkin has the single maximizer u^(2b/(a+b)); its symmetric
-    mixture has the pair {u^(2b/(a+b)), u^(2a/(a+b))}; the generalized
-    Clayton has the unique root of :func:`taildep.copulas.zeta`, from
-    ``zeta_root`` to a relative 1e-12; the comonotone copula,
-    positively-dependent FGM, Clayton, and Archimedean copulas passing the
-    diagonal criterion all maximize on the diagonal.  Returns None for the
-    FGM with alpha <= 0 (no admissible maximum / all paths maximal) and for
-    parameter corners that degenerate to independence.
+    The closed forms are facts of each family's class
+    (``Copula.maximizers``); this is the solver's independent oracle.
     """
     return cop.maximizers(_check_level(u))

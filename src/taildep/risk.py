@@ -31,7 +31,6 @@ q from that one buffer.
 from __future__ import annotations
 
 import math
-import numbers
 import os
 import threading
 from dataclasses import asdict, astuple, dataclass
@@ -39,7 +38,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from taildep.copulas import Copula, MarshallOlkin
+from taildep.copulas import Copula, MarshallOlkin, _is_int
 from taildep.errors import InsufficientTailError, NumericError, ParameterError
 from taildep.serialize import dumps_csv
 
@@ -130,10 +129,6 @@ class RiskReport:
 
     def to_json_dict(self) -> dict:
         return asdict(self)
-
-
-def _is_int(x) -> bool:
-    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
 def _check_n_seed(n, seed, n_min: int) -> tuple[int, int]:

@@ -281,6 +281,9 @@ class TestAxioms:
     def test_grid_validation(self):
         with pytest.raises(ParameterError):
             check_axioms(Independence(), grid_n=1)
+        for grid_n in (2.5, 4.0, True):
+            with pytest.raises(ParameterError, match="grid_n"):
+                check_axioms(Independence(), grid_n=grid_n)
 
     @pytest.mark.parametrize("tol", [-1.0, math.nan, math.inf])
     def test_tol_validation(self, tol):

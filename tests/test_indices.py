@@ -290,3 +290,7 @@ class TestDefaultGrid:
             default_u_grid(6, 0)
         with pytest.raises(ParameterError):
             default_u_grid(6, 1, 0)
+        # integer arguments that are not integers
+        for args in [(6, 1, 1.5), (6.5,), (math.nan,), (6, True)]:
+            with pytest.raises(ParameterError, match="integers"):
+                default_u_grid(*args)

@@ -259,7 +259,11 @@ class TestSolvePath:
         # level must come out exactly as when it is solved on its own
         families = [Independence(), FrechetUpper(), MarshallOlkin(A, B),
                     MixtureMO(A, B), FGM(0.5), GeneralizedClayton(0.5, 0.3),
-                    Archimedean(clayton_generator(1.5))]
+                    Archimedean(clayton_generator(1.5)),
+                    # the diagonal route, the concave plateau and a half
+                    # scan whose levels are all boundary-attained
+                    Clayton(2.0), MarshallOlkin(0.4, 0.4),
+                    MarshallOlkin(0.6, 0.0), FGM(-0.5)]
         cops = families + [MarshallOlkin(A, B).survival(),
                            MixtureMO(A, B).survival(),
                            FrechetUpper().survival()]
@@ -746,8 +750,23 @@ class TestShapeFacts:
 
 class TestDiagonalFloor:
     def test_grid_logs_agree_with_numpy(self):
-        # log_cdf takes np.log of its arguments, the solver math.log
+        # on these levels math.log and np.log agree; the test below covers
+        # levels where they do not
         assert all(np.log(np.asarray(u)) == math.log(u) for u in GRID_15)
+
+    @pytest.mark.parametrize("cop", [FGM(0.5), FrechetUpper(), Independence(),
+                                     Clayton(2.0), MarshallOlkin(0.4, 0.4)],
+                             ids=repr)
+    def test_levels_whose_logs_differ_in_the_last_bit(self, cop):
+        # math.log(u) is one ulp off np.log(u) here (x86-64, numpy 2.4.6);
+        # the solver takes each level's log the way log_cdf does, so its
+        # floor is log_cdf(u, u) itself
+        levels = [0.8184640441326937, 0.6215732262584456,
+                  0.48859797203459887, 0.430939330492505]
+        points = [*solve_path(cop, levels).points,
+                  *(pointwise_max(cop, u) for u in levels)]
+        for p in points:
+            assert p.log_pi_star >= cop.log_cdf(p.u, p.u), (cop, p.u)
 
     @settings(max_examples=60, deadline=None)
     @given(cop=ANY_FAMILY)
@@ -758,6 +777,17 @@ class TestDiagonalFloor:
             return
         for p in sol.points:
             assert p.log_pi_star >= cop.log_cdf(p.u, p.u), (cop, p.u)
+
+
+class TestConcavePlateau:
+    @pytest.mark.parametrize("cop", [MarshallOlkin(0.6, 0.0),
+                                     MarshallOlkin(0.0, 0.4)], ids=repr)
+    def test_independence_valued_marshall_olkin_is_a_plateau(self, cop):
+        # C(u, v) = uv: concave, not exchangeable, flat on every level
+        assert cop.concave() and not cop.exchangeable()
+        for p in solve_path(cop, default_u_grid(8)).points:
+            assert p.all_paths_maximal and not p.boundary_attained
+            assert p.pi_star == pytest.approx(p.u ** 2, rel=1e-12, abs=0.0)
 
 
 class TestPathCsv:
