@@ -25,6 +25,12 @@ code=0
 "${td[@]}" axioms --family independence --tol=-1 > /dev/null 2>&1 || code=$?
 test "$code" -eq 2
 
+echo "== a level below 1e-323 is a parameter error that names min_exponent (exit 2)"
+code=0
+"${td[@]}" path --family independence --umin-exp 400 > /dev/null 2> "$tmp/err" || code=$?
+test "$code" -eq 2
+grep -q min_exponent "$tmp/err"
+
 echo "== contour files read back: one cell per column, floats round-trip"
 "${td[@]}" contour --family mixture_mo --a 0.3 --b 0.7 --resolution 11 --out "$tmp/c.csv"
 python - "$tmp/c.csv" "$tmp/c_path.csv" <<'PY'

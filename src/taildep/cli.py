@@ -35,7 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from taildep.config import copula_from_mapping, parse_config
-from taildep.copulas import FAMILIES, check_axioms
+from taildep.copulas import FAMILIES, _check_int, check_axioms
 from taildep.errors import (
     ConfigError,
     ParameterError,
@@ -249,10 +249,7 @@ def _cmd_table1(args) -> str:
 
 def _cmd_contour(args) -> str:
     cop = _build_copula(args)
-    res = args.resolution
-    if res < 2:
-        raise ParameterError(f"resolution must be >= 2, got {res}")
-    g = np.linspace(0.0, 1.0, res)
+    g = np.linspace(0.0, 1.0, _check_int(args.resolution, "resolution", 2))
     uu, vv = np.meshgrid(g, g, indexing="ij")
     cc = np.asarray(cop.cdf(uu, vv))
 

@@ -23,14 +23,15 @@ clayton              theta
 
 The survival copula of any config is the mapping ``{"family": "survival",
 "base": {...}}`` that ``Copula.params`` prints, so every printed config
-re-enters the grammar; it nests, so it has no flat text form.  An
+re-enters the grammar; it nests, so it has no flat text form.  A parameter
+in a mapping is a real number or its text; a bool is not a number.  An
 ``Archimedean`` on a custom generator carries Python callables and is
 constructible in code only.
 """
 
 from __future__ import annotations
 
-from taildep.copulas import FAMILIES, Copula
+from taildep.copulas import FAMILIES, Copula, _is_real
 from taildep.errors import ConfigError
 
 __all__ = ["parse_config", "copula_from_mapping", "copula_from_config"]
@@ -55,7 +56,7 @@ def parse_config(text: str) -> dict[str, str]:
 
 
 def _to_float(key: str, value) -> float:
-    if isinstance(value, (int, float)):
+    if _is_real(value):
         return float(value)
     try:
         return float(str(value))

@@ -1,7 +1,9 @@
 """Bivariate copula families evaluated through their CDFs.
 
 Each family is a small frozen dataclass that validates its parameters on
-construction and exposes two evaluation routes:
+construction, each with ``_check_param`` (a finite real number in the
+family's interval; a bool is not a number), and exposes two evaluation
+routes:
 
 * ``cdf(u, v)``   -- the copula value C(u, v), vectorized over numpy arrays;
 * ``log_cdf(u, v)`` -- log C(u, v) through the kernel ``_log_cdf(lu, lv)``,
@@ -70,11 +72,14 @@ __all__ = [
     "check_axioms",
 ]
 
-def _as_unit(x, name: str) -> np.ndarray:
-    """Coerce to float array and reject anything outside [0, 1], nan too."""
+def _as_unit(x, name: str, hi_open: bool = False) -> np.ndarray:
+    """Coerce to float array and reject anything outside [0, 1] (or [0, 1)
+    with ``hi_open``), nan too: the one rule for probability arrays."""
     arr = np.asarray(x, dtype=float)
-    if not ((arr >= 0.0) & (arr <= 1.0)).all():
-        raise ParameterError(f"{name} must lie in [0, 1], got {x!r}")
+    below = arr < 1.0 if hi_open else arr <= 1.0
+    if not ((arr >= 0.0) & below).all():
+        raise ParameterError(
+            f"{name} must lie in {_interval(0, 1, hi_open=hi_open)}, got {x!r}")
     return arr
 
 
@@ -84,28 +89,42 @@ def _scalar_like(result: np.ndarray, *inputs) -> np.ndarray | float:
     return result
 
 
-def _check_param(value: float, name: str, lo: float, hi: float,
-                 lo_open: bool = False) -> None:
-    ok = np.isfinite(value) and lo <= value <= hi
-    if ok and lo_open and value == lo:
-        ok = False
-    if not ok:
-        left = "(" if lo_open else "["
-        right = ")" if math.isinf(hi) else "]"
-        raise ParameterError(
-            f"{name} must lie in {left}{lo}, {hi}{right}, got {value!r}")
+def _interval(lo, hi, lo_open: bool = False, hi_open: bool = False) -> str:
+    """lo and hi in brackets, round at an open or infinite end."""
+    left = "(" if lo_open or lo == -math.inf else "["
+    right = ")" if hi_open or hi == math.inf else "]"
+    return f"{left}{lo}, {hi}{right}"
 
 
-def _is_int(x) -> bool:
-    """Whether x is an integer, bool excluded: the one rule for integer
-    arguments."""
-    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+def _is_real(x) -> bool:
+    """Whether x is a real number, bool excluded: a bool is not a number."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
 
 
-def _check_level(u: float) -> float:
-    if not (np.isfinite(u) and 0.0 < u < 1.0):
-        raise ParameterError(f"level u must lie in (0, 1), got {u!r}")
-    return float(u)
+def _check_param(value, name: str, lo: float, hi: float,
+                 lo_open: bool = False, hi_open: bool = False) -> float:
+    """The one rule for real arguments: value as a float, if it is a finite
+    real number between lo and hi, each end closed unless marked open."""
+    if not (_is_real(value) and math.isfinite(value)
+            and (lo < value if lo_open else lo <= value)
+            and (value < hi if hi_open else value <= hi)):
+        raise ParameterError(f"{name} must lie in "
+                             f"{_interval(lo, hi, lo_open, hi_open)}, got {value!r}")
+    return float(value)
+
+
+def _check_int(value, name: str, lo: int, hi: float = math.inf) -> int:
+    """The one rule for integer arguments: value as an int, if it is an
+    integer in [lo, hi]."""
+    if not (_is_real(value) and isinstance(value, numbers.Integral)
+            and lo <= value <= hi):
+        raise ParameterError(f"{name} must be an integer in "
+                             f"{_interval(lo, hi)}, got {value!r}")
+    return int(value)
+
+
+def _check_level(u) -> float:
+    return _check_param(u, "level u", 0, 1, lo_open=True, hi_open=True)
 
 
 class Copula:
@@ -518,8 +537,7 @@ def zeta_root(gamma0: float, gamma1: float, u: float,
     root below the normal double range raises :class:`NumericError`.
     """
     cop, u = GeneralizedClayton(gamma0, gamma1), _check_level(u)
-    if not (0.0 < xtol < 1.0):
-        raise ParameterError(f"xtol must be in (0, 1), got {xtol!r}")
+    _check_param(xtol, "xtol", 0, 1, lo_open=True, hi_open=True)
     log_u = math.log(u)
 
     def margin(t: float) -> float:
@@ -596,8 +614,7 @@ class Generator:
 
 def clayton_generator(theta: float) -> Generator:
     """Strict Clayton generator psi(t) = (t^(-theta) - 1) / theta, theta > 0."""
-    if not (np.isfinite(theta) and theta > 0.0):
-        raise ParameterError(f"theta must be positive, got {theta!r}")
+    _check_param(theta, "theta", 0.0, math.inf, lo_open=True)
     return Generator(
         name="clayton",
         psi=lambda t: (np.power(t, -theta) - 1.0) / theta,
@@ -776,10 +793,8 @@ def check_axioms(cop: Copula, grid_n: int = 100, tol: float = 1e-10) -> AxiomRep
     flags, never raised, so a deliberately corrupted copula can be used as a
     negative control.
     """
-    if not (_is_int(grid_n) and grid_n >= 2):
-        raise ParameterError(f"grid_n must be an integer >= 2, got {grid_n!r}")
-    if not (math.isfinite(tol) and tol >= 0.0):
-        raise ParameterError(f"tol must be finite and >= 0, got {tol!r}")
+    _check_int(grid_n, "grid_n", 2)
+    _check_param(tol, "tol", 0.0, math.inf)
     g = np.linspace(0.0, 1.0, grid_n + 1)
     uu, vv = np.meshgrid(g, g, indexing="ij")
     c = np.asarray(cop.cdf(uu, vv), dtype=float)

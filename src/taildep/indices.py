@@ -29,7 +29,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from taildep.copulas import Copula, _is_int
+from taildep.copulas import Copula, _check_int
 from taildep.errors import DegenerateTailError, NoAdmissiblePathError, ParameterError
 from taildep.paths import PathSolution, _check_grid, solve_path
 
@@ -106,17 +106,13 @@ class ComparisonReport:
 
 def default_u_grid(min_exponent: int = 6, max_exponent: int = 1,
                    per_decade: int = 1) -> np.ndarray:
-    """Decreasing levels 10^-max_exponent down to 10^-min_exponent."""
-    if not all(map(_is_int, (min_exponent, max_exponent, per_decade))):
-        raise ParameterError(
-            f"exponents and per_decade must be integers, got "
-            f"({min_exponent!r}, {max_exponent!r}, {per_decade!r})")
-    if max_exponent < 1 or min_exponent < max_exponent:
-        raise ParameterError(
-            f"need min_exponent >= max_exponent >= 1, got "
-            f"({min_exponent}, {max_exponent})")
-    if per_decade < 1:
-        raise ParameterError(f"per_decade must be >= 1, got {per_decade}")
+    """Decreasing levels 10^-max_exponent down to 10^-min_exponent.
+
+    10^-323 is the smallest such level that is not 0 in double precision.
+    """
+    _check_int(max_exponent, "max_exponent", 1, 323)
+    _check_int(min_exponent, "min_exponent", max_exponent, 323)
+    _check_int(per_decade, "per_decade", 1)
     n = (min_exponent - max_exponent) * per_decade + 1
     exponents = np.linspace(float(max_exponent), float(min_exponent), n)
     return 10.0 ** (-exponents)

@@ -172,13 +172,14 @@ def pi_phi(cop: Copula, u: float, x) -> float | np.ndarray:
     """
     u = _check_level(u)
     xa = np.asarray(x, dtype=float)
-    log_uu = 2.0 * float(np.log(u))
+    log_u = float(np.log(u))
+    log_uu = 2.0 * log_u
     with np.errstate(divide="ignore", invalid="ignore"):
         lx = np.where(xa == u * u, log_uu, np.log(xa))
     if not np.all((lx >= log_uu) & (lx <= 0.0)):
         raise ParameterError(
             f"x must lie in [u^2, 1] = [exp({log_uu!r}), 1], got {x!r}")
-    out = np.exp(cop._log_cdf(lx, log_uu - lx))
+    out = np.exp(_log_pi(cop, log_u, lx))
     return float(out) if np.ndim(x) == 0 else out
 
 

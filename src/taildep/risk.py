@@ -38,7 +38,13 @@ from typing import ClassVar
 
 import numpy as np
 
-from taildep.copulas import Copula, MarshallOlkin, _is_int
+from taildep.copulas import (
+    Copula,
+    MarshallOlkin,
+    _as_unit,
+    _check_int,
+    _check_param,
+)
 from taildep.errors import InsufficientTailError, NumericError, ParameterError
 from taildep.serialize import dumps_csv
 
@@ -70,12 +76,9 @@ class ParetoII:
     alpha: float = 4.0
 
     def __post_init__(self):
-        if not (np.isfinite(self.sigma) and self.sigma > 0.0):
-            raise ParameterError(f"sigma must be positive, got {self.sigma!r}")
-        if not (np.isfinite(self.alpha) and self.alpha > 0.0):
-            raise ParameterError(f"alpha must be positive, got {self.alpha!r}")
-        if not np.isfinite(self.mu):
-            raise ParameterError(f"mu must be finite, got {self.mu!r}")
+        _check_param(self.mu, "mu", -math.inf, math.inf)
+        _check_param(self.sigma, "sigma", 0.0, math.inf, lo_open=True)
+        _check_param(self.alpha, "alpha", 0.0, math.inf, lo_open=True)
 
     def sf(self, x):
         """Survival function, 1 at and below x = mu and decreasing above."""
@@ -85,10 +88,7 @@ class ParetoII:
 
     def quantile(self, p):
         """Inverse CDF: mu + sigma ((1 - p)^(-1/alpha) - 1) for p in [0, 1)."""
-        pa = np.asarray(p, dtype=float)
-        if not np.all((pa >= 0.0) & (pa < 1.0)):  # False for nan
-            raise ParameterError(f"p must lie in [0, 1), got {p!r}")
-        out = self._quantile(pa)
+        out = self._quantile(_as_unit(p, "p", hi_open=True))
         return float(out) if np.ndim(p) == 0 else out
 
     def _quantile(self, p: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -133,12 +133,7 @@ class RiskReport:
 
 def _check_n_seed(n, seed, n_min: int) -> tuple[int, int]:
     """n and seed as ints: n an integer >= n_min, seed a 128-bit Philox key."""
-    if not (_is_int(n) and n >= n_min):
-        raise ParameterError(f"n must be an integer >= {n_min}, got {n!r}")
-    if not (_is_int(seed) and 0 <= seed < 2 ** 128):
-        raise ParameterError(
-            f"seed must be an integer in [0, 2**128), got {seed!r}")
-    return int(n), int(seed)
+    return _check_int(n, "n", n_min), _check_int(seed, "seed", 0, 2 ** 128 - 1)
 
 
 _Chunk = tuple[int, int, int]
@@ -317,8 +312,7 @@ def risk_measures(cop: Copula, marginal: ParetoII, q: float,
     thread per available CPU, and only the top n - ceil(n q) + 1 of them
     are kept; the result does not depend on the thread count.
     """
-    if not (0.0 < q < 1.0):
-        raise ParameterError(f"q must lie in (0, 1), got {q!r}")
+    _check_param(q, "q", 0, 1, lo_open=True, hi_open=True)
     n, seed = _check_n_seed(n, seed, _MIN_N)
     top = _top_sums(cop, marginal, n, seed, _order_index(n, q))
     return _report(top, n, q, seed)

@@ -99,7 +99,7 @@ class TestExitCodes:
     def test_bad_axioms_tol_is_2(self, capsys, tol):
         code, out, err = run(capsys, "axioms", "--family", "independence",
                              f"--tol={tol}")
-        assert code == 2 and out == "" and "tol must be" in err
+        assert code == 2 and out == "" and "tol must lie in" in err
 
     def test_numeric_failure_is_3(self, capsys):
         code, _, err = run(capsys, "indices", "--family", "fgm",

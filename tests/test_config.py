@@ -76,6 +76,12 @@ def test_non_numeric_value():
         copula_from_config("family = fgm\nalpha = huge")
 
 
+def test_a_bool_is_not_a_number():
+    # True would build a = 1.0, and params() would print it back as true
+    with pytest.raises(ConfigError, match="not a number"):
+        copula_from_mapping({"family": "marshall_olkin", "a": True, "b": 0.5})
+
+
 def test_out_of_range_value_is_parameter_error():
     with pytest.raises(ParameterError):
         copula_from_config("family = fgm\nalpha = 3")

@@ -24,6 +24,7 @@ from taildep import (
     check_axioms,
     clayton_generator,
     pointwise_max,
+    zeta_root,
 )
 
 A, B = 0.3529, 0.75
@@ -140,6 +141,26 @@ class TestParameterValidation:
         with pytest.raises(ParameterError, match=rf"{name} must lie in "
                            r"[(\[]0\.0, inf\), got inf$"):
             make(math.inf)
+
+    @pytest.mark.parametrize("bad", [True, "0.5", math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name,call", [
+        ("level u", lambda x: pointwise_max(Independence(), x)),
+        ("level u", lambda x: zeta_root(0.5, 0.3, x)),
+        ("xtol", lambda x: zeta_root(0.5, 0.3, 0.1, xtol=x)),
+        ("theta", clayton_generator),
+        ("grid_n", lambda x: check_axioms(Independence(), grid_n=x)),
+        ("tol", lambda x: check_axioms(Independence(), tol=x)),
+    ])
+    def test_scalar_arguments_are_finite_real_numbers(self, name, call, bad):
+        with pytest.raises(ParameterError, match=f"^{name} must "):
+            call(bad)
+
+    def test_python_ints_and_numpy_scalars_are_numbers(self):
+        assert FGM(np.float32(0.5)) == FGM(0.5)
+        assert Clayton(np.int64(2)) == Clayton(2)
+        assert zeta_root(np.float64(0.5), 0, np.float32(0.125)) == zeta_root(
+            0.5, 0.0, 0.125)
+        assert check_axioms(Independence(), grid_n=np.int64(4), tol=0).all_ok
 
 
 class TestLogCdf:

@@ -5,6 +5,7 @@ below; ``test_every_family_has_an_entry`` fails until both exist.
 """
 
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -15,6 +16,7 @@ import pytest
 
 from taildep import (
     Copula,
+    ParameterError,
     UnsupportedMethodError,
     check_axioms,
     copula_from_mapping,
@@ -84,6 +86,14 @@ class TestFamilyContract:
             pytest.skip(f"no closed-form kappa* for {name}")
         kappa = star_indices(solve_path(cop, default_u_grid(8))).kappa
         assert abs(kappa - known) <= LOWER_TOL[name]["kappa_star"]
+
+    @pytest.mark.parametrize("bad", [True, "0.5", math.nan, math.inf, -math.inf])
+    def test_parameters_are_finite_real_numbers(self, name, bad):
+        # a bool is not a number, nor is the text of one
+        constructor, keys = FAMILIES[name]
+        for key in keys:
+            with pytest.raises(ParameterError, match=f"^{key} must lie in "):
+                constructor(**{**EXAMPLES[name][0], key: bad})
 
     def test_sampler_draws_unit_pairs(self, name):
         cop = example(name)

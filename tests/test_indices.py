@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from taildep import (
     FGM,
     Archimedean,
+    Clayton,
     DegenerateTailError,
     FrechetUpper,
     GeneralizedClayton,
@@ -35,6 +36,19 @@ from taildep.indices import extrapolate_sequence
 
 A, B = 0.3529, 0.75
 GRID = default_u_grid()  # 1e-1 .. 1e-6
+
+# one random copula of each family; FGM only with alpha in (0, 1], since for
+# alpha <= 0 no admissible path exists
+RANDOM_COPULAS = {
+    "independence": lambda rng: Independence(),
+    "frechet_upper": lambda rng: FrechetUpper(),
+    "marshall_olkin": lambda rng: MarshallOlkin(*rng.uniform(0.0, 1.0, 2)),
+    "mixture_mo": lambda rng: MixtureMO(*rng.uniform(0.0, 1.0, 2)),
+    "fgm": lambda rng: FGM(1.0 - rng.uniform()),
+    "generalized_clayton": lambda rng: GeneralizedClayton(
+        10.0 ** rng.uniform(-1.3, 0.7), rng.uniform(0.0, 2.0)),
+    "clayton": lambda rng: Clayton(10.0 ** rng.uniform(-1.0, 1.0)),
+}
 
 
 class LowerBound(Copula):
@@ -156,13 +170,29 @@ class TestStarIndices:
             star_indices(broken)
 
     def test_conservative_relative_to_diagonal(self):
-        rng = np.random.default_rng(13)
-        for _ in range(8):
-            a, b = rng.uniform(0.05, 0.95, 2)
-            cop = MarshallOlkin(a, b)
-            kappa_d = classical_indices(cop, GRID).kappa
-            kappa_s = star_indices(solve_path(cop, GRID)).kappa
-            assert kappa_s <= kappa_d + 1e-6
+        # the diagonal is one admissible path, so the maximal-path indices
+        # are never less tail dependent than the classical ones
+        for grid in (GRID, default_u_grid(8, 1, 2)):
+            for make in RANDOM_COPULAS.values():
+                rng = np.random.default_rng(13)
+                for _ in range(8):
+                    cop = make(rng)
+                    diag = classical_indices(cop, grid)
+                    star = star_indices(solve_path(cop, grid))
+                    assert star.kappa <= diag.kappa + 1e-12, cop
+                    assert star.chi >= diag.chi - 1e-12, cop
+                    assert star.lam >= diag.lam - 1e-12, cop
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "extrapolate_sequence accelerates the diagonal chi sequence but "
+        "keeps the last raw chi*, whose correction decays too slowly"))
+    def test_slow_generalized_clayton_keeps_the_chi_order(self):
+        # raw chi* >= chi on every level; truth chi* = 0.891 > chi = 0.803
+        cop = GeneralizedClayton(4.673120184614234, 0.5725932083323408)
+        grid = default_u_grid(8, 1, 2)
+        diag = classical_indices(cop, grid)
+        star = star_indices(solve_path(cop, grid))
+        assert star.chi >= diag.chi - 1e-12
 
     @pytest.mark.parametrize("cop", [MarshallOlkin(0.4, 0.4), FGM(0.5)])
     def test_starred_equals_classical_for_diagonal_families(self, cop):
@@ -292,5 +322,15 @@ class TestDefaultGrid:
             default_u_grid(6, 1, 0)
         # integer arguments that are not integers
         for args in [(6, 1, 1.5), (6.5,), (math.nan,), (6, True)]:
-            with pytest.raises(ParameterError, match="integers"):
+            with pytest.raises(ParameterError, match="must be an integer"):
+                default_u_grid(*args)
+
+    def test_levels_stay_above_zero(self):
+        # 10^-323 is the last power of ten that double precision keeps
+        # from 0, and the solver works down to it
+        grid = default_u_grid(323, 320)
+        assert grid[-1] > 0.0
+        assert solve_path(Independence(), grid).points[-1].u == grid[-1]
+        for args in [(324,), (400, 320), (324, 324)]:
+            with pytest.raises(ParameterError, match="_exponent must be"):
                 default_u_grid(*args)

@@ -96,6 +96,12 @@ class TestParetoII:
             with pytest.raises(ParameterError):
                 MARGINAL.quantile(p)
 
+    @pytest.mark.parametrize("bad", [True, "0.5", math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["mu", "sigma", "alpha"])
+    def test_parameters_are_finite_real_numbers(self, field, bad):
+        with pytest.raises(ParameterError, match=f"^{field} must lie in "):
+            ParetoII(**{field: bad})
+
 
 class TestSamplers:
     def test_independence_small_sample(self):
@@ -264,6 +270,13 @@ class TestRiskMeasures:
             risk_measures(Independence(), MARGINAL, 1.0, 100_000)
         with pytest.raises(ParameterError):
             risk_measures(Independence(), MARGINAL, 0.99, 5000)
+
+    @pytest.mark.parametrize("bad", [True, "0.5", math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["q", "n", "seed"])
+    def test_scalar_arguments_are_finite_real_numbers(self, name, bad):
+        args = {"q": 0.99, "n": 10_000, "seed": 0, name: bad}
+        with pytest.raises(ParameterError, match=f"^{name} must "):
+            risk_measures(Independence(), MARGINAL, **args)
 
     def test_q_below_one_over_n_is_a_parameter_error(self):
         # ceil(n q) = 0 names no order statistic
