@@ -54,7 +54,19 @@ col = header.index("x_star_2")
 assert rows and all(row[col] for row in rows), "a level lost its second maximizer"
 PY
 
-echo "== selection flags: a flat concave family and a boundary-attained half scan"
+echo "== mixture maximizers are u^(2b/(a+b)) and u^(2a/(a+b)) on every level"
+"${td[@]}" path --family mixture_mo --a 0.3 --b 0.7 --format csv > "$tmp/mix.csv"
+python - "$tmp/mix.csv" <<'PY'
+import csv, math, sys
+header, *rows = csv.reader(open(sys.argv[1], newline=""))
+assert rows and header[1:3] == ["x_star_1", "x_star_2"], header
+for row in rows:
+    u = float(row[0])
+    for cell, power in zip(row[1:3], (2 * 0.7, 2 * 0.3)):  # over a + b = 1
+        assert math.isclose(float(cell), u ** power, rel_tol=1e-9), row
+PY
+
+echo "== selection flags: a flat peak family and a boundary-attained half scan"
 "${td[@]}" path --family marshall_olkin --a 0.6 --b 0 --format csv > "$tmp/flat.csv"
 "${td[@]}" path --family fgm --alpha -0.5 --format csv > "$tmp/ends.csv"
 python - "$tmp/flat.csv" all_paths_maximal "$tmp/ends.csv" boundary_attained <<'PY'

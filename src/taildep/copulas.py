@@ -13,14 +13,22 @@ routes:
 
 Every other fact about a family is an optional method of its class, by
 default None or :class:`UnsupportedMethodError`: ``maximizers``,
-``kappa_star``, ``tau`` and ``sampler``.  Two shape facts of the level
-function f(t) = log C(e^t, u^2 e^-t), False by default, steer the solver in
-:mod:`taildep.paths`: ``concave()`` (proof in each docstring: MO, comonotone,
-independence, FGM with alpha > 0, Clayton and generalized Clayton) and
-``exchangeable()``, C(u, v) = C(v, u), which makes f symmetric about log u
-(independence, comonotone, FGM, Clayton, the mixture, ``Archimedean``, MO
-with a = b, generalized Clayton with gamma1 = 0, and a survival copula
-whose base is).  Each closed form is written once:
+``kappa_star``, ``tau`` and ``sampler``.  Two facts about the level
+function f(t) = log C(e^t, u^2 e^-t) steer the solver in
+:mod:`taildep.paths`:
+
+* ``shape()``, None by default, is ``"diagonal"`` or ``"peak"`` where a
+  proof in the family's docstring says so: ``"diagonal"`` for independence,
+  comonotone, FGM with alpha > 0, Clayton, MO with a = b, generalized
+  Clayton with gamma1 = 0, the mixture with a = b and ``Archimedean`` on a
+  generator that proves x psi'(x) nondecreasing (``clayton_generator``);
+  ``"peak"`` for the other MO, generalized Clayton and mixture copulas;
+* ``exchangeable()``, C(u, v) = C(v, u), False by default, which makes f
+  symmetric about log u (independence, comonotone, FGM, Clayton, the
+  mixture, ``Archimedean``, MO with a = b, generalized Clayton with
+  gamma1 = 0, and a survival copula whose base is).
+
+Each closed form is written once:
 the generalized Clayton maximizer is the root of ``zeta`` (``zeta_root``),
 beside its class, and the mixture calls the Marshall-Olkin kernels and
 sampler.  ``FAMILIES`` maps each config family name to its constructor and
@@ -186,16 +194,24 @@ class Copula:
         """Known maximal-path exponent, or None."""
         return None
 
-    def concave(self) -> bool:
-        """Whether every level function f(t) = log C(e^t, u^2 e^-t) is
-        concave on [2 log u, 0], proven for the family: then f has one peak
-        or a plateau, and :mod:`taildep.paths` does not scan it.
+    def shape(self) -> str | None:
+        """The shape of every level function f(t) = log C(e^t, u^2 e^-t),
+        proven for the family, which picks its route in :mod:`taildep.paths`:
+
+        * ``"diagonal"``: the family is exchangeable and f is nondecreasing
+          on [2 log u, log u], so x = u is a maximizer;
+        * ``"peak"``: f rises strictly, then falls strictly, or is constant,
+          on the searched range, [2 log u, log u] for an exchangeable family
+          and [2 log u, 0] otherwise, so zooming that range finds the
+          maximum (a concave f whose maximum is one point or all the range
+          qualifies);
+        * None: nothing is proven, and the solver scans.
         """
-        return False
+        return None
 
     def exchangeable(self) -> bool:
         """Whether C(u, v) = C(v, u): then f(2 log u - t) = f(t), and
-        :mod:`taildep.paths` scans half of [2 log u, 0] and mirrors."""
+        :mod:`taildep.paths` searches [2 log u, log u] only and mirrors."""
         return False
 
     def tau(self) -> float:
@@ -224,9 +240,9 @@ class Independence(Copula):
     def kappa_star(self):
         return 2.0
 
-    def concave(self):
+    def shape(self):
         """f(t) = 2 log u is constant."""
-        return True
+        return "diagonal"
 
     def exchangeable(self):
         return True
@@ -253,9 +269,9 @@ class FrechetUpper(Copula):
     def kappa_star(self):
         return 1.0
 
-    def concave(self):
-        """f(t) = min(t, 2 log u - t), a minimum of affine functions."""
-        return True
+    def shape(self):
+        """f(t) = min(t, 2 log u - t) rises up to log u."""
+        return "diagonal"
 
     def exchangeable(self):
         return True
@@ -309,10 +325,12 @@ class MarshallOlkin(_ShockPair):
         """Exponent of the diagonal decay C(u, u) = u^(2 - min(a, b))."""
         return 2.0 - min(self.a, self.b)
 
-    def concave(self):
-        """f(t) = min((1-a) t + lv, t + (1-b) lv) with lv = 2 log u - t is a
-        minimum of affine functions of t."""
-        return True
+    def shape(self):
+        """f(t) = min((1-a) t + lv, t + (1-b) lv) with lv = 2 log u - t, that
+        is min(2 log u - a t, b t + 2 (1-b) log u): it rises with slope b up
+        to t = 2 b log u / (a + b), then falls with slope -a, and is constant
+        when a or b is 0.  With a = b the peak is log u."""
+        return "diagonal" if self.a == self.b else "peak"
 
     def exchangeable(self):
         return self.a == self.b
@@ -342,6 +360,18 @@ class MixtureMO(_ShockPair):
 
     The (b, a) component is the (a, b) one transposed, C(v, u), so every
     kernel and the sampler are those of :class:`MarshallOlkin` (a, b).
+
+    One peak on each half of the level (``shape``).  Let L = log u.  The
+    (a, b) component's level function is f1(t) = min(2L - a t,
+    b t + 2 (1-b) L): it rises with slope b up to t1 = 2 b L / (a + b),
+    then falls with slope -a.  The (b, a) one is f2(t) = f1(2L - t).  For
+    a, b > 0 take a <= b, so t1 <= L; a > b is the mirror image.  On
+    [2L, t1] both components rise strictly.  On [t1, L], e^f1 + e^f2 =
+    A e^(-a t) + B e^(a t) is strictly convex, and its derivative at L is
+    a (e^f2(L) - e^f1(L)) = 0, so it falls strictly.  So f rises strictly
+    up to t1 and falls strictly from t1 to L: one peak on [2L, L], at the
+    closed form u^(2b/(a+b)).  With a = b, t1 = L and f rises up to the
+    diagonal.  With a or b = 0, C(u, v) = u v and f is constant.
     """
 
     family: ClassVar[str] = "mixture_mo"
@@ -360,6 +390,11 @@ class MixtureMO(_ShockPair):
     def exchangeable(self):
         """The (a, b) and (b, a) components trade places under (u, v) -> (v, u)."""
         return True
+
+    def shape(self):
+        """One peak on [2 log u, log u] (class docstring), the diagonal when
+        a = b."""
+        return "diagonal" if self.a == self.b else "peak"
 
     def maximizers(self, u):
         """The maximizers of both orderings, one point when a = b."""
@@ -420,13 +455,14 @@ class FGM(Copula):
     def kappa_star(self):
         return 2.0 if self.alpha > 0.0 else None
 
-    def concave(self):
+    def shape(self):
         """For alpha > 0, f(t) = 2 log u + log1p(alpha h(t)) with
         h(t) = (1 - e^t)(1 - u^2 e^-t) >= 0, whose second derivative
         -e^t - u^2 e^-t is negative: a concave increasing function of a
-        concave h is concave.  No proof is claimed for alpha <= 0 (alpha < 0
+        strictly concave h is strictly concave, and f, symmetric about
+        log u, rises up to it.  No proof is claimed for alpha <= 0 (alpha < 0
         peaks at both ends)."""
-        return self.alpha > 0.0
+        return "diagonal" if self.alpha > 0.0 else None
 
     def exchangeable(self):
         return True
@@ -475,14 +511,16 @@ class GeneralizedClayton(Copula):
     def kappa_star(self):
         return 1.0 + self.gamma1 / (self.gamma1 + 2.0 * self.gamma0)
 
-    def concave(self):
+    def shape(self):
         """f(t) = (g1/gt) t - g0 g(t) with g = log S, S = e^A + e^B - 1,
         A = -t/gt and B = -(2 log u - t)/g0, both affine in t and >= 0.
         Then S^2 g'' = e^(A+B) ((A' - B')^2 - A'^2 e^-B - B'^2 e^-A), and
         since A' = -1/gt and B' = 1/g0 have opposite signs,
-        (A' - B')^2 >= A'^2 + B'^2, which e^-A, e^-B <= 1 make at least the
-        subtracted terms: g is convex and f concave.  Clayton is g1 = 0."""
-        return True
+        (A' - B')^2 > A'^2 + B'^2, which e^-A, e^-B <= 1 make more than the
+        subtracted terms: g is strictly convex and f strictly concave, one
+        peak.  With g1 = 0, f is symmetric about log u, its peak.  Clayton
+        is g1 = 0."""
+        return "diagonal" if self.gamma1 == 0.0 else "peak"
 
     def exchangeable(self):
         return self.gamma1 == 0.0
@@ -585,11 +623,11 @@ class Clayton(Copula):
     def kappa_star(self):
         return 1.0
 
-    def concave(self):
+    def shape(self):
         """f(t) = -log(e^A + e^B - 1)/theta with A = -theta t and
         B = -theta (2 log u - t): the generalized Clayton argument
-        (``GeneralizedClayton.concave``) with A' = -theta, B' = theta."""
-        return True
+        (``GeneralizedClayton.shape``) with A' = -theta, B' = theta."""
+        return "diagonal"
 
     def exchangeable(self):
         return True
@@ -611,11 +649,25 @@ class Generator:
     psi_second: Callable
     psi_inv: Callable
 
+    def slope_nondecreasing(self) -> bool:
+        """Whether h(x) = x psi'(x) is proven nondecreasing on (0, 1]; then
+        the diagonal is the maximal path of the Archimedean copula at every
+        level (``Archimedean.shape``).  False unless a generator with a
+        proof says otherwise: :func:`archimedean_diagonal_check` samples h,
+        which proves nothing."""
+        return False
+
+
+class _ClaytonGenerator(Generator):
+    def slope_nondecreasing(self):
+        """h(x) = x psi'(x) = -x^(-theta) rises strictly for theta > 0."""
+        return True
+
 
 def clayton_generator(theta: float) -> Generator:
     """Strict Clayton generator psi(t) = (t^(-theta) - 1) / theta, theta > 0."""
     _check_param(theta, "theta", 0.0, math.inf, lo_open=True)
-    return Generator(
+    return _ClaytonGenerator(
         name="clayton",
         psi=lambda t: (np.power(t, -theta) - 1.0) / theta,
         psi_prime=lambda t: -np.power(t, -theta - 1.0),
@@ -648,7 +700,9 @@ def archimedean_diagonal_check(generator: Generator, u: float) -> bool:
     When it is, the diagonal maximizes C(x, u^2/x) for the Archimedean
     copula built on ``generator``; the generator must be strict, otherwise
     no admissible path exists at all and :class:`GeneratorError` is raised.
-    The check samples 128 log-spaced points of [u^2, 1].
+    The check samples 128 log-spaced points of [u^2, 1].  A sample is no
+    proof, so the answer picks no solver route: only
+    ``Generator.slope_nondecreasing`` does.
     """
     u = _check_level(u)
     _require_strict(generator)
@@ -724,6 +778,15 @@ class Archimedean(Copula):
         """psi(u) + psi(v) is symmetric in u and v."""
         return True
 
+    def shape(self):
+        """The paper's criterion: with h(x) = x psi'(x) and
+        g(t) = psi(e^t) + psi(u^2 e^-t), g'(t) = h(x) - h(u^2/x) at x = e^t.
+        If h is nondecreasing, g' <= 0 for x <= u, and f = log psi_inv(g),
+        psi_inv decreasing, rises up to the diagonal.  Proven only where the
+        generator proves h nondecreasing (``Generator.slope_nondecreasing``).
+        """
+        return "diagonal" if self.generator.slope_nondecreasing() else None
+
     def params(self):
         return {"family": self.family, "generator": self.generator.name}
 
@@ -745,8 +808,8 @@ class SurvivalCopula(Copula):
         return self.base  # reflecting twice is the identity
 
     def exchangeable(self):
-        """The reflection (u, v) -> (1-u, 1-v) commutes with the swap.  Not
-        concave: this kernel's cancellation noise is no concave function."""
+        """The reflection (u, v) -> (1-u, 1-v) commutes with the swap.  No
+        shape is claimed: this kernel's cancellation noise has no one peak."""
         return self.base.exchangeable()
 
     def params(self):

@@ -6,7 +6,7 @@ on a decreasing grid of levels, three indices are estimated:
 * kappa -- the power-law exponent of the decay, from pairwise log-log
   slopes extrapolated to u -> 0;
 * lambda -- the limit of value/u, nonzero only when kappa = 1;
-* chi -- the limit of 2 log u / log value - 1.
+* chi -- the limit of 2 log u / log value - 1, which is 2 / kappa - 1.
 
 The limits are defined at u -> 0 but have to be estimated from a finite
 grid.  The estimator takes pairwise slopes (exact for pure power laws) and
@@ -16,9 +16,18 @@ shape that mixtures produce.  The reported residual is the last raw slope
 delta, so downstream consumers can tie their tolerances to the achieved
 accuracy instead of a magic constant.
 
+chi is computed from kappa, not extrapolated on its own.  If the value is
+l(u) u^kappa with l slowly varying, 2 log u / log value - 1 tends to
+2 / kappa - 1 (Coles, Heffernan and Tawn's chi-bar = 2 eta - 1, with
+eta = 1 / kappa Ledford and Tawn's coefficient), but its error
+log l(u) / log u decays like 1 / log u, which is not the geometric model of
+Aitken's step; the slopes' error is.
+
 ``compare`` orders two copulas by their maximal-probability decay: equal
 exponents are separated by the limiting ratio Pi*(u|C1)/Pi*(u|C2) (the
-strong ordering), unequal ones by the log-ratio index (the weak ordering).
+strong ordering), unequal ones by the log-ratio index
+lim log Pi*(u|C2) / log Pi*(u|C1) - 1 = kappa_2 / kappa_1 - 1 (the weak
+ordering), computed from the two exponents for the same reason.
 """
 
 from __future__ import annotations
@@ -160,10 +169,8 @@ def _indices_from_logs(u: np.ndarray, log_vals: np.ndarray,
     else:
         lam, _ = extrapolate_sequence(np.exp(log_vals - log_u))
 
-    chi, _ = extrapolate_sequence(2.0 * log_u / log_vals - 1.0)
-
     return TailIndexReport(
-        kappa=float(kappa), lam=float(lam), chi=float(chi),
+        kappa=float(kappa), lam=float(lam), chi=2.0 / kappa - 1.0,
         local_slopes=tuple(float(v) for v in slopes),
         residual=float(residual), path_kind=path_kind,
         lambda_degenerate=bool(degenerate))
@@ -216,9 +223,10 @@ def compare(spec1: Copula, spec2: Copula, u_grid=None) -> ComparisonReport:
     floored at 1e-4, so the test tracks achieved accuracy), the strong
     ordering applies: the extrapolated ratio Pi*(u|C1)/Pi*(u|C2) above /
     below / at 1 decides the verdict.  Otherwise the weak ordering applies
-    through the extrapolated log-ratio index above / below / at 0.  Either
-    index is "at" its centre within max(1e-3, its residual).  Both
-    maximal paths come from :func:`solve_path` and its fixed tolerances.
+    through the log-ratio index kappa_2 / kappa_1 - 1 above / below / at 0,
+    its residual the larger of the two exponents'.  Either index is "at" its
+    centre within max(1e-3, its residual).  Both maximal paths come from
+    :func:`solve_path` and its fixed tolerances.
     """
     u = _check_index_grid(default_u_grid() if u_grid is None else u_grid)
     path1 = solve_path(spec1, u)
@@ -226,20 +234,19 @@ def compare(spec1: Copula, spec2: Copula, u_grid=None) -> ComparisonReport:
     rep1 = star_indices(path1)
     rep2 = star_indices(path2)
 
-    log_pi1 = np.asarray([p.log_pi_star for p in path1.points])
-    log_pi2 = np.asarray([p.log_pi_star for p in path2.points])
-
-    kappa_tol = max(1e-4, 10.0 * max(rep1.residual, rep2.residual))
-    if abs(rep1.kappa - rep2.kappa) <= kappa_tol:
+    res = max(rep1.residual, rep2.residual)
+    if abs(rep1.kappa - rep2.kappa) <= max(1e-4, 10.0 * res):
         # strong ordering: the limiting ratio Pi*(u|C1)/Pi*(u|C2) against 1
-        index, res = extrapolate_sequence(np.exp(log_pi1 - log_pi2))
+        log_ratio = np.asarray([p.log_pi_star - q.log_pi_star
+                                for p, q in zip(path1.points, path2.points)])
+        index, res = extrapolate_sequence(np.exp(log_ratio))
         lambda_pair, chi_pair, centre = float(index), None, 1.0
         more, less, equal = (Verdict.MORE_LTMD, Verdict.LESS_LTMD,
                              Verdict.EQUALLY_LTMD)
     else:
         # weak ordering: the log-ratio index against 0
-        index, res = extrapolate_sequence(log_pi2 / log_pi1 - 1.0)
-        lambda_pair, chi_pair, centre = None, float(index), 0.0
+        index = rep2.kappa / rep1.kappa - 1.0
+        lambda_pair, chi_pair, centre = None, index, 0.0
         more, less, equal = (Verdict.MORE_WLTMD, Verdict.LESS_WLTMD,
                              Verdict.EQUALLY_WLTMD)
     tol = max(1e-3, res)

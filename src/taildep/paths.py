@@ -9,20 +9,27 @@ and which brackets they pass on.  The brackets of all levels are then
 refined at once, and one ``_select`` decides every level.
 
 Two facts of the family's class (:mod:`taildep.copulas`) pick the route:
+its proven ``shape()`` and whether it is ``exchangeable()``, C(u, v) =
+C(v, u), so that f(2 log u - t) = f(t) and the searched range is
+[2 log u, log u] rather than [2 log u, 0].
 
-* full scan: a log-spaced grid of 4096 points over [u^2, 1] (tail maximizers
-  such as u^(2b/(a+b)) cluster near 0, so uniform-in-x grids would miss
-  them), plus the diagonal; its log x are ``np.linspace``'s values bit for
-  bit.  Each interior local maximum gets a bracket, and a scan flat to within
-  the tie window gets none.
-* half scan, for an ``exchangeable()`` family, C(u, v) = C(v, u), that is not
-  concave: f(2 log u - t) = f(t), so the scan stops at the diagonal (the
-  first 2048 points plus log u) and its brackets at log u.
-* ``concave()``: f has one peak or a plateau, so nothing is scanned.  One
-  kernel call evaluates every level's ends and diagonal, and each level's
-  bracket is all of [2 log u, 0].  A family that is also exchangeable needs
-  no bracket: f(log u) >= (f(t) + f(2 log u - t)) / 2 = f(t), so its
-  maximizer is the diagonal x = u.
+* ``"diagonal"``: f is nondecreasing up to log u, so nothing is scanned or
+  refined.  One kernel call evaluates every level's ends and diagonal, and
+  the maximizer is the diagonal x = u.
+* ``"peak"``: f rises strictly, then falls strictly, or is constant, on the
+  searched range, so zoom steps over that range find its maximum
+  (Kiefer's sequential search for the maximum of a unimodal function).
+  Nothing is scanned: the ends and diagonals come from one kernel call, and
+  each level's one bracket is the searched range itself.
+* None, full scan: a log-spaced grid of 4096 points over [u^2, 1] (tail
+  maximizers such as u^(2b/(a+b)) cluster near 0, so uniform-in-x grids
+  would miss them), plus the diagonal; its log x are ``np.linspace``'s
+  values bit for bit.  Each interior local maximum gets a bracket, and a
+  scan flat to within the tie window gets none.  An exchangeable family's
+  scan is a half scan: it stops at the diagonal (the first 2048 points plus
+  log u), and so do its brackets.
+
+An exchangeable family's maxima refined over [2 log u, log u] are mirrored.
 
 Refinement: batched zoom steps in log x take each bracket to a width of
 1e-12 (relative in x) within 200 steps, else :class:`NumericError`.
@@ -30,14 +37,14 @@ Refinement: batched zoom steps in log x take each bracket to a width of
 Selection, the same rules for every route:
 
 * plateau: a level whose best value is within the tie window, a relative
-  1e-9, of its lower bound (the scan's minimum, or a concave level's smaller
-  end, as f is at least that everywhere) is flat and sets
-  ``all_paths_maximal``;
+  1e-9, of its lower bound (the scan's minimum, or on an unscanned level the
+  smaller value at the ends of the searched range, as f is at least that
+  everywhere) is flat and sets ``all_paths_maximal``;
 * ends: a refined maximum exactly at x = u^2 or x = 1 is that end;
-* mirror: each maximum refined on a half scan is reported with its mirror
-  2 log u - t, unless the diagonal ties it in the diagonal's own bracket:
-  then x = u is the maximizer;
-* diagonal: a concave exchangeable level's one inner maximum is x = u;
+* mirror: each maximum refined over [2 log u, log u] is reported with its
+  mirror 2 log u - t, unless the diagonal ties it in the diagonal's own
+  bracket: then x = u is the maximizer;
+* diagonal: a ``"diagonal"`` level's one inner maximum is x = u;
 * *all* maxima in the tie window of the best are reported, among the ends
   and the inner maxima, merging neighbours within 1e-11 in log x into the
   higher -- symmetric mixtures genuinely carry two global maximizers and a
@@ -254,25 +261,32 @@ def _vanished(u: float) -> DegenerateTailError:
         "the level carries no tail mass in double precision")
 
 
-def _concave_levels(cop: Copula, grid: tuple[float, ...],
-                    diagonal: bool) -> list[_Level]:
-    """The levels of a concave family, unscanned (module docstring): one
-    kernel call for every level's ends and diagonal, and a bracket of all of
-    [2 log u, 0] per level, none on the ``diagonal`` route.  f is at least
-    its smaller end everywhere, the level's lower bound.
+def _shaped_levels(cop: Copula, grid: tuple[float, ...], diagonal: bool,
+                   mirror: bool) -> list[_Level]:
+    """The levels of a family with a proven shape, unscanned (module
+    docstring): one kernel call for every level's ends and diagonal, and one
+    bracket per level, the searched range, [2 log u, log u] if ``mirror``
+    and [2 log u, 0] otherwise; none on the ``diagonal`` route.  f is at
+    least its smaller value at the ends of the searched range everywhere,
+    the level's lower bound.
     """
     log_u = np.log(grid)
     ts = np.zeros((log_u.size, 3))
     ts[:, 0], ts[:, 1] = 2.0 * log_u, log_u
     fs = _log_pi(cop, log_u[:, None], ts)
+    none = np.empty(0)
     levels = []
     for u, lu, (f_lo, f_diag, f_hi) in zip(grid, log_u.tolist(), fs.tolist()):
         f_top = max(f_lo, f_diag, f_hi)
         if not math.isfinite(f_top):
             raise _vanished(u)
-        lo = np.empty(0) if diagonal else np.array([2.0 * lu])
-        levels.append((lo, np.zeros(lo.size),
-                       (u, lu, f_lo, f_diag, f_hi, min(f_lo, f_hi), f_top)))
+        if diagonal:
+            lo = hi = none
+        else:
+            lo, hi = np.array([2.0 * lu]), np.array([lu if mirror else 0.0])
+        f_end = f_diag if mirror else f_hi
+        levels.append((lo, hi, (u, lu, f_lo, f_diag, f_hi, min(f_lo, f_end),
+                                f_top)))
     return levels
 
 
@@ -380,23 +394,24 @@ def _check_grid(u_grid) -> tuple[float, ...]:
 def solve_path(cop: Copula, u_grid) -> PathSolution:
     """Maximal-dependence record over a strictly decreasing grid of levels.
 
-    Each level takes one route (module docstring): a concave family's
-    levels are not scanned, their ends and diagonals coming from one kernel
-    call; other families scan one level at a time, an exchangeable one over
-    [2 log u, log u] only.  The routes differ only in what they evaluate and
-    which brackets they pass on.  The brackets of all levels are refined
-    together by batched zoom steps, so ``points[k]`` equals
-    ``pointwise_max(cop, u_grid[k])`` exactly, and one ``_select`` decides
-    every level.  The tolerances are fixed (module docstring); a starved
-    bracket raises :class:`NumericError`.
+    Each level takes one route (module docstring): the levels of a family
+    with a proven ``shape()`` are not scanned, their ends and diagonals
+    coming from one kernel call; other families scan one level at a time,
+    an exchangeable one over [2 log u, log u] only.  The routes differ only
+    in what they evaluate and which brackets they pass on.  The brackets of
+    all levels are refined together by batched zoom steps, so ``points[k]``
+    equals ``pointwise_max(cop, u_grid[k])`` exactly, and one ``_select``
+    decides every level.  The tolerances are fixed (module docstring); a
+    starved bracket raises :class:`NumericError`.
     """
     grid = _check_grid(u_grid)
-    concave, exchangeable = cop.concave(), cop.exchangeable()
-    mirror, diagonal = exchangeable and not concave, exchangeable and concave
-    if concave:
-        levels = _concave_levels(cop, grid, diagonal)
-    else:
+    shape = cop.shape()
+    diagonal = shape == "diagonal"
+    mirror = cop.exchangeable() and not diagonal
+    if shape is None:
         levels = [_scan(cop, u) for u in grid]
+    else:
+        levels = _shaped_levels(cop, grid, diagonal, mirror)
     sizes = [lo.size for lo, _, _ in levels]
     t_ref, f_ref = _refine(cop, np.repeat([s[1] for _, _, s in levels], sizes),
                            np.concatenate([lo for lo, _, _ in levels]),

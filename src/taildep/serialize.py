@@ -27,6 +27,8 @@ def dumps_json(obj) -> str:
 
 
 def _csv_cell(x) -> str:
+    if type(x) is float:  # most cells: skip the checks and the re-wrapping
+        return repr(x)
     if isinstance(x, bool):  # before format_float: a bool is an int
         return "true" if x else "false"
     return x if isinstance(x, str) else format_float(x)

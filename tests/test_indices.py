@@ -183,9 +183,6 @@ class TestStarIndices:
                     assert star.chi >= diag.chi - 1e-12, cop
                     assert star.lam >= diag.lam - 1e-12, cop
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "extrapolate_sequence accelerates the diagonal chi sequence but "
-        "keeps the last raw chi*, whose correction decays too slowly"))
     def test_slow_generalized_clayton_keeps_the_chi_order(self):
         # raw chi* >= chi on every level; truth chi* = 0.891 > chi = 0.803
         cop = GeneralizedClayton(4.673120184614234, 0.5725932083323408)
@@ -193,6 +190,18 @@ class TestStarIndices:
         diag = classical_indices(cop, grid)
         star = star_indices(solve_path(cop, grid))
         assert star.chi >= diag.chi - 1e-12
+
+    def test_chi_order_holds_for_random_generalized_clayton(self):
+        # chi = 2 / kappa - 1 follows the kappa order, which the slopes keep
+        # even where the raw chi sequences converge like 1 / log u
+        grid = default_u_grid(8, 1, 2)
+        rng = np.random.default_rng(26)
+        g0s = 10.0 ** rng.uniform(math.log10(0.05), math.log10(5.0), 400)
+        for g0, g1 in zip(g0s, rng.uniform(0.0, 2.0, 400)):
+            cop = GeneralizedClayton(g0, g1)
+            diag = classical_indices(cop, grid)
+            star = star_indices(solve_path(cop, grid))
+            assert star.chi >= diag.chi - 1e-12, cop
 
     @pytest.mark.parametrize("cop", [MarshallOlkin(0.4, 0.4), FGM(0.5)])
     def test_starred_equals_classical_for_diagonal_families(self, cop):

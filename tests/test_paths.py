@@ -590,7 +590,7 @@ ANY_FAMILY = st.one_of(
     st.builds(GeneralizedClayton, st.floats(0.02, 5.0), st.floats(0.0, 5.0)),
     st.builds(Clayton, st.floats(0.05, 20.0)),
 )
-# the families that declare a concave level function, over their ranges
+# the families whose shape proof is concavity, over their ranges
 CONCAVE = st.one_of(
     st.just(Independence()),
     st.just(FrechetUpper()),
@@ -612,27 +612,84 @@ EXCHANGEABLE = st.one_of(
 )
 
 
+# the families that declare a shape, one strategy each, over their ranges
+SHAPED = {
+    "independence": st.just(Independence()),
+    "frechet_upper": st.just(FrechetUpper()),
+    "marshall_olkin": st.builds(MarshallOlkin, st.floats(0.0, 1.0),
+                                st.floats(0.0, 1.0)),
+    "mixture_mo": st.builds(MixtureMO, st.floats(0.0, 1.0),
+                            st.floats(0.0, 1.0)),
+    "fgm": st.builds(FGM, st.floats(1e-3, 1.0)),
+    "generalized_clayton": st.builds(GeneralizedClayton, st.floats(0.02, 5.0),
+                                     st.floats(0.0, 5.0)),
+    "clayton": st.builds(Clayton, st.floats(0.05, 20.0)),
+    # psi(u^2) = u^(-2 theta) stays finite at u = 1e-100 for theta <= 1.5
+    "archimedean_clayton": st.floats(0.1, 1.5).map(
+        lambda th: Archimedean(clayton_generator(th))),
+}
+
+
+def _generator_without_proof(theta: float) -> Generator:
+    """The Clayton generator's callables in a plain handle, which proves
+    nothing about x psi'(x)."""
+    g = clayton_generator(theta)
+    return Generator("clayton", g.psi, g.psi_prime, g.psi_second, g.psi_inv)
+
+
 class TestShapeFacts:
-    @pytest.mark.parametrize("cop, concave, exchangeable", [
-        (Independence(), True, True),
-        (FrechetUpper(), True, True),
-        (MarshallOlkin(A, B), True, False),
-        (MarshallOlkin(0.4, 0.4), True, True),
-        (MixtureMO(A, B), False, True),
-        (FGM(0.5), True, True),
-        (FGM(0.0), False, True),
-        (FGM(-0.5), False, True),
-        (GeneralizedClayton(0.5, 0.3), True, False),
-        (GeneralizedClayton(0.5, 0.0), True, True),
-        (Clayton(2.0), True, True),
-        (Archimedean(clayton_generator(2.0)), False, True),
-        (MarshallOlkin(A, B).survival(), False, False),
-        (MixtureMO(A, B).survival(), False, True),
-        (FGM(0.5).survival(), False, True),
-        (GeneralizedClayton(0.5, 0.3).survival(), False, False),
+    @pytest.mark.parametrize("cop, shape, exchangeable", [
+        (Independence(), "diagonal", True),
+        (FrechetUpper(), "diagonal", True),
+        (MarshallOlkin(A, B), "peak", False),
+        (MarshallOlkin(0.4, 0.4), "diagonal", True),
+        (MixtureMO(A, B), "peak", True),
+        (MixtureMO(0.4, 0.4), "diagonal", True),
+        (FGM(0.5), "diagonal", True),
+        (FGM(0.0), None, True),
+        (FGM(-0.5), None, True),
+        (GeneralizedClayton(0.5, 0.3), "peak", False),
+        (GeneralizedClayton(0.5, 0.0), "diagonal", True),
+        (Clayton(2.0), "diagonal", True),
+        (Archimedean(clayton_generator(2.0)), "diagonal", True),
+        (Archimedean(_generator_without_proof(2.0)), None, True),
+        (MarshallOlkin(A, B).survival(), None, False),
+        (MixtureMO(A, B).survival(), None, True),
+        (FGM(0.5).survival(), None, True),
+        (GeneralizedClayton(0.5, 0.3).survival(), None, False),
     ], ids=repr)
-    def test_declared_facts(self, cop, concave, exchangeable):
-        assert (cop.concave(), cop.exchangeable()) == (concave, exchangeable)
+    def test_declared_facts(self, cop, shape, exchangeable):
+        assert (cop.shape(), cop.exchangeable()) == (shape, exchangeable)
+
+    def test_diagonal_check_picks_no_route(self):
+        gen = _generator_without_proof(2.0)
+        assert archimedean_diagonal_check(gen, 1e-6)
+        assert not gen.slope_nondecreasing()
+        assert clayton_generator(2.0).slope_nondecreasing()
+
+    @pytest.mark.parametrize("family", sorted(SHAPED))
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data(),
+           u=st.one_of(st.floats(-8.0, -1.0).map(lambda e: 10.0 ** e),
+                       st.just(1e-100)))
+    def test_shaped_level_functions_have_one_peak(self, family, data, u):
+        # beyond rounding, the differences of f on the searched range rise,
+        # then fall: one sign change at most, none on the diagonal route
+        cop = data.draw(SHAPED[family])
+        shape = cop.shape()
+        assert shape in ("diagonal", "peak")
+        log_u = math.log(u)
+        end = log_u if cop.exchangeable() else 0.0
+        t = np.linspace(2.0 * log_u, end, 20001)
+        f = paths._log_pi(cop, log_u, t)
+        d = np.diff(f)
+        noise = 64.0 * EPS * (np.abs(f[:-1]) + np.abs(f[1:]))
+        falls = d < -noise
+        rises = d > noise
+        if shape == "diagonal":
+            assert not falls.any(), cop
+        elif falls.any():
+            assert not rises[falls.argmax():].any(), cop
 
     @settings(max_examples=60, deadline=None)
     @given(cop=CONCAVE,
@@ -640,7 +697,7 @@ class TestShapeFacts:
                        st.just(1e-100)))
     def test_concave_families_have_concave_level_functions(self, cop, u):
         # second differences on a dense grid stay within rounding
-        assert cop.concave()
+        assert cop.shape() in ("diagonal", "peak")
         log_u = math.log(u)
         t = np.linspace(2.0 * log_u, 0.0, 20001)
         f = paths._log_pi(cop, log_u, t)
@@ -658,25 +715,57 @@ class TestShapeFacts:
         np.testing.assert_allclose(cop._log_cdf(lu, lv), cop._log_cdf(lv, lu),
                                    rtol=8.0 * EPS, atol=0.0)
 
-    def test_concave_levels_are_not_scanned(self, monkeypatch):
-        # one kernel call gives every level's ends and diagonal; only the
-        # non-exchangeable family refines a bracket per level
-        shapes = []
+    def test_shaped_levels_are_not_scanned(self, monkeypatch):
+        # one kernel call gives every level's ends and diagonal; a "peak"
+        # family then zooms one bracket per level, the searched range, which
+        # is [2 log u, 0] for MO and [2 log u, log u] for the mixture
+        seen = []
         orig = paths._log_pi
 
         def record(cop, log_u, t):
-            shapes.append(np.shape(t))
+            seen.append(np.broadcast_arrays(log_u, t)[1].copy())
             return orig(cop, log_u, t)
         monkeypatch.setattr(paths, "_log_pi", record)
-        solve_path(MarshallOlkin(A, B), GRID_4)
-        assert shapes[0] == (4, 3)
-        assert all(s[0] == 4 and s[1] == paths._ZOOM for s in shapes[1:])
-        shapes.clear()
-        sol = solve_path(Clayton(2.0), GRID_4)
-        assert shapes == [(4, 3)]
-        for p in sol.points:
-            assert p.maximizers == (p.u,)
-            assert p.log_maximizers == (math.log(p.u),)
+        log_u = np.log(GRID_4)
+        for cop, end in [(MarshallOlkin(A, B), np.zeros(4)),
+                         (MixtureMO(A, B), log_u)]:
+            seen.clear()
+            solve_path(cop, GRID_4)
+            assert seen[0].shape == (4, 3)
+            assert all(t.shape == (4, paths._ZOOM) for t in seen[1:])
+            assert seen[1][:, 0].tolist() == (2.0 * log_u).tolist()
+            assert seen[1][:, -1].tolist() == end.tolist()
+        for cop in (Clayton(2.0), Archimedean(clayton_generator(2.0))):
+            seen.clear()
+            sol = solve_path(cop, GRID_4)
+            assert [t.shape for t in seen] == [(4, 3)]
+            for p in sol.points:
+                assert p.maximizers == (p.u,)
+                assert p.log_maximizers == (math.log(p.u),)
+
+    @settings(max_examples=200, deadline=None)
+    @given(a=st.floats(0.0, 1.0), b=st.floats(0.0, 1.0),
+           gap=st.floats(-3.0, -2.0).map(lambda e: 10.0 ** e),
+           near=st.booleans())
+    def test_mixture_maximizers_match_the_closed_form(self, a, b, gap, near):
+        # near-equal pairs sit a relative gap of 1e-3 to 1e-2 apart: closer,
+        # f(u^(2b/(a+b))) - f(u), about (a log(u) gap)^2 / 8, falls in the
+        # tie window and the diagonal ties the two peaks
+        if near:
+            a, b = 0.1 + 0.8 * a, (0.1 + 0.8 * a) * (1.0 + gap)
+        assume(min(a, b) >= 1e-3)
+        cop = MixtureMO(a, b)
+        for p in solve_path(cop, default_u_grid(8)).points:
+            want = closed_form_path(cop, p.u)
+            assert len(p.maximizers) == len(want), (cop, p.u)
+            np.testing.assert_allclose(p.maximizers, want, rtol=1e-9, atol=0.0)
+
+    @pytest.mark.parametrize("theta", [0.3, 1.0, 4.0])
+    def test_archimedean_clayton_reports_the_diagonal(self, theta):
+        cop = Archimedean(clayton_generator(theta))
+        for p in solve_path(cop, GRID_15).points:
+            assert p.maximizers == (p.u,), (theta, p.u)
+            assert not (p.boundary_attained or p.all_paths_maximal)
 
     def test_exchangeable_scan_stops_at_the_diagonal(self, monkeypatch):
         seen = []
@@ -783,8 +872,8 @@ class TestConcavePlateau:
     @pytest.mark.parametrize("cop", [MarshallOlkin(0.6, 0.0),
                                      MarshallOlkin(0.0, 0.4)], ids=repr)
     def test_independence_valued_marshall_olkin_is_a_plateau(self, cop):
-        # C(u, v) = uv: concave, not exchangeable, flat on every level
-        assert cop.concave() and not cop.exchangeable()
+        # C(u, v) = uv: a peak family, not exchangeable, flat on every level
+        assert cop.shape() == "peak" and not cop.exchangeable()
         for p in solve_path(cop, default_u_grid(8)).points:
             assert p.all_paths_maximal and not p.boundary_attained
             assert p.pi_star == pytest.approx(p.u ** 2, rel=1e-12, abs=0.0)
@@ -835,12 +924,13 @@ class TestSolverOptions:
 
     def test_starved_refinement_is_reported(self, monkeypatch):
         # three zoom steps leave a bracket far wider than the fixed width;
-        # the mixture's brackets come from the scan, two scan steps wide
+        # a scanned family's brackets are two scan steps wide
         monkeypatch.setattr(paths, "_MAX_ITER", 3)
+        cop = MarshallOlkin(A, B).survival()
         with pytest.raises(NumericError, match=r"u=0\.001 .*width 1\.5e-06"):
-            pointwise_max(MixtureMO(A, B), 1e-3)
+            pointwise_max(cop, 1e-3)
         with pytest.raises(NumericError):
-            solve_path(MixtureMO(A, B), GRID_4)
+            solve_path(cop, GRID_4)
 
     def test_starved_concave_refinement_is_reported(self, monkeypatch):
         # a concave family's bracket is all of [2 log u, 0], unscanned
@@ -849,3 +939,11 @@ class TestSolverOptions:
             pointwise_max(MarshallOlkin(A, B), 1e-3)
         with pytest.raises(NumericError):
             solve_path(MarshallOlkin(A, B), GRID_4)
+
+    def test_starved_half_range_refinement_is_reported(self, monkeypatch):
+        # the mixture's bracket is [2 log u, log u], unscanned
+        monkeypatch.setattr(paths, "_MAX_ITER", 3)
+        with pytest.raises(NumericError, match=r"u=0\.001 .*width 0\.00154"):
+            pointwise_max(MixtureMO(A, B), 1e-3)
+        with pytest.raises(NumericError):
+            solve_path(MixtureMO(A, B), GRID_4)
