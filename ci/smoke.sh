@@ -66,6 +66,18 @@ for row in rows:
         assert math.isclose(float(cell), u ** power, rel_tol=1e-9), row
 PY
 
+echo "== the exact survival kernel: one maximizer and no flag on every level down to 1e-18"
+"${td[@]}" path --family marshall_olkin --a 0.3529 --b 0.75 --survival --umin-exp 18 --format csv > "$tmp/surv.csv"
+python - "$tmp/surv.csv" <<'PY'
+import csv, sys
+header, *rows = csv.reader(open(sys.argv[1], newline=""))
+assert len(rows) == 18 and header[1] == "x_star_1", header
+assert "x_star_2" not in header, header
+flags = [header.index("boundary_attained"), header.index("all_paths_maximal")]
+for row in rows:
+    assert float(row[1]) > 0.0 and all(row[k] == "false" for k in flags), row
+PY
+
 echo "== selection flags: a flat peak family and a boundary-attained half scan"
 "${td[@]}" path --family marshall_olkin --a 0.6 --b 0 --format csv > "$tmp/flat.csv"
 "${td[@]}" path --family fgm --alpha -0.5 --format csv > "$tmp/ends.csv"

@@ -8,8 +8,9 @@ routes:
 * ``cdf(u, v)``   -- the copula value C(u, v), vectorized over numpy arrays;
 * ``log_cdf(u, v)`` -- log C(u, v) through the kernel ``_log_cdf(lu, lv)``,
   which takes log coordinates.  Every family but the generic Archimedean
-  and survival copulas evaluates it from the logs, Clayton too, which keeps
-  the tail machinery in :mod:`taildep.paths` exact down to u ~ 1e-300.
+  evaluates it from the logs, Clayton too, which keeps the tail machinery
+  in :mod:`taildep.paths` exact down to u ~ 1e-300; so does the survival
+  copula of a family with an exact ``_log_survival`` (below).
 
 Every other fact about a family is an optional method of its class, by
 default None or :class:`UnsupportedMethodError`: ``maximizers``,
@@ -28,6 +29,16 @@ function f(t) = log C(e^t, u^2 e^-t) steer the solver in
   mixture, ``Archimedean``, MO with a = b, generalized Clayton with
   gamma1 = 0, and a survival copula whose base is).
 
+Two more optional facts, None by default, make a survival copula exact:
+
+* ``_log_survival(lu, lv)``, log of the survival copula
+  C^(u, v) = u + v - 1 + C(1-u, 1-v) in a closed form whose terms do not
+  cancel: MO and the mixture, log(u v + (1-u)(1-v) E) with E >= 0 their
+  shock excess, and the comonotone copula, C^ = C;
+* ``survival_shape()``, the ``shape()`` of the survival copula, proven on
+  that kernel: ``"peak"`` for MO, ``"diagonal"`` for MO with a = b and the
+  comonotone copula.  The survival mixture has none and scans.
+
 Each closed form is written once:
 the generalized Clayton maximizer is the root of ``zeta`` (``zeta_root``),
 beside its class, and the mixture calls the Marshall-Olkin kernels and
@@ -36,8 +47,11 @@ parameter keys.
 
 ``survival()`` wraps any copula into its survival copula
 ``u + v - 1 + C(1-u, 1-v)``, mapping upper-tail questions onto the lower-tail
-machinery.  ``check_axioms`` verifies groundedness, uniform marginals and the
-two-increasing property on a lattice.
+machinery: its ``cdf`` is that linear sum, its ``log_cdf`` the base's
+``_log_survival`` where there is one and the log of the sum otherwise, which
+cancels once u v nears the double epsilon.  ``check_axioms`` verifies
+groundedness, uniform marginals and the two-increasing property on a
+lattice.
 """
 
 from __future__ import annotations
@@ -214,6 +228,16 @@ class Copula:
         :mod:`taildep.paths` searches [2 log u, log u] only and mirrors."""
         return False
 
+    # The exact log kernel of the survival copula, _log_survival(lu, lv) =
+    # log C^(e^lu, e^lv), where the family has one whose terms do not cancel;
+    # None: SurvivalCopula takes the log of the linear sum.
+    _log_survival = None
+
+    def survival_shape(self) -> str | None:
+        """``shape()`` of the survival copula, proven in the family's
+        docstring on its exact ``_log_survival``; None by default."""
+        return None
+
     def tau(self) -> float:
         """Kendall's tau in closed form."""
         raise UnsupportedMethodError(
@@ -276,6 +300,10 @@ class FrechetUpper(Copula):
     def exchangeable(self):
         return True
 
+    # the survival copula u + v - 1 + min(1-u, 1-v) is min(u, v) itself
+    _log_survival = _log_cdf
+    survival_shape = shape
+
     def sampler(self):
         return 1, lambda w, uv: np.copyto(uv, w)  # the one row to both
 
@@ -297,6 +325,29 @@ class _ShockPair(Copula):
         if s == 0.0:  # independence corner
             return 2.0
         return 2.0 - 2.0 * self.a * self.b / s
+
+    def _log_survival(self, lu, lv):
+        """log C^(u, v) = log(u v + (1-u)(1-v) E(P, Q)), with P = -log1p(-u),
+        Q = -log1p(-v) and E the family's ``_excess``: as
+        C(1-u, 1-v) = (1-u)(1-v) (1 + E) and u + v - 1 + (1-u)(1-v) = u v,
+        both terms are >= 0 and nothing cancels.  Exact while u and v are
+        normal doubles; below 2.2e-308, P = u loses digits and then
+        underflows, which understates the excess term (a level below 1e-154
+        meets such x or y near the ends of its range)."""
+        with np.errstate(divide="ignore", invalid="ignore"):
+            p = -np.log1p(-np.exp(lu))  # inf at u = 1
+            q = -np.log1p(-np.exp(lv))
+            g = np.log(self._excess(p, q))
+            g -= p
+            g -= q
+            # np.logaddexp(lu + lv, g), whose scalar loop would take half
+            # the kernel's time: the same max + log1p(e^-|difference|)
+            s = lu + lv
+            out = np.log1p(np.exp(-np.abs(g - s)))
+            out += np.maximum(s, g)
+            # nan only where u = v = 1, or u = 1 meets a zero shock: there
+            # C^ = min(u, v), the Frechet bound, which fmin takes for nan
+            return np.fmin(out, np.minimum(lu, lv))
 
 
 def _root(s: float) -> float:
@@ -334,6 +385,28 @@ class MarshallOlkin(_ShockPair):
 
     def exchangeable(self):
         return self.a == self.b
+
+    def _excess(self, p, q):
+        """expm1(min(a P, b Q)): C(e^-P, e^-Q) = e^(-P-Q) e^min(aP, bQ)."""
+        return np.expm1(np.minimum(self.a * p, self.b * q))
+
+    def survival_shape(self):
+        """One peak, the diagonal when a = b.  On the level x y = u^2, so
+        f = log(u^2 + G) with G = min(G_a, G_b), G_a = e^(-P-Q) expm1(a P)
+        and G_b = e^(-P-Q) expm1(b Q), where P = -log1p(-x) rises strictly
+        in t = log x and Q = -log1p(-y) falls strictly.  As dP/dt = e^P - 1
+        and dQ/dt = 1 - e^Q, d log G_a / dt = e^Q + phi(P) with
+        phi(P) = a expm1(P) / (1 - e^(-aP)) - e^P.  And phi' <= 0: with
+        E = e^(-aP) in (0, 1) it is equivalent to psi(E) = (1-E) - (1-E)^2/a
+        - a E + a E^(1+1/a) <= 0, which holds as psi(1) = psi'(1) = 0 and
+        psi'' = ((1+a) E^((1-a)/a) - 2) / a <= 0.  So d log G_a / dt falls
+        strictly, with e^Q, and log G_a is strictly concave; log G_b is its
+        mirror image (x and y, a and b traded), and a min of strictly
+        concave functions is strictly concave.  f, an increasing function of
+        log G, rises strictly, then falls strictly; it is constant when a or
+        b is 0 (G = 0).  With a = b, f is symmetric about log u, its peak.
+        The peak need not be the kink a P = b Q, where G_a = G_b."""
+        return "diagonal" if self.a == self.b else "peak"
 
     def tau(self):
         denom = self.a + self.b - self.a * self.b
@@ -386,6 +459,14 @@ class MixtureMO(_ShockPair):
     def _log_cdf(self, lu, lv):
         return np.logaddexp(self._mo._log_cdf(lu, lv),
                             self._mo._log_cdf(lv, lu)) - math.log(2.0)
+
+    def _excess(self, p, q):
+        """The mean of the (a, b) excess and its transpose: the survival
+        kernel is one call, P and Q computed once.  No survival shape is
+        claimed: the sum of the two log-concave excesses (see
+        ``MarshallOlkin.survival_shape``) has no proof of one peak on
+        [2 log u, log u], so the survival mixture takes the half scan."""
+        return 0.5 * (self._mo._excess(p, q) + self._mo._excess(q, p))
 
     def exchangeable(self):
         """The (a, b) and (b, a) components trade places under (u, v) -> (v, u)."""
@@ -804,12 +885,23 @@ class SurvivalCopula(Copula):
         raw = u + v - 1.0 + self.base._cdf(1.0 - u, 1.0 - v)
         return np.clip(raw, 0.0, 1.0)
 
+    def _log_cdf(self, lu, lv):
+        """The base's exact ``_log_survival`` where it has one, else the log
+        of the linear sum, which cancels once u v nears the double epsilon."""
+        if self.base._log_survival is None:
+            return super()._log_cdf(lu, lv)
+        return self.base._log_survival(lu, lv)
+
     def survival(self) -> Copula:
         return self.base  # reflecting twice is the identity
 
+    def shape(self):
+        """The base's ``survival_shape``: a shape is proven only on an exact
+        kernel, as the linear sum's cancellation noise has no one peak."""
+        return self.base.survival_shape()
+
     def exchangeable(self):
-        """The reflection (u, v) -> (1-u, 1-v) commutes with the swap.  No
-        shape is claimed: this kernel's cancellation noise has no one peak."""
+        """The reflection (u, v) -> (1-u, 1-v) commutes with the swap."""
         return self.base.exchangeable()
 
     def params(self):

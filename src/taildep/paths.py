@@ -42,8 +42,13 @@ Selection, the same rules for every route:
   everywhere) is flat and sets ``all_paths_maximal``;
 * ends: a refined maximum exactly at x = u^2 or x = 1 is that end;
 * mirror: each maximum refined over [2 log u, log u] is reported with its
-  mirror 2 log u - t, unless the diagonal ties it in the diagonal's own
-  bracket: then x = u is the maximizer;
+  mirror 2 log u - t, unless it is the diagonal: then x = u is the
+  maximizer.  On a ``"peak"`` level that is a maximum within the merge
+  distance, 1e-11 in log x, of log u: f falls strictly from its peak, so a
+  peak refined away from the diagonal lies away from it, however close
+  their values.  On a scanned level it is a maximum that the diagonal ties
+  in the diagonal's own bracket: with no proven shape, that is how a
+  smooth peak at x = u looks once rounding moves its refined point off it;
 * diagonal: a ``"diagonal"`` level's one inner maximum is x = u;
 * *all* maxima in the tie window of the best are reported, among the ends
   and the inner maxima, merging neighbours within 1e-11 in log x into the
@@ -209,14 +214,15 @@ def _flat(f_top: float, f_floor: float) -> bool:
 
 
 def _select(level: _Level, t_ref: list[float], f_ref: list[float],
-            mirror: bool, diagonal: bool) -> PathPoint:
+            mirror: bool, shape: str | None) -> PathPoint:
     """The PathPoint of a level from its brackets and scalars and the
     refined maxima (t, log pi) of its brackets, in bracket order.
 
     Every route's level is decided here, by the selection rules of the
-    module docstring; ``mirror`` and ``diagonal`` switch on the rules of
-    those names.  Candidates closer than the refinement resolution merge
-    into the higher; log x = log u is reported as x = u itself.
+    module docstring; ``mirror`` switches on the rule of that name, and the
+    family's ``shape`` names the route.  Candidates closer than the
+    refinement resolution merge into the higher; log x = log u is reported
+    as x = u itself.
     """
     _, hi, (u, log_u, f_lo, f_diag, f_hi, f_floor, f_top) = level
     top = max([f_top, *f_ref])
@@ -225,9 +231,10 @@ def _select(level: _Level, t_ref: list[float], f_ref: list[float],
                          log_pi_star=top, boundary_attained=False,
                          all_paths_maximal=True, log_maximizers=(log_u,))
     t_lo = 2.0 * log_u
-    inner = [(log_u, f_diag)] if diagonal else []
+    inner = [(log_u, f_diag)] if shape == "diagonal" else []
     for t, f, t_hi in zip(t_ref, f_ref, hi.tolist()):
-        if mirror and t_hi == log_u and f - f_diag <= _TIE_LOG:
+        if mirror and (log_u - t <= _MERGE if shape else
+                       t_hi == log_u and f - f_diag <= _TIE_LOG):
             inner.append((log_u, max(f, f_diag)))
         elif t_lo < t < 0.0:
             inner += [(t, f), (t_lo - t, f)] if mirror else [(t, f)]
@@ -418,7 +425,7 @@ def solve_path(cop: Copula, u_grid) -> PathSolution:
                            np.concatenate([hi for _, hi, _ in levels]))
     t_ref, f_ref = t_ref.tolist(), f_ref.tolist()
     cut = np.cumsum([0, *sizes]).tolist()
-    points = tuple(_select(level, t_ref[i:j], f_ref[i:j], mirror, diagonal)
+    points = tuple(_select(level, t_ref[i:j], f_ref[i:j], mirror, shape)
                    for level, i, j in zip(levels, cut, cut[1:]))
     return PathSolution(u_grid=grid, points=points)
 

@@ -107,8 +107,8 @@ class TestExitCodes:
         assert code == 3 and "admissible" in err
 
     def test_vanished_level_is_3(self, capsys):
-        code, out, err = run(capsys, "path", "--family", "marshall_olkin",
-                             "--a", "0.3529", "--b", "0.75", "--survival",
+        code, out, err = run(capsys, "path", "--family", "fgm",
+                             "--alpha", "0.5", "--survival",
                              "--umin-exp", "18")
         assert code == 3 and out == "" and "u=1e-18" in err
 

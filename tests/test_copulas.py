@@ -163,8 +163,14 @@ class TestParameterValidation:
         assert check_axioms(Independence(), grid_n=np.int64(4), tol=0).all_ok
 
 
+# the survival copulas whose log_cdf is an exact kernel, cdf the linear sum
+EXACT_SURVIVALS = [MarshallOlkin(A, B).survival(), MixtureMO(A, B).survival(),
+                   FrechetUpper().survival()]
+
+
 class TestLogCdf:
-    @pytest.mark.parametrize("cop", ALL_FAMILIES, ids=_ids(ALL_FAMILIES))
+    @pytest.mark.parametrize("cop", ALL_FAMILIES + EXACT_SURVIVALS,
+                             ids=_ids(ALL_FAMILIES + EXACT_SURVIVALS))
     def test_log_cdf_matches_cdf(self, cop):
         rng = np.random.default_rng(11)
         u = rng.uniform(0.01, 1.0, 50)
@@ -274,6 +280,70 @@ class TestSurvival:
         assert s1 != MarshallOlkin(0.7, 0.3).survival()
         assert s1 != MarshallOlkin(0.3, 0.7)
         assert repr(s1) == "SurvivalCopula(MarshallOlkin(a=0.3, b=0.7))"
+
+
+def _log_survival_mp(cop, u, v) -> float:
+    """log(u + v - 1 + C(1-u, 1-v)) at 60 digits, C written out again."""
+    with mpmath.workdps(60):
+        u, v = mpmath.mpf(u), mpmath.mpf(v)
+        p, q = 1 - u, 1 - v
+        if isinstance(cop, FrechetUpper):
+            c = min(p, q)
+        else:
+            a, b = mpmath.mpf(cop.a), mpmath.mpf(cop.b)
+            c = min(p ** (1 - a) * q, p * q ** (1 - b))
+            if isinstance(cop, MixtureMO):
+                c = (c + min(p ** (1 - b) * q, p * q ** (1 - a))) / 2
+        return float(mpmath.log(u + v - 1 + c))
+
+
+# shocks over [0, 1], the ends a fifth of the time each
+_SHOCK_ENDS = st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 1.0]))
+_EXACT_SURVIVAL = st.one_of(
+    st.just(FrechetUpper()),
+    st.builds(MarshallOlkin, _SHOCK_ENDS, _SHOCK_ENDS),
+    st.builds(MixtureMO, _SHOCK_ENDS, _SHOCK_ENDS),
+)
+
+
+class TestExactSurvival:
+    """The survival kernels of MO, the mixture and the comonotone copula
+    (``_log_survival``), against mpmath."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(cop=_EXACT_SURVIVAL,
+           u=st.floats(math.log(1e-10), math.log(0.99)).map(math.exp),
+           v=st.floats(math.log(1e-10), math.log(0.99)).map(math.exp))
+    def test_kernel_matches_mpmath(self, cop, u, v):
+        got = cop.survival().log_cdf(u, v)
+        want = _log_survival_mp(cop, u, v)
+        assert abs(got - want) <= 2e-15 * max(1.0, abs(want)), (cop, u, v)
+
+    @pytest.mark.parametrize("cop", [
+        FrechetUpper(), MarshallOlkin(A, B), MixtureMO(A, B),
+        *[fam(a, b) for fam in (MarshallOlkin, MixtureMO)
+          for a in (0.0, 1.0) for b in (0.0, B, 1.0)]], ids=repr)
+    def test_corners_and_edges(self, cop):
+        # C^(1, 1) = 1, C^(u, 1) = u, C^(1, v) = v and a zero is -inf, with
+        # no RuntimeWarning (the suite makes warnings errors)
+        s = cop.survival()
+        assert s.log_cdf(1.0, 1.0) == 0.0
+        assert s.log_cdf(0.3, 1.0) == s.log_cdf(1.0, 0.3) == math.log(0.3)
+        out = s.log_cdf(np.array([0.0, 1.0, 0.0, 0.0, 0.5]),
+                        np.array([1.0, 0.0, 0.0, 0.5, 0.5]))
+        assert np.all(out[:4] == -math.inf)
+        assert out[4] == s.log_cdf(0.5, 0.5)
+        assert out[4] == pytest.approx(_log_survival_mp(cop, 0.5, 0.5),
+                                       rel=1e-15)
+
+    @pytest.mark.parametrize("cop", [MarshallOlkin(A, B), MixtureMO(A, B)],
+                             ids=repr)
+    def test_exact_where_the_linear_sum_cancels(self, cop):
+        # u + v - 1 + C(1-u, 1-v) is 0 in double precision at u = v = 1e-18
+        u = 1e-18
+        assert cop.survival().cdf(u, u) == 0.0
+        got = cop.survival().log_cdf(u, u)
+        assert got == pytest.approx(_log_survival_mp(cop, u, u), rel=1e-15)
 
 
 class TestAxioms:

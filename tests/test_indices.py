@@ -203,6 +203,27 @@ class TestStarIndices:
             star = star_indices(solve_path(cop, grid))
             assert star.chi >= diag.chi - 1e-12, cop
 
+    def test_survival_route_is_conservative(self):
+        # the upper tail through the exact survival kernels: every level's
+        # maximum is at least the diagonal's, and the indices keep the order;
+        # kappa = kappa* = 1 there, so their estimates meet to within 1e-5,
+        # also at 1e-12, where the linear survival sum is noise
+        rng = np.random.default_rng(27)
+        cops = [FrechetUpper().survival()]
+        for _ in range(8):
+            a, b = rng.uniform(0.05, 0.95, 2)
+            cops += [MarshallOlkin(a, b).survival(), MixtureMO(a, b).survival()]
+        for grid in (GRID, default_u_grid(8, 1, 2), default_u_grid(12)):
+            for cop in cops:
+                path = solve_path(cop, grid)
+                for p in path.points:
+                    assert p.log_pi_star >= cop.log_cdf(p.u, p.u), (cop, p.u)
+                diag = classical_indices(cop, grid)
+                star = star_indices(path)
+                assert star.lam >= diag.lam - 1e-12, cop
+                assert star.kappa <= diag.kappa + 1e-5, cop
+                assert star.chi >= diag.chi - 1e-5, cop
+
     @pytest.mark.parametrize("cop", [MarshallOlkin(0.4, 0.4), FGM(0.5)])
     def test_starred_equals_classical_for_diagonal_families(self, cop):
         kappa_d = classical_indices(cop, GRID).kappa

@@ -42,7 +42,7 @@ from taildep import (
 )
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
-from oracles import gc_maximizer  # noqa: E402
+from oracles import gc_maximizer, mo_survival_kink  # noqa: E402
 
 A, B = 0.3529, 0.75
 GRID_4 = [1e-1, 1e-2, 1e-3, 1e-4]
@@ -100,13 +100,12 @@ class TestPiPhi:
 
 class TestVanishedLevel:
     @pytest.mark.parametrize("cop", [
-        MarshallOlkin(A, B).survival(),
-        MixtureMO(A, B).survival(),
         FGM(0.5).survival(),
         Independence().survival(),
     ], ids=repr)
     def test_level_with_no_mass_is_an_error(self, cop):
         # u + v - 1 + C(1-u, 1-v) cancels to 0 at every x once u^2 < ~1e-32
+        # for a family without an exact survival kernel
         with pytest.raises(DegenerateTailError, match="u=1e-18"):
             pointwise_max(cop, 1e-18)
         with pytest.raises(DegenerateTailError, match="u=1e-18"):
@@ -627,6 +626,11 @@ SHAPED = {
     # psi(u^2) = u^(-2 theta) stays finite at u = 1e-100 for theta <= 1.5
     "archimedean_clayton": st.floats(0.1, 1.5).map(
         lambda th: Archimedean(clayton_generator(th))),
+    # the survival copulas with an exact kernel and a proven shape
+    "survival_marshall_olkin": st.builds(
+        MarshallOlkin, st.floats(0.0, 1.0),
+        st.floats(0.0, 1.0)).map(lambda c: c.survival()),
+    "survival_frechet_upper": st.just(FrechetUpper().survival()),
 }
 
 
@@ -653,8 +657,10 @@ class TestShapeFacts:
         (Clayton(2.0), "diagonal", True),
         (Archimedean(clayton_generator(2.0)), "diagonal", True),
         (Archimedean(_generator_without_proof(2.0)), None, True),
-        (MarshallOlkin(A, B).survival(), None, False),
+        (MarshallOlkin(A, B).survival(), "peak", False),
+        (MarshallOlkin(0.4, 0.4).survival(), "diagonal", True),
         (MixtureMO(A, B).survival(), None, True),
+        (FrechetUpper().survival(), "diagonal", True),
         (FGM(0.5).survival(), None, True),
         (GeneralizedClayton(0.5, 0.3).survival(), None, False),
     ], ids=repr)
@@ -836,6 +842,72 @@ class TestShapeFacts:
             assert len(got) == len(want) == 2
             np.testing.assert_allclose(got, want, rtol=1e-10, atol=0.0)
 
+    @pytest.mark.parametrize("a", [1e-5, 1e-4])
+    @pytest.mark.parametrize("u", [0.1, 1e-3])
+    def test_peak_tied_by_the_diagonal_keeps_its_mirror(self, a, u):
+        # with a << b the far side of the mixture's peak is flat to within
+        # the tie window, but the peak lies far from the diagonal
+        cop = MixtureMO(a, 0.5)
+        got = pointwise_max(cop, u).maximizers
+        np.testing.assert_allclose(got, cop.maximizers(u), rtol=1e-9, atol=0.0)
+
+    @pytest.mark.parametrize("u", [0.1, 1e-3])
+    def test_scanned_smooth_peak_at_the_diagonal_is_the_diagonal(self, u):
+        # a smooth peak refines to about 2e-8 off log u; on a scanned level
+        # the diagonal ties it in its own bracket and absorbs it
+        cop = Archimedean(_generator_without_proof(2.0))
+        assert pointwise_max(cop, u).maximizers == (u,)
+
+
+class TestSurvivalRoute:
+    """The survival copulas with an exact kernel: MO zooms, the comonotone
+    copula takes the diagonal, the mixture half-scans."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(a=st.floats(0.05, 0.95), b=st.floats(0.05, 0.95))
+    def test_marshall_olkin_maximizers_are_the_kink(self, a, b):
+        # at these levels the one peak is the kink a P = b Q, in mpmath
+        for p in solve_path(MarshallOlkin(a, b).survival(),
+                            default_u_grid(12)).points:
+            assert len(p.maximizers) == 1
+            assert not (p.boundary_attained or p.all_paths_maximal)
+            want = math.log(mo_survival_kink(a, b, p.u))
+            assert abs(p.log_maximizers[0] - want) <= 1e-9 * abs(want), (a, b, p.u)
+
+    @pytest.mark.parametrize("u", [1e-50, 1e-150, 1e-300])
+    def test_deep_levels_match_the_kink(self, u):
+        # the kernel stays exact in log space where the linear sum is 0
+        p = pointwise_max(MarshallOlkin(A, B).survival(), u)
+        want = math.log(mo_survival_kink(A, B, u))
+        assert abs(p.log_maximizers[0] - want) <= 1e-12 * abs(want)
+
+    @settings(max_examples=6, deadline=None)
+    @given(a=st.floats(0.1, 0.9), b=st.floats(0.1, 0.9))
+    def test_mixture_maximizers_are_both_kinks(self, a, b):
+        assume(abs(a - b) >= 0.1)
+        for p in solve_path(MixtureMO(a, b).survival(),
+                            default_u_grid(8)).points:
+            want = sorted([mo_survival_kink(a, b, p.u),
+                           mo_survival_kink(b, a, p.u)])
+            assert len(p.maximizers) == 2, (a, b, p.u)
+            np.testing.assert_allclose(p.maximizers, want, rtol=1e-9, atol=0.0)
+
+    @pytest.mark.parametrize("cop", [FrechetUpper().survival(),
+                                     MarshallOlkin(0.4, 0.4).survival()],
+                             ids=repr)
+    def test_diagonal_survivals_make_one_kernel_call(self, cop, monkeypatch):
+        seen = []
+        orig = paths._log_pi
+
+        def record(cop, log_u, t):
+            seen.append(t.shape)
+            return orig(cop, log_u, t)
+        monkeypatch.setattr(paths, "_log_pi", record)
+        sol = solve_path(cop, GRID_15)
+        assert seen == [(15, 3)]
+        for p in sol.points:
+            assert p.maximizers == (p.u,)
+            assert p.log_pi_star == cop.log_cdf(p.u, p.u)
 
 class TestDiagonalFloor:
     def test_grid_logs_agree_with_numpy(self):
@@ -926,7 +998,7 @@ class TestSolverOptions:
         # three zoom steps leave a bracket far wider than the fixed width;
         # a scanned family's brackets are two scan steps wide
         monkeypatch.setattr(paths, "_MAX_ITER", 3)
-        cop = MarshallOlkin(A, B).survival()
+        cop = MixtureMO(A, B).survival()
         with pytest.raises(NumericError, match=r"u=0\.001 .*width 1\.5e-06"):
             pointwise_max(cop, 1e-3)
         with pytest.raises(NumericError):
