@@ -78,6 +78,20 @@ for row in rows:
     assert float(row[1]) > 0.0 and all(row[k] == "false" for k in flags), row
 PY
 
+echo "== survival cdf is the exp of the exact kernel where the linear sum cancels"
+"${td[@]}" eval --family mixture_mo --a 0.3 --b 0.7 --survival --u 1e-12 --v 0.5 > "$tmp/eval.json"
+python - "$tmp/eval.json" <<'PY'
+import json, math, sys
+value = json.load(open(sys.argv[1]))["value"]
+assert math.isclose(value, 7.5e-13, rel_tol=1e-12), value
+PY
+
+echo "== below the survival sum's cancellation floor indices exit 3 with no negative lambda"
+code=0
+"${td[@]}" indices --family clayton --theta 2 --survival --umin-exp 8 > "$tmp/ind.out" 2>&1 || code=$?
+test "$code" -eq 3
+if grep -q '"lambda": -' "$tmp/ind.out"; then exit 1; fi
+
 echo "== selection flags: a flat peak family and a boundary-attained half scan"
 "${td[@]}" path --family marshall_olkin --a 0.6 --b 0 --format csv > "$tmp/flat.csv"
 "${td[@]}" path --family fgm --alpha -0.5 --format csv > "$tmp/ends.csv"

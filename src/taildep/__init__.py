@@ -59,7 +59,6 @@ from taildep.indices import (
 from taildep.paths import (
     PathPoint,
     PathSolution,
-    closed_form_path,
     pi_phi,
     pointwise_max,
     solve_path,
@@ -84,7 +83,7 @@ __all__ = [
     "parse_config", "copula_from_mapping", "copula_from_config",
     "PathPoint", "PathSolution", "pi_phi", "pointwise_max",
     "solve_path",
-    "archimedean_diagonal_check", "closed_form_path",
+    "archimedean_diagonal_check",
     "PathKind", "TailIndexReport", "Verdict", "ComparisonReport",
     "default_u_grid", "classical_indices", "star_indices",
     "closed_form_kappa_star", "compare",

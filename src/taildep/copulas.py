@@ -2,15 +2,19 @@
 
 Each family is a small frozen dataclass that validates its parameters on
 construction, each with ``_check_param`` (a finite real number in the
-family's interval; a bool is not a number), and exposes two evaluation
-routes:
+family's interval; a bool is not a number), and defines one kernel,
+``_log_cdf(lu, lv)`` = log C(e^lu, e^lv), which takes log coordinates.  Both
+evaluation routes go through it, vectorized over numpy arrays:
 
-* ``cdf(u, v)``   -- the copula value C(u, v), vectorized over numpy arrays;
-* ``log_cdf(u, v)`` -- log C(u, v) through the kernel ``_log_cdf(lu, lv)``,
-  which takes log coordinates.  Every family but the generic Archimedean
-  evaluates it from the logs, Clayton too, which keeps the tail machinery
-  in :mod:`taildep.paths` exact down to u ~ 1e-300; so does the survival
-  copula of a family with an exact ``_log_survival`` (below).
+* ``log_cdf(u, v)`` -- log C(u, v), -inf where u or v is 0;
+* ``cdf(u, v)``   -- the copula value C(u, v), the exp of ``log_cdf``.
+
+Each named family evaluates its kernel from the logs, which keeps the tail
+machinery in :mod:`taildep.paths` exact down to u ~ 1e-300; so does the
+survival copula of a family with an exact ``_log_survival`` (below).
+The generic ``Archimedean`` copula takes the log of psi_inv(psi(u) + psi(v)),
+and any other survival copula the log of a linear sum with a stated
+cancellation floor (last paragraph).
 
 Every other fact about a family is an optional method of its class, by
 default None or :class:`UnsupportedMethodError`: ``maximizers``,
@@ -47,11 +51,13 @@ parameter keys.
 
 ``survival()`` wraps any copula into its survival copula
 ``u + v - 1 + C(1-u, 1-v)``, mapping upper-tail questions onto the lower-tail
-machinery: its ``cdf`` is that linear sum, its ``log_cdf`` the base's
-``_log_survival`` where there is one and the log of the sum otherwise, which
-cancels once u v nears the double epsilon.  ``check_axioms`` verifies
-groundedness, uniform marginals and the two-increasing property on a
-lattice.
+machinery.  Its kernel is the base's ``_log_survival`` where there is one.
+Otherwise it is the log of that linear sum, whose terms are of order 1: a sum
+at or below the cancellation floor ``_CANCEL`` = 4 eps, about 8.9e-16, is
+rounding noise and counts as 0, so a level whose rectangles all lie below it
+raises :class:`DegenerateTailError` in :mod:`taildep.paths`.
+``check_axioms`` verifies groundedness, uniform marginals and the
+two-increasing property on a lattice.
 """
 
 from __future__ import annotations
@@ -152,23 +158,19 @@ def _check_level(u) -> float:
 class Copula:
     """Common interface: a bivariate CDF on the unit square.
 
-    The kernels ``_cdf(u, v)`` and ``_log_cdf(lu, lv)`` default to each
-    other, so a family defines at least one of them; with neither, the
-    first evaluation raises :class:`TypeError`.
+    A family defines one kernel, ``_log_cdf(lu, lv)``; ``log_cdf`` evaluates
+    it and ``cdf`` takes its exp.  Where a base has no exact
+    ``_log_survival``, its survival copula's kernel is the log of a linear
+    sum that cancels in the tail, and a sum at or below ``_CANCEL`` = 4 eps
+    counts as 0.
     """
 
     family: ClassVar[str] = "abstract"
 
-    def _cdf(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        if type(self)._log_cdf is Copula._log_cdf:
-            raise TypeError(f"{type(self).__name__} defines neither of the "
-                            "kernels _cdf and _log_cdf")
-        return np.exp(self._log_cdf_unit(u, v))
-
     def _log_cdf(self, lu: np.ndarray, lv: np.ndarray) -> np.ndarray:
-        """log C(e^lu, e^lv) for finite lu, lv <= 0."""
-        with np.errstate(divide="ignore"):
-            return np.log(self._cdf(np.exp(lu), np.exp(lv)))
+        """log C(e^lu, e^lv) for finite lu, lv <= 0: each family's kernel."""
+        raise NotImplementedError(
+            f"{type(self).__name__} defines no kernel _log_cdf")
 
     def _log_cdf_unit(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         """log C(u, v) on [0, 1]: zeros enter the kernel as 1, leave as -inf."""
@@ -180,10 +182,10 @@ class Copula:
         return np.where(zero, -np.inf, out)
 
     def cdf(self, u, v):
-        """Evaluate C(u, v); scalars in, scalar out."""
+        """Evaluate C(u, v), the exp of the kernel; scalars in, scalar out."""
         ua = _as_unit(u, "u")
         va = _as_unit(v, "v")
-        return _scalar_like(self._cdf(ua, va), u, v)
+        return _scalar_like(np.exp(self._log_cdf_unit(ua, va)), u, v)
 
     def log_cdf(self, u, v):
         """Evaluate log C(u, v), -inf where u or v is 0."""
@@ -255,9 +257,6 @@ class Independence(Copula):
 
     family: ClassVar[str] = "independence"
 
-    def _cdf(self, u, v):
-        return u * v
-
     def _log_cdf(self, lu, lv):
         return lu + lv
 
@@ -280,9 +279,6 @@ class FrechetUpper(Copula):
     """Comonotone copula C(u, v) = min(u, v)."""
 
     family: ClassVar[str] = "frechet_upper"
-
-    def _cdf(self, u, v):
-        return np.minimum(u, v)
 
     def _log_cdf(self, lu, lv):
         return np.minimum(lu, lv)
@@ -360,9 +356,6 @@ class MarshallOlkin(_ShockPair):
     """C(u, v) = min(u^(1-a) v, u v^(1-b)) with a, b in [0, 1]."""
 
     family: ClassVar[str] = "marshall_olkin"
-
-    def _cdf(self, u, v):
-        return np.minimum(u ** (1.0 - self.a) * v, u * v ** (1.0 - self.b))
 
     def _log_cdf(self, lu, lv):
         return np.minimum((1.0 - self.a) * lu + lv, lu + (1.0 - self.b) * lv)
@@ -453,9 +446,6 @@ class MixtureMO(_ShockPair):
     def _mo(self) -> MarshallOlkin:
         return MarshallOlkin(self.a, self.b)
 
-    def _cdf(self, u, v):
-        return 0.5 * (self._mo._cdf(u, v) + self._mo._cdf(v, u))
-
     def _log_cdf(self, lu, lv):
         return np.logaddexp(self._mo._log_cdf(lu, lv),
                             self._mo._log_cdf(lv, lu)) - math.log(2.0)
@@ -523,12 +513,12 @@ class FGM(Copula):
     def __post_init__(self):
         _check_param(self.alpha, "alpha", -1.0, 1.0)
 
-    def _cdf(self, u, v):
-        return u * v * (1.0 + self.alpha * (1.0 - u) * (1.0 - v))
-
     def _log_cdf(self, lu, lv):
-        # (1 - u)(1 - v) = expm1(lu) expm1(lv)
-        return lu + lv + np.log1p(self.alpha * np.expm1(lu) * np.expm1(lv))
+        # 1 + alpha (1-u)(1-v) = (1 + alpha) - alpha s with s = 1 - (1-u)(1-v):
+        # for alpha < 0 both terms are >= 0, so nothing cancels as alpha -> -1
+        with np.errstate(divide="ignore"):  # log1p(-1) = -inf at u = 1
+            s = -np.expm1(np.log1p(-np.exp(lu)) + np.log1p(-np.exp(lv)))
+        return lu + lv + np.log((1.0 + self.alpha) - self.alpha * s)
 
     def maximizers(self, u):
         return (u,) if self.alpha > 0.0 else None
@@ -837,10 +827,12 @@ class Archimedean(Copula):
                 f"generator {g.name!r}: psi_inv(psi(t)) != t on the check grid",
                 component="psi_inv")
 
-    def _cdf(self, u, v):
+    def _log_cdf(self, lu, lv):
+        """log psi_inv(psi(u) + psi(v)); a NaN from the generator raises
+        :class:`GeneratorError` naming the callable that returned it."""
         g = self.generator
         with np.errstate(divide="ignore", over="ignore"):
-            s = np.asarray(g.psi(u) + g.psi(v), dtype=float)
+            s = np.asarray(g.psi(np.exp(lu)) + g.psi(np.exp(lv)), dtype=float)
             out = np.asarray(g.psi_inv(s), dtype=float)
         if np.any(np.isnan(s)):
             raise GeneratorError(
@@ -850,7 +842,8 @@ class Archimedean(Copula):
             raise GeneratorError(
                 f"generator {g.name!r}: psi_inv overflowed to NaN during CDF "
                 "evaluation", component="psi_inv")
-        return out
+        with np.errstate(divide="ignore"):
+            return np.log(out)
 
     def maximizers(self, u):
         return (u,) if archimedean_diagonal_check(self.generator, u) else None
@@ -872,6 +865,10 @@ class Archimedean(Copula):
         return {"family": self.family, "generator": self.generator.name}
 
 
+# the survival sum's cancellation floor: four ulp of 1
+_CANCEL = 4.0 * np.finfo(float).eps
+
+
 @dataclass(frozen=True, repr=False)
 class SurvivalCopula(Copula):
     """Survival copula of a base copula: u + v - 1 + C(1-u, 1-v)."""
@@ -880,17 +877,16 @@ class SurvivalCopula(Copula):
 
     family: ClassVar[str] = "survival"
 
-    def _cdf(self, u, v):
-        # Clip the tiny negative excursions that cancellation can produce.
-        raw = u + v - 1.0 + self.base._cdf(1.0 - u, 1.0 - v)
-        return np.clip(raw, 0.0, 1.0)
-
     def _log_cdf(self, lu, lv):
-        """The base's exact ``_log_survival`` where it has one, else the log
-        of the linear sum, which cancels once u v nears the double epsilon."""
-        if self.base._log_survival is None:
-            return super()._log_cdf(lu, lv)
-        return self.base._log_survival(lu, lv)
+        """The base's exact ``_log_survival`` where it has one.  Otherwise the
+        log of the linear sum, whose terms are of order 1, so that a sum at or
+        below ``_CANCEL``, a few ulp of 1, is rounding noise and counts as 0."""
+        if self.base._log_survival is not None:
+            return self.base._log_survival(lu, lv)
+        u, v = np.exp(lu), np.exp(lv)
+        raw = u + v - 1.0 + np.exp(self.base._log_cdf_unit(1.0 - u, 1.0 - v))
+        with np.errstate(divide="ignore"):
+            return np.log(np.where(raw > _CANCEL, np.minimum(raw, 1.0), 0.0))
 
     def survival(self) -> Copula:
         return self.base  # reflecting twice is the identity

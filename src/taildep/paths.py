@@ -63,9 +63,6 @@ carries no tail meaning.
 
 A level whose values of C(x, u^2/x) are zero at every evaluated x raises
 :class:`DegenerateTailError` rather than returning an empty answer.
-
-``closed_form_path`` reports the known maximizers of a family, which are
-facts of its class in :mod:`taildep.copulas` (``Copula.maximizers``).
 """
 
 from __future__ import annotations
@@ -86,7 +83,6 @@ __all__ = [
     "pi_phi",
     "pointwise_max",
     "solve_path",
-    "closed_form_path",
 ]
 
 # points of a zoom step, ends included: a step shrinks a bracket to 2/33
@@ -428,16 +424,3 @@ def solve_path(cop: Copula, u_grid) -> PathSolution:
     points = tuple(_select(level, t_ref[i:j], f_ref[i:j], mirror, shape)
                    for level, i, j in zip(levels, cut, cut[1:]))
     return PathSolution(u_grid=grid, points=points)
-
-
-# ---------------------------------------------------------------------------
-# closed-form maximizers, where they exist
-# ---------------------------------------------------------------------------
-
-def closed_form_path(cop: Copula, u: float) -> tuple[float, ...] | None:
-    """Known maximizer set at level u, or None when no closed form applies.
-
-    The closed forms are facts of each family's class
-    (``Copula.maximizers``); this is the solver's independent oracle.
-    """
-    return cop.maximizers(_check_level(u))

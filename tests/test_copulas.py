@@ -1,6 +1,8 @@
 """Tests for the copula families, axioms, survival transform and tau."""
 
 import math
+import sys
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -20,12 +22,16 @@ from taildep import (
     MarshallOlkin,
     MixtureMO,
     ParameterError,
+    SurvivalCopula,
     UnsupportedMethodError,
     check_axioms,
     clayton_generator,
     pointwise_max,
     zeta_root,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+from oracles import mp_cdf, mp_survival_cdf  # noqa: E402
 
 A, B = 0.3529, 0.75
 
@@ -163,19 +169,41 @@ class TestParameterValidation:
         assert check_axioms(Independence(), grid_n=np.int64(4), tol=0).all_ok
 
 
-# the survival copulas whose log_cdf is an exact kernel, cdf the linear sum
-EXACT_SURVIVALS = [MarshallOlkin(A, B).survival(), MixtureMO(A, B).survival(),
-                   FrechetUpper().survival()]
+def _oracle_spec(cop):
+    """The family name and parameters of cop in perfbench's oracles; the
+    Archimedean copulas here are Clayton-generated, with psi''(1) = theta + 1."""
+    if isinstance(cop, Archimedean):
+        return "clayton", {"theta": float(cop.generator.psi_second(1.0)) - 1.0}
+    p = cop.params()
+    return p.pop("family"), p
+
+
+# and FGM as alpha -> -1, where 1 + alpha (1-u)(1-v) nears 0 for small u, v
+ORACLE_FAMILIES = ALL_FAMILIES + [FGM(-0.999), FGM(1.0)]
+ORACLE_CASES = ORACLE_FAMILIES + [c.survival() for c in ORACLE_FAMILIES]
 
 
 class TestLogCdf:
-    @pytest.mark.parametrize("cop", ALL_FAMILIES + EXACT_SURVIVALS,
-                             ids=_ids(ALL_FAMILIES + EXACT_SURVIVALS))
-    def test_log_cdf_matches_cdf(self, cop):
-        rng = np.random.default_rng(11)
-        u = rng.uniform(0.01, 1.0, 50)
-        v = rng.uniform(0.01, 1.0, 50)
-        assert np.allclose(np.exp(cop.log_cdf(u, v)), cop.cdf(u, v), rtol=1e-12)
+    @pytest.mark.parametrize("cop", ORACLE_CASES, ids=_ids(ORACLE_CASES))
+    def test_kernel_matches_mpmath(self, cop):
+        # u, v log-uniform in [1e-10, 1], against C written out again in mpmath
+        rng = np.random.default_rng(5)
+        u, v = np.exp(rng.uniform(math.log(1e-10), 0.0, (2, 200)))
+        survival = isinstance(cop, SurvivalCopula)
+        oracle = mp_survival_cdf if survival else mp_cdf
+        family, p = _oracle_spec(cop.base if survival else cop)
+        with mpmath.workdps(50):
+            exact = [oracle(family, p, x, y) for x, y in zip(u, v)]
+            want_log = np.array([float(mpmath.log(c)) for c in exact])
+            want = np.array([float(c) for c in exact])
+        got_log, got = cop.log_cdf(u, v), cop.cdf(u, v)
+        if survival and cop.base._log_survival is None:
+            # the linear sum: a few ulp of 1 absolute, 0 at or below the floor
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=2e-15)
+            return
+        np.testing.assert_allclose(got_log, want_log, rtol=1e-15, atol=0.0)
+        np.testing.assert_allclose(got, want, atol=0.0,
+                                   rtol=1e-14 if survival else 2e-14)
 
     @pytest.mark.parametrize(
         "cop", [MarshallOlkin(A, B), MixtureMO(A, B), GeneralizedClayton(0.04, 0.02),
@@ -187,27 +215,6 @@ class TestLogCdf:
         val = cop.log_cdf(u, u)
         assert np.isfinite(val)
         assert val < math.log(u)
-
-    @pytest.mark.parametrize("cop", ALL_FAMILIES, ids=_ids(ALL_FAMILIES))
-    def test_log_kernel_matches_linear_cdf(self, cop):
-        # the kernels take log coordinates; the reference is log C(u, v) in
-        # linear space (the Clayton families have no linear-space _cdf of
-        # their own, so their formulas are written out here)
-        rng = np.random.default_rng(23)
-        u = rng.uniform(0.01, 0.9, 200)
-        v = rng.uniform(0.01, 0.9, 200)
-        if isinstance(cop, GeneralizedClayton):
-            g0, g1 = cop.gamma0, cop.gamma1
-            gt = g0 + g1
-            ref = np.log(u ** (g1 / gt)
-                         * (u ** (-1 / gt) + v ** (-1 / g0) - 1.0) ** -g0)
-        elif isinstance(cop, Clayton):
-            th = cop.theta
-            ref = np.log((u ** -th + v ** -th - 1.0) ** (-1.0 / th))
-        else:
-            ref = np.log(cop.cdf(u, v))
-        got = cop._log_cdf(np.log(u), np.log(v))
-        assert np.allclose(got, ref, rtol=1e-14, atol=0.0)
 
     @pytest.mark.parametrize("cop", BOUNDARY_FAMILIES, ids=_ids(BOUNDARY_FAMILIES))
     def test_log_cdf_boundary_is_minus_inf(self, cop):
@@ -339,15 +346,20 @@ class TestExactSurvival:
     @pytest.mark.parametrize("cop", [MarshallOlkin(A, B), MixtureMO(A, B)],
                              ids=repr)
     def test_exact_where_the_linear_sum_cancels(self, cop):
-        # u + v - 1 + C(1-u, 1-v) is 0 in double precision at u = v = 1e-18
+        # u + v - 1 + C(1-u, 1-v) is 0 in double precision at u = v = 1e-18;
+        # cdf is the exp of the exact log
         u = 1e-18
-        assert cop.survival().cdf(u, u) == 0.0
         got = cop.survival().log_cdf(u, u)
         assert got == pytest.approx(_log_survival_mp(cop, u, u), rel=1e-15)
+        assert cop.survival().cdf(u, u) == math.exp(got) > 0.0
+
+
+SURVIVALS = [c.survival() for c in ALL_FAMILIES]
 
 
 class TestAxioms:
-    @pytest.mark.parametrize("cop", ALL_FAMILIES, ids=_ids(ALL_FAMILIES))
+    @pytest.mark.parametrize("cop", ALL_FAMILIES + SURVIVALS,
+                             ids=_ids(ALL_FAMILIES + SURVIVALS))
     def test_all_families_pass(self, cop):
         report = check_axioms(cop, grid_n=100, tol=1e-10)
         assert report.all_ok, report
@@ -512,9 +524,6 @@ class TestClayton:
         assert point.maximizers[0] == pytest.approx(u, rel=1e-6)
         want = _log_clayton_mp(theta, u, u)
         assert point.log_pi_star == pytest.approx(want, rel=1e-12)
-
-    def test_survival_passes_the_axioms(self):
-        assert check_axioms(Clayton(2.0).survival()).all_ok
 
 
 @settings(max_examples=60, deadline=None)

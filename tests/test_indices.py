@@ -56,8 +56,9 @@ class LowerBound(Copula):
 
     family = "frechet_lower"
 
-    def _cdf(self, u, v):
-        return np.maximum(u + v - 1.0, 0.0)
+    def _log_cdf(self, lu, lv):
+        with np.errstate(divide="ignore"):
+            return np.log(np.maximum(np.exp(lu) + np.exp(lv) - 1.0, 0.0))
 
 
 class TestExtrapolation:

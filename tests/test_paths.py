@@ -32,7 +32,6 @@ from taildep import (
     ParameterError,
     archimedean_diagonal_check,
     clayton_generator,
-    closed_form_path,
     default_u_grid,
     pi_phi,
     pointwise_max,
@@ -534,44 +533,44 @@ class TestArchimedeanDiagonalCheck:
 
 class TestClosedFormPath:
     def test_symmetric_mo_is_diagonal(self):
-        assert closed_form_path(MarshallOlkin(0.4, 0.4), 0.2) == (0.2,)
+        assert MarshallOlkin(0.4, 0.4).maximizers(0.2) == (0.2,)
 
     def test_mo_formula(self):
-        assert closed_form_path(MarshallOlkin(A, B), 0.1) == pytest.approx(
+        assert MarshallOlkin(A, B).maximizers(0.1) == pytest.approx(
             (0.1 ** (2 * B / (A + B)),))
 
     def test_mixture_pair(self):
-        got = closed_form_path(MixtureMO(A, B), 0.1)
+        got = MixtureMO(A, B).maximizers(0.1)
         s = A + B
         assert got == pytest.approx(tuple(sorted((0.1 ** (2 * B / s),
                                                   0.1 ** (2 * A / s)))))
 
     def test_mixture_collapses_when_symmetric(self):
-        assert closed_form_path(MixtureMO(0.3, 0.3), 0.1) == (0.1,)
+        assert MixtureMO(0.3, 0.3).maximizers(0.1) == (0.1,)
 
     def test_independence_like_corners_have_no_path(self):
-        assert closed_form_path(MarshallOlkin(0.5, 0.0), 0.1) is None
-        assert closed_form_path(Independence(), 0.1) is None
-        assert closed_form_path(FGM(0.0), 0.1) is None
+        assert MarshallOlkin(0.5, 0.0).maximizers(0.1) is None
+        assert Independence().maximizers(0.1) is None
+        assert FGM(0.0).maximizers(0.1) is None
 
     def test_fgm_sign_split(self):
-        assert closed_form_path(FGM(0.5), 0.3) == (0.3,)
-        assert closed_form_path(FGM(-0.5), 0.3) is None
+        assert FGM(0.5).maximizers(0.3) == (0.3,)
+        assert FGM(-0.5).maximizers(0.3) is None
 
     def test_frechet_upper(self):
-        assert closed_form_path(FrechetUpper(), 0.7) == (0.7,)
+        assert FrechetUpper().maximizers(0.7) == (0.7,)
 
     def test_archimedean_goes_through_the_diagonal_check(self):
-        assert closed_form_path(Archimedean(clayton_generator(1.0)), 0.1) == (0.1,)
+        assert Archimedean(clayton_generator(1.0)).maximizers(0.1) == (0.1,)
 
     def test_generalized_clayton_defers_to_root_solver(self):
-        assert closed_form_path(GeneralizedClayton(0.04, 0.02), 0.1) == (
+        assert GeneralizedClayton(0.04, 0.02).maximizers(0.1) == (
             zeta_root(0.04, 0.02, 0.1, xtol=1e-12),)
 
     @pytest.mark.parametrize("g0,g1", [(0.04, 0.02), (0.5, 0.3), (1.0, 0.0)])
     @pytest.mark.parametrize("u", [10.0 ** -k for k in range(1, 9)])
     def test_generalized_clayton_root_against_mpmath(self, g0, g1, u):
-        (got,) = closed_form_path(GeneralizedClayton(g0, g1), u)
+        (got,) = GeneralizedClayton(g0, g1).maximizers(u)
         want = gc_maximizer(g0, g1, u)
         assert abs(got - want) <= 1e-11 * want
 
@@ -762,7 +761,7 @@ class TestShapeFacts:
         assume(min(a, b) >= 1e-3)
         cop = MixtureMO(a, b)
         for p in solve_path(cop, default_u_grid(8)).points:
-            want = closed_form_path(cop, p.u)
+            want = cop.maximizers(p.u)
             assert len(p.maximizers) == len(want), (cop, p.u)
             np.testing.assert_allclose(p.maximizers, want, rtol=1e-9, atol=0.0)
 
@@ -838,7 +837,7 @@ class TestShapeFacts:
         cop = MixtureMO(0.5, 0.5001)
         for u in default_u_grid(8):
             got = pointwise_max(cop, u).maximizers
-            want = closed_form_path(cop, u)
+            want = cop.maximizers(u)
             assert len(got) == len(want) == 2
             np.testing.assert_allclose(got, want, rtol=1e-10, atol=0.0)
 
