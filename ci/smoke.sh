@@ -78,6 +78,25 @@ for row in rows:
     assert float(row[1]) > 0.0 and all(row[k] == "false" for k in flags), row
 PY
 
+echo "== the scanned survival mixture: both kinks b P(x) = a Q(y) and a P(x) = b Q(y), x y = u^2, on every level"
+"${td[@]}" path --family mixture_mo --a 0.3 --b 0.7 --survival --umin-exp 5 --format csv > "$tmp/smix.csv"
+python - "$tmp/smix.csv" <<'PY'
+import csv, math, sys
+a, b = 0.3, 0.7
+header, *rows = csv.reader(open(sys.argv[1], newline=""))
+assert len(rows) == 5 and header[1:3] == ["x_star_1", "x_star_2"], header
+assert "x_star_3" not in header, header
+flags = [header.index("boundary_attained"), header.index("all_paths_maximal")]
+for row in rows:
+    u, x1, x2 = (float(cell) for cell in row[:3])
+    assert all(row[k] == "false" for k in flags), row
+    assert math.isclose(x1 * x2, u * u, rel_tol=1e-12), row
+    for x in (x1, x2):
+        p, q = -math.log1p(-x), -math.log1p(-u * u / x)  # P(x), Q(u^2/x)
+        assert (math.isclose(b * p, a * q, rel_tol=1e-9)
+                or math.isclose(a * p, b * q, rel_tol=1e-9)), (row, x)
+PY
+
 echo "== survival cdf is the exp of the exact kernel where the linear sum cancels"
 "${td[@]}" eval --family mixture_mo --a 0.3 --b 0.7 --survival --u 1e-12 --v 0.5 > "$tmp/eval.json"
 python - "$tmp/eval.json" <<'PY'

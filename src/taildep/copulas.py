@@ -20,28 +20,16 @@ Every other fact about a family is an optional method of its class, by
 default None or :class:`UnsupportedMethodError`: ``maximizers``,
 ``kappa_star``, ``tau`` and ``sampler``.  Two facts about the level
 function f(t) = log C(e^t, u^2 e^-t) steer the solver in
-:mod:`taildep.paths`:
-
-* ``shape()``, None by default, is ``"diagonal"`` or ``"peak"`` where a
-  proof in the family's docstring says so: ``"diagonal"`` for independence,
-  comonotone, FGM with alpha > 0, Clayton, MO with a = b, generalized
-  Clayton with gamma1 = 0, the mixture with a = b and ``Archimedean`` on a
-  generator that proves x psi'(x) nondecreasing (``clayton_generator``);
-  ``"peak"`` for the other MO, generalized Clayton and mixture copulas;
-* ``exchangeable()``, C(u, v) = C(v, u), False by default, which makes f
-  symmetric about log u (independence, comonotone, FGM, Clayton, the
-  mixture, ``Archimedean``, MO with a = b, generalized Clayton with
-  gamma1 = 0, and a survival copula whose base is).
+:mod:`taildep.paths`: ``shape()``, None by default, is ``"diagonal"`` or
+``"peak"`` where a proof in the family's class says so, and
+``exchangeable()``, C(u, v) = C(v, u), False by default, makes f symmetric
+about log u.
 
 Two more optional facts, None by default, make a survival copula exact:
-
-* ``_log_survival(lu, lv)``, log of the survival copula
-  C^(u, v) = u + v - 1 + C(1-u, 1-v) in a closed form whose terms do not
-  cancel: MO and the mixture, log(u v + (1-u)(1-v) E) with E >= 0 their
-  shock excess, and the comonotone copula, C^ = C;
-* ``survival_shape()``, the ``shape()`` of the survival copula, proven on
-  that kernel: ``"peak"`` for MO, ``"diagonal"`` for MO with a = b and the
-  comonotone copula.  The survival mixture has none and scans.
+``_log_survival(lu, lv)``, the log of the survival copula
+C^(u, v) = u + v - 1 + C(1-u, 1-v) in a closed form whose terms do not
+cancel, and ``survival_shape()``, the ``shape()`` of the survival copula,
+proven on that kernel.
 
 Each closed form is written once:
 the generalized Clayton maximizer is the root of ``zeta`` (``zeta_root``),
@@ -65,7 +53,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import dataclass, field, fields, is_dataclass
 from typing import Callable, ClassVar
 
 import numpy as np
@@ -326,24 +314,36 @@ class _ShockPair(Copula):
         """log C^(u, v) = log(u v + (1-u)(1-v) E(P, Q)), with P = -log1p(-u),
         Q = -log1p(-v) and E the family's ``_excess``: as
         C(1-u, 1-v) = (1-u)(1-v) (1 + E) and u + v - 1 + (1-u)(1-v) = u v,
-        both terms are >= 0 and nothing cancels.  Exact while u and v are
-        normal doubles; below 2.2e-308, P = u loses digits and then
-        underflows, which understates the excess term (a level below 1e-154
-        meets such x or y near the ends of its range)."""
-        with np.errstate(divide="ignore", invalid="ignore"):
-            p = -np.log1p(-np.exp(lu))  # inf at u = 1
-            q = -np.log1p(-np.exp(lv))
-            g = np.log(self._excess(p, q))
-            g -= p
-            g -= q
-            # np.logaddexp(lu + lv, g), whose scalar loop would take half
-            # the kernel's time: the same max + log1p(e^-|difference|)
-            s = lu + lv
-            out = np.log1p(np.exp(-np.abs(g - s)))
-            out += np.maximum(s, g)
-            # nan only where u = v = 1, or u = 1 meets a zero shock: there
-            # C^ = min(u, v), the Frechet bound, which fmin takes for nan
-            return np.fmin(out, np.minimum(lu, lv))
+        both terms are >= 0 and nothing cancels.  Where a step underflows
+        (u or v below the normal doubles, 2.2e-308, say), P or E would lose
+        digits, so the call forms log E in log space instead, from the
+        family's ``_log_excess``."""
+        try:
+            with np.errstate(divide="ignore", invalid="ignore", under="raise"):
+                p = -np.log1p(-np.exp(lu))  # inf at u = 1
+                q = -np.log1p(-np.exp(lv))
+                return _log_uv_plus(lu, lv, np.log(self._excess(p, q)) - p - q)
+        except FloatingPointError:
+            with np.errstate(divide="ignore", invalid="ignore", under="ignore"):
+                p = -np.log1p(-np.exp(lu))
+                q = -np.log1p(-np.exp(lv))
+                # below -37, P = e^lu to the last bit, so log P = lu, where P
+                # itself may have lost digits or be 0
+                lp = np.where(lu < -37.0, lu, np.log(p))
+                lq = np.where(lv < -37.0, lv, np.log(q))
+                return _log_uv_plus(lu, lv, self._log_excess(lp, lq) - p - q)
+
+
+def _log_uv_plus(lu, lv, g):
+    """log(u v + e^g), the survival kernel's sum of two terms >= 0."""
+    # np.logaddexp(lu + lv, g), whose scalar loop would take half the
+    # kernel's time: the same max + log1p(e^-|difference|)
+    s = lu + lv
+    out = np.log1p(np.exp(-np.abs(g - s)))
+    out += np.maximum(s, g)
+    # nan only where u = v = 1, or u = 1 meets a zero shock: there
+    # C^ = min(u, v), the Frechet bound, which fmin takes for nan
+    return np.fmin(out, np.minimum(lu, lv))
 
 
 def _root(s: float) -> float:
@@ -382,6 +382,13 @@ class MarshallOlkin(_ShockPair):
     def _excess(self, p, q):
         """expm1(min(a P, b Q)): C(e^-P, e^-Q) = e^(-P-Q) e^min(aP, bQ)."""
         return np.expm1(np.minimum(self.a * p, self.b * q))
+
+    def _log_excess(self, lp, lq):
+        """log ``_excess`` from lp = log P and lq = log Q: log expm1(m) of
+        log m = min(log a + lp, log b + lq), which is log m itself below
+        m = e^-37, where expm1(m) = m to the last bit."""
+        lm = np.minimum(np.log(self.a) + lp, np.log(self.b) + lq)
+        return np.where(lm < -37.0, lm, np.log(np.expm1(np.exp(lm))))
 
     def survival_shape(self):
         """One peak, the diagonal when a = b.  On the level x y = u^2, so
@@ -457,6 +464,11 @@ class MixtureMO(_ShockPair):
         ``MarshallOlkin.survival_shape``) has no proof of one peak on
         [2 log u, log u], so the survival mixture takes the half scan."""
         return 0.5 * (self._mo._excess(p, q) + self._mo._excess(q, p))
+
+    def _log_excess(self, lp, lq):
+        """log ``_excess`` from lp = log P and lq = log Q."""
+        return np.logaddexp(self._mo._log_excess(lp, lq),
+                            self._mo._log_excess(lq, lp)) - math.log(2.0)
 
     def exchangeable(self):
         """The (a, b) and (b, a) components trade places under (u, v) -> (v, u)."""
@@ -711,7 +723,8 @@ class Generator:
     All four callables must be explicit and vectorized; inverting psi
     numerically is deliberately unsupported because inversion error would
     contaminate CDF values at tail levels around 1e-6.  Handles compare by
-    identity: the name alone does not tell two generators apart.
+    identity: the name alone does not tell two generators apart, and
+    ``params``, the generator's parameters by name, tell them apart in print.
     """
 
     name: str
@@ -719,6 +732,7 @@ class Generator:
     psi_prime: Callable
     psi_second: Callable
     psi_inv: Callable
+    params: dict[str, float] = field(default_factory=dict)
 
     def slope_nondecreasing(self) -> bool:
         """Whether h(x) = x psi'(x) is proven nondecreasing on (0, 1]; then
@@ -737,13 +751,14 @@ class _ClaytonGenerator(Generator):
 
 def clayton_generator(theta: float) -> Generator:
     """Strict Clayton generator psi(t) = (t^(-theta) - 1) / theta, theta > 0."""
-    _check_param(theta, "theta", 0.0, math.inf, lo_open=True)
+    theta = _check_param(theta, "theta", 0.0, math.inf, lo_open=True)
     return _ClaytonGenerator(
         name="clayton",
         psi=lambda t: (np.power(t, -theta) - 1.0) / theta,
         psi_prime=lambda t: -np.power(t, -theta - 1.0),
         psi_second=lambda t: (theta + 1.0) * np.power(t, -theta - 2.0),
         psi_inv=lambda s: np.power(1.0 + theta * s, -1.0 / theta),
+        params={"theta": theta},
     )
 
 
@@ -862,7 +877,12 @@ class Archimedean(Copula):
         return "diagonal" if self.generator.slope_nondecreasing() else None
 
     def params(self):
-        return {"family": self.family, "generator": self.generator.name}
+        """The family, the generator's name and its ``params``.  The mapping
+        does not re-enter ``copula_from_mapping``, which rejects it:
+        ``archimedean`` is not a config family, as a generator's callables
+        have no text form."""
+        g = self.generator
+        return {"family": self.family, "generator": g.name, **g.params}
 
 
 # the survival sum's cancellation floor: four ulp of 1

@@ -1,5 +1,19 @@
 """Exception hierarchy shared by all taildep modules."""
 
+__all__ = [
+    "TailDepError",
+    "ParameterError",
+    "ConfigError",
+    "UnsupportedMethodError",
+    "GeneratorError",
+    "NumericError",
+    "BracketError",
+    "EvaluationOverflowError",
+    "DegenerateTailError",
+    "NoAdmissiblePathError",
+    "InsufficientTailError",
+]
+
 
 class TailDepError(Exception):
     """Base class for every error raised by this package."""

@@ -21,13 +21,14 @@ C(v, u), so that f(2 log u - t) = f(t) and the searched range is
   (Kiefer's sequential search for the maximum of a unimodal function).
   Nothing is scanned: the ends and diagonals come from one kernel call, and
   each level's one bracket is the searched range itself.
-* None, full scan: a log-spaced grid of 4096 points over [u^2, 1] (tail
+* None, full scan: 4097 points evenly spaced in log x over [u^2, 1] (tail
   maximizers such as u^(2b/(a+b)) cluster near 0, so uniform-in-x grids
-  would miss them), plus the diagonal; its log x are ``np.linspace``'s
-  values bit for bit.  Each interior local maximum gets a bracket, and a
-  scan flat to within the tie window gets none.  An exchangeable family's
-  scan is a half scan: it stops at the diagonal (the first 2048 points plus
-  log u), and so do its brackets.
+  would miss them), ``np.linspace(2 log u, 0, 4097)``.  Point 2048 is the
+  diagonal log u exactly, as the step -log u / 2048 is a division by a
+  power of two.  Each interior local maximum gets a bracket, and a scan
+  flat to within the tie window gets none.  An exchangeable family's scan
+  is a half scan, the first 2049 points: it stops at the diagonal, and so
+  do its brackets.
 
 An exchangeable family's maxima refined over [2 log u, log u] are mirrored.
 
@@ -88,17 +89,14 @@ __all__ = [
 # points of a zoom step, ends included: a step shrinks a bracket to 2/33
 _ZOOM = 34
 _ZOOM_GRID = np.arange(_ZOOM) / (_ZOOM - 1)
-_SCAN_N = 4096  # points of the log-spaced scan of each level
+_SCAN_N = 4096  # steps of the log-spaced scan of each level
+_SCAN_MID = _SCAN_N // 2  # the scan's point at the diagonal
 _SLICE = _SCAN_N // _ZOOM  # brackets per zoom batch, a scan's worth of points
 # flat offset of each row of a batch's (rows, _ZOOM) grid, and the flat
 # index of the lower and upper grid neighbour of each flat index, ends clamped
 _ROW_OFF = np.arange(_SLICE)[:, None] * _ZOOM
 _LO_NB = (_ROW_OFF + np.maximum(np.arange(_ZOOM) - 1, 0)).ravel()
 _HI_NB = (_ROW_OFF + np.minimum(np.arange(_ZOOM) + 1, _ZOOM - 1)).ravel()
-# linspace's multipliers j of its points j * step + t_lo, and a slot for log u
-# where searchsorted puts it: half a step above point _SCAN_MID - 1
-_SCAN_MID = _SCAN_N // 2
-_SCAN_J = np.insert(np.arange(_SCAN_N, dtype=float), _SCAN_MID, 0.0)
 _XTOL = 1e-12  # refined bracket width in log x, a relative width in x
 _MERGE = 10.0 * _XTOL  # maxima closer in log x are one
 _VALUE = itemgetter(1)  # the log pi of a (log x, log pi) pair
@@ -294,24 +292,18 @@ def _shaped_levels(cop: Copula, grid: tuple[float, ...], diagonal: bool,
 
 
 def _scan(cop: Copula, u: float) -> _Level:
-    """Scan level u on a log-spaced grid.
-
-    The abscissas are ``np.linspace(2 log u, 0, 4096)``'s values bit for
-    bit, plus the diagonal x = u; an exchangeable family's stop at the
-    diagonal (module docstring).  Returns the brackets [lo, hi] in log x
-    around the scan's interior local maxima, none if the scan is flat, and
-    the level's scalars, its lower bound the scan's minimum.  Only scalars
-    outlive the scan itself.
+    """Scan level u at log x = ``np.linspace(2 log u, 0, 4097)``.  An
+    exchangeable family's scan is its first 2049 points, which end at the
+    diagonal: ``np.linspace(2 log u, log u, 2049)`` takes the same step,
+    -log u / 2048, so the same values (module docstring).  Returns the
+    brackets [lo, hi] in log x around the scan's interior local maxima, none
+    if the scan is flat, and the level's scalars, its lower bound the scan's
+    minimum.  Only scalars outlive the scan itself.
     """
     log_u = float(np.log(u))
-    t_lo = 2.0 * log_u
     half = cop.exchangeable()
-    # linspace's own arithmetic: j * step + t_lo, the last point pinned
-    ts = _SCAN_J[:_SCAN_MID + 1 if half else None] * (-t_lo / (_SCAN_N - 1))
-    ts += t_lo
-    ts[_SCAN_MID] = log_u
-    if not half:
-        ts[-1] = 0.0
+    ts = np.linspace(2.0 * log_u, log_u if half else 0.0,
+                     (_SCAN_MID if half else _SCAN_N) + 1)
     fs = _log_pi(cop, log_u, ts)
     f_floor, f_top = float(fs.min()), float(fs.max())
     if not math.isfinite(f_top) and not np.isfinite(fs).any():

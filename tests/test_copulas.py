@@ -14,6 +14,7 @@ from taildep import (
     FGM,
     Archimedean,
     Clayton,
+    ConfigError,
     FrechetUpper,
     GeneralizedClayton,
     Generator,
@@ -26,6 +27,7 @@ from taildep import (
     UnsupportedMethodError,
     check_axioms,
     clayton_generator,
+    copula_from_mapping,
     pointwise_max,
     zeta_root,
 )
@@ -171,9 +173,9 @@ class TestParameterValidation:
 
 def _oracle_spec(cop):
     """The family name and parameters of cop in perfbench's oracles; the
-    Archimedean copulas here are Clayton-generated, with psi''(1) = theta + 1."""
+    Archimedean copulas here are Clayton-generated."""
     if isinstance(cop, Archimedean):
-        return "clayton", {"theta": float(cop.generator.psi_second(1.0)) - 1.0}
+        return "clayton", dict(cop.generator.params)
     p = cop.params()
     return p.pop("family"), p
 
@@ -304,6 +306,19 @@ def _log_survival_mp(cop, u, v) -> float:
         return float(mpmath.log(u + v - 1 + c))
 
 
+def _log_survival_closed_mp(cop, u, v) -> float:
+    """log(u v + (1-u)(1-v) E) at 60 digits, E the shock excess of MO or the
+    mixture, which does not cancel where u or v is tiny."""
+    with mpmath.workdps(60):
+        u, v = mpmath.mpf(u), mpmath.mpf(v)
+        p, q = -mpmath.log1p(-u), -mpmath.log1p(-v)
+        a, b = mpmath.mpf(cop.a), mpmath.mpf(cop.b)
+        e = mpmath.expm1(min(a * p, b * q))
+        if isinstance(cop, MixtureMO):
+            e = (e + mpmath.expm1(min(a * q, b * p))) / 2
+        return float(mpmath.log(u * v + (1 - u) * (1 - v) * e))
+
+
 # shocks over [0, 1], the ends a fifth of the time each
 _SHOCK_ENDS = st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 1.0]))
 _EXACT_SURVIVAL = st.one_of(
@@ -342,6 +357,17 @@ class TestExactSurvival:
         assert out[4] == s.log_cdf(0.5, 0.5)
         assert out[4] == pytest.approx(_log_survival_mp(cop, 0.5, 0.5),
                                        rel=1e-15)
+
+    @pytest.mark.parametrize("cop", [MarshallOlkin(A, B), MixtureMO(A, B),
+                                     MixtureMO(1.0, 0.2)], ids=repr)
+    @pytest.mark.parametrize("v", [0.5, 1e-3, 1e-30, 1e-300, math.exp(-740)])
+    def test_exact_below_the_normal_doubles(self, cop, v):
+        # u = e^-37 down to e^-740, subnormal below e^-708: P = -log1p(-u)
+        # loses digits there, and the kernel takes log P = log u instead
+        u = np.exp(np.linspace(-37.0, -740.0, 120))
+        got = cop.survival().log_cdf(u, np.full(u.size, v))
+        want = np.array([_log_survival_closed_mp(cop, x, v) for x in u])
+        assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want))
 
     @pytest.mark.parametrize("cop", [MarshallOlkin(A, B), MixtureMO(A, B)],
                              ids=repr)
@@ -428,6 +454,15 @@ class TestGenerators:
         c1, c2 = Archimedean(g1), Archimedean(g2)
         assert c1 != c2 and c1 == Archimedean(g1)
         assert len({c1, c2}) == 2
+
+    def test_params_tell_generators_apart(self):
+        # the mapping names theta, and is no config: archimedean is not a family
+        p1 = Archimedean(clayton_generator(1.0)).params()
+        assert p1 != Archimedean(clayton_generator(2.0)).params()
+        assert p1 == {"family": "archimedean", "generator": "clayton",
+                      "theta": 1.0}
+        with pytest.raises(ConfigError, match="unknown family 'archimedean'"):
+            copula_from_mapping(p1)
 
     def test_nonzero_at_one_rejected(self):
         g = clayton_generator(1.0)

@@ -318,7 +318,6 @@ class TestSolvePath:
                              np.empty(0))
         assert t.size == f.size == 0
 
-    # 6.7e-112: the last point j * step + t_lo misses 0.0 unless pinned
     @pytest.mark.parametrize("u", [0.5, 0.1, 1e-3, 10 ** -4.25, 1e-8,
                                    6.7e-112, 1e-300])
     def test_scan_abscissas_are_linspace_with_log_u(self, u, monkeypatch):
@@ -329,10 +328,9 @@ class TestSolvePath:
             return -np.abs(t - log_u)
         monkeypatch.setattr(paths, "_log_pi", record)
         paths._scan(MarshallOlkin(A, B), u)
-        log_u = math.log(u)
-        ref = np.linspace(2.0 * log_u, 0.0, 4096)
-        ref = np.insert(ref, np.searchsorted(ref, log_u), log_u)
+        ref = np.linspace(2.0 * np.log(u), 0.0, 4097)
         assert seen[0].tobytes() == ref.tobytes()
+        assert seen[0][2048] == np.log(u) and seen[0][-1] == 0.0
 
     @staticmethod
     def _runs_by_loop(ts, fs):
@@ -781,8 +779,9 @@ class TestShapeFacts:
         monkeypatch.setattr(paths, "_log_pi", record)
         u = 1e-3
         paths._scan(MixtureMO(A, B), u)
-        ref = np.linspace(2.0 * math.log(u), 0.0, 4096)[:paths._SCAN_MID]
-        assert seen[0].tobytes() == np.append(ref, math.log(u)).tobytes()
+        ref = np.linspace(2.0 * np.log(u), 0.0, 4097)[:2049]
+        assert seen[0].tobytes() == ref.tobytes()
+        assert seen[0][-1] == np.log(u)
 
     @pytest.mark.parametrize("case, runs", [
         ("none", 0), ("one_flat", 1), ("two", 2), ("at_diagonal", 1),
