@@ -79,12 +79,17 @@ for row in rows:
 PY
 
 echo "== the scanned survival mixture: both kinks b P(x) = a Q(y) and a P(x) = b Q(y), x y = u^2, on every level"
-"${td[@]}" path --family mixture_mo --a 0.3 --b 0.7 --survival --umin-exp 5 --format csv > "$tmp/smix.csv"
-python - "$tmp/smix.csv" <<'PY'
+# --umin-exp, --per-decade and the number of levels of each run
+for run in 5:1:5 12:2:23; do
+    IFS=: read -r umin per levels <<< "$run"
+    "${td[@]}" path --family mixture_mo --a 0.3 --b 0.7 --survival \
+        --umin-exp "$umin" --per-decade "$per" --format csv > "$tmp/smix.csv"
+    python - "$tmp/smix.csv" "$levels" <<'PY'
 import csv, math, sys
 a, b = 0.3, 0.7
 header, *rows = csv.reader(open(sys.argv[1], newline=""))
-assert len(rows) == 5 and header[1:3] == ["x_star_1", "x_star_2"], header
+assert len(rows) == int(sys.argv[2]), len(rows)
+assert header[1:3] == ["x_star_1", "x_star_2"], header
 assert "x_star_3" not in header, header
 flags = [header.index("boundary_attained"), header.index("all_paths_maximal")]
 for row in rows:
@@ -96,6 +101,7 @@ for row in rows:
         assert (math.isclose(b * p, a * q, rel_tol=1e-9)
                 or math.isclose(a * p, b * q, rel_tol=1e-9)), (row, x)
 PY
+done
 
 echo "== survival cdf is the exp of the exact kernel where the linear sum cancels"
 "${td[@]}" eval --family mixture_mo --a 0.3 --b 0.7 --survival --u 1e-12 --v 0.5 > "$tmp/eval.json"

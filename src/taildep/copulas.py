@@ -43,7 +43,9 @@ machinery.  Its kernel is the base's ``_log_survival`` where there is one.
 Otherwise it is the log of that linear sum, whose terms are of order 1: a sum
 at or below the cancellation floor ``_CANCEL`` = 4 eps, about 8.9e-16, is
 rounding noise and counts as 0, so a level whose rectangles all lie below it
-raises :class:`DegenerateTailError` in :mod:`taildep.paths`.
+raises :class:`DegenerateTailError` in :mod:`taildep.paths`.  That sum's
+absolute error in C, a few ``_CANCEL``, is the copula's ``_cdf_abs_error``
+(0 for a log kernel), which :mod:`taildep.paths` adds to its scan bounds.
 ``check_axioms`` verifies groundedness, uniform marginals and the
 two-increasing property on a lattice.
 """
@@ -217,6 +219,10 @@ class Copula:
         """Whether C(u, v) = C(v, u): then f(2 log u - t) = f(t), and
         :mod:`taildep.paths` searches [2 log u, log u] only and mirrors."""
         return False
+
+    # The absolute error of the kernel's C = exp(_log_cdf), beyond a relative
+    # error of a few ulp: 0 for a kernel evaluated in log space.
+    _cdf_abs_error = 0.0
 
     # The exact log kernel of the survival copula, _log_survival(lu, lv) =
     # log C^(e^lu, e^lv), where the family has one whose terms do not cancel;
@@ -459,16 +465,25 @@ class MixtureMO(_ShockPair):
 
     def _excess(self, p, q):
         """The mean of the (a, b) excess and its transpose: the survival
-        kernel is one call, P and Q computed once.  No survival shape is
-        claimed: the sum of the two log-concave excesses (see
-        ``MarshallOlkin.survival_shape``) has no proof of one peak on
-        [2 log u, log u], so the survival mixture takes the half scan."""
+        kernel is one call, P and Q computed once."""
         return 0.5 * (self._mo._excess(p, q) + self._mo._excess(q, p))
 
     def _log_excess(self, lp, lq):
-        """log ``_excess`` from lp = log P and lq = log Q."""
+        """log ``_excess`` from lp = log P and lq = log Q; with a = b, the
+        (a, b) excess itself, as its transpose is the same."""
+        if self.a == self.b:
+            return self._mo._log_excess(lp, lq)
         return np.logaddexp(self._mo._log_excess(lp, lq),
                             self._mo._log_excess(lq, lp)) - math.log(2.0)
+
+    def survival_shape(self):
+        """The diagonal when a = b, None otherwise.  With a = b both
+        components are MO(a, a), whose excess is its own transpose, and
+        0.5 * (E + E) = E exactly: the survival kernel is survival
+        MO(a, a)'s bit for bit (``MarshallOlkin.survival_shape``).  For
+        a != b the sum of the two log-concave excesses has no proof of one
+        peak on [2 log u, log u], and the survival mixture is scanned."""
+        return "diagonal" if self.a == self.b else None
 
     def exchangeable(self):
         """The (a, b) and (b, a) components trade places under (u, v) -> (v, u)."""
@@ -907,6 +922,14 @@ class SurvivalCopula(Copula):
         raw = u + v - 1.0 + np.exp(self.base._log_cdf_unit(1.0 - u, 1.0 - v))
         with np.errstate(divide="ignore"):
             return np.log(np.where(raw > _CANCEL, np.minimum(raw, 1.0), 0.0))
+
+    @property
+    def _cdf_abs_error(self) -> float:
+        """0 for the base's exact kernel.  The linear sum is off by up to
+        ``_CANCEL`` where it counts as 0, and by the rounding of its order-1
+        terms elsewhere, which the kernel tests hold within 2e-15: 4
+        ``_CANCEL`` covers both."""
+        return 0.0 if self.base._log_survival is not None else 4.0 * _CANCEL
 
     def survival(self) -> Copula:
         return self.base  # reflecting twice is the identity

@@ -379,6 +379,17 @@ class TestExactSurvival:
         assert got == pytest.approx(_log_survival_mp(cop, u, u), rel=1e-15)
         assert cop.survival().cdf(u, u) == math.exp(got) > 0.0
 
+    @pytest.mark.parametrize("a", [0.0, 0.3, 0.9, 1.0])
+    def test_equal_mixture_is_marshall_olkin_bit_for_bit(self, a):
+        # with a = b the mixture's survival kernel is survival MO(a, a)'s,
+        # in the direct formula and in log space, which a call takes as a
+        # whole once one element underflows (the first here)
+        lu = np.linspace(-3.0, -0.01, 2000)
+        for lead in (-1.0, -800.0):
+            x, y = np.append(lead, lu), np.append(-1.0, lu[::-1])
+            assert (MixtureMO(a, a)._log_survival(x, y).tobytes()
+                    == MarshallOlkin(a, a)._log_survival(x, y).tobytes())
+
 
 SURVIVALS = [c.survival() for c in ALL_FAMILIES]
 

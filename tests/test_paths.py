@@ -30,6 +30,7 @@ from taildep import (
     NoAdmissiblePathError,
     NumericError,
     ParameterError,
+    TailDepError,
     archimedean_diagonal_check,
     clayton_generator,
     default_u_grid,
@@ -321,16 +322,25 @@ class TestSolvePath:
     @pytest.mark.parametrize("u", [0.5, 0.1, 1e-3, 10 ** -4.25, 1e-8,
                                    6.7e-112, 1e-300])
     def test_scan_abscissas_are_linspace_with_log_u(self, u, monkeypatch):
+        # every abscissa the scan evaluates, at a cell corner, in a cell's
+        # bound or in a kept cell, is its np.linspace point bit for bit;
+        # with no cell dropped, the second call evaluates every point
         seen = []
 
-        def record(cop, log_u, t):
-            seen.append(t.copy())
+        def record(cop, log_u, t, s=None):
+            seen.extend([t.copy()] if s is None else [t.copy(), s.copy()])
             return -np.abs(t - log_u)
         monkeypatch.setattr(paths, "_log_pi", record)
-        paths._scan(MarshallOlkin(A, B), u)
         ref = np.linspace(2.0 * np.log(u), 0.0, 4097)
-        assert seen[0].tobytes() == ref.tobytes()
-        assert seen[0][2048] == np.log(u) and seen[0][-1] == 0.0
+        assert ref[2048] == np.log(u) and ref[-1] == 0.0
+        for slack in (paths._SLACK, math.inf):
+            monkeypatch.setattr(paths, "_SLACK", slack)
+            seen.clear()
+            paths._scan_levels(MarshallOlkin(A, B), (u,), np.log([u]), False)
+            for ts in seen:
+                assert np.isin(ts.view(np.int64), ref.view(np.int64)).all()
+            assert len(seen) == 3
+        assert seen[-1].tobytes() == ref.tobytes()
 
     @staticmethod
     def _runs_by_loop(ts, fs):
@@ -347,7 +357,7 @@ class TestSolvePath:
     @pytest.mark.parametrize("case, runs", [
         ("none", 0), ("one_flat", 1), ("two", 2), ("at_start", 1),
         ("at_end", 1), ("random_ties", 1422)])
-    def test_scan_brackets_equal_python_loop(self, case, runs, monkeypatch):
+    def test_scan_brackets_equal_python_loop(self, case, runs):
         n = paths._SCAN_N + 1
         k = np.arange(n, dtype=float)
         if case == "none":  # both ends maximal, as for FGM(-0.5)
@@ -366,14 +376,9 @@ class TestSolvePath:
             fs[-1] = fs[-2]
         else:
             fs = np.random.default_rng(3).integers(0, 3, n).astype(float)
-        seen = []
-
-        def hand_built(cop, log_u, t):
-            seen.append(t)
-            return fs
-        monkeypatch.setattr(paths, "_log_pi", hand_built)
-        lo, hi, _ = paths._scan(MarshallOlkin(A, B), 1e-3)
-        ref_lo, ref_hi = self._runs_by_loop(seen[0].tolist(), fs.tolist())
+        ts = np.linspace(2.0 * np.log(1e-3), 0.0, n)
+        lo, hi, _ = paths._brackets(ts, fs, np.ones(n - 1, dtype=bool))
+        ref_lo, ref_hi = self._runs_by_loop(ts.tolist(), fs.tolist())
         assert (lo.tolist(), hi.tolist()) == (ref_lo, ref_hi)
         assert len(ref_lo) == runs
 
@@ -628,6 +633,8 @@ SHAPED = {
         MarshallOlkin, st.floats(0.0, 1.0),
         st.floats(0.0, 1.0)).map(lambda c: c.survival()),
     "survival_frechet_upper": st.just(FrechetUpper().survival()),
+    "survival_mixture_equal": st.floats(0.0, 1.0).map(
+        lambda a: MixtureMO(a, a).survival()),
 }
 
 
@@ -657,6 +664,7 @@ class TestShapeFacts:
         (MarshallOlkin(A, B).survival(), "peak", False),
         (MarshallOlkin(0.4, 0.4).survival(), "diagonal", True),
         (MixtureMO(A, B).survival(), None, True),
+        (MixtureMO(0.4, 0.4).survival(), "diagonal", True),
         (FrechetUpper().survival(), "diagonal", True),
         (FGM(0.5).survival(), None, True),
         (GeneralizedClayton(0.5, 0.3).survival(), None, False),
@@ -771,24 +779,32 @@ class TestShapeFacts:
             assert not (p.boundary_attained or p.all_paths_maximal)
 
     def test_exchangeable_scan_stops_at_the_diagonal(self, monkeypatch):
+        # the scan's calls, those with a second abscissa or a flat one, never
+        # pass the diagonal; with no cell dropped the second call evaluates
+        # the full scan's first 2049 points
         seen = []
+        orig = paths._log_pi
 
-        def record(cop, log_u, t):
-            seen.append(t.copy())
-            return -np.abs(t - log_u)
+        def record(cop, log_u, t, s=None):
+            if s is not None or t.ndim == 1:
+                seen.append(t.copy())
+            return orig(cop, log_u, t, s)
         monkeypatch.setattr(paths, "_log_pi", record)
         u = 1e-3
-        paths._scan(MixtureMO(A, B), u)
+        cop = MixtureMO(A, B).survival()
+        assert cop.shape() is None and cop.exchangeable()
+        monkeypatch.setattr(paths, "_SLACK", math.inf)
+        solve_path(cop, [u])
         ref = np.linspace(2.0 * np.log(u), 0.0, 4097)[:2049]
-        assert seen[0].tobytes() == ref.tobytes()
-        assert seen[0][-1] == np.log(u)
+        assert max(t.max() for t in seen) == np.log(u)
+        assert seen[-1].tobytes() == ref.tobytes()
+        assert seen[-1][-1] == np.log(u)
 
     @pytest.mark.parametrize("case, runs", [
         ("none", 0), ("one_flat", 1), ("two", 2), ("at_diagonal", 1),
         ("flat_into_diagonal", 1), ("below_diagonal", 1),
         ("random_ties", 701)])
-    def test_half_scan_brackets_equal_mirrored_python_loop(self, case, runs,
-                                                           monkeypatch):
+    def test_half_scan_brackets_equal_mirrored_python_loop(self, case, runs):
         # reference: the full-scan loop over the half scan, the diagonal's
         # right neighbour set to its left one, brackets cut at the diagonal
         n = paths._SCAN_MID + 1
@@ -810,14 +826,12 @@ class TestShapeFacts:
             fs[-1] = fs[-2] - 1.0
         else:
             fs = np.random.default_rng(3).integers(0, 3, n).astype(float)
-        seen = []
-
-        def hand_built(cop, log_u, t):
-            seen.append(t)
-            return fs
-        monkeypatch.setattr(paths, "_log_pi", hand_built)
-        lo, hi, _ = paths._scan(MixtureMO(A, B), 1e-3)
-        ts = seen[0].tolist()
+        t = np.linspace(2.0 * np.log(1e-3), np.log(1e-3), n)
+        diagonal = np.zeros(n, dtype=bool)
+        diagonal[-1] = True
+        joined = np.ones(n - 1, dtype=bool)
+        lo, hi, _ = paths._brackets(t, fs, joined, diagonal)
+        ts = t.tolist()
         ref_lo, ref_hi = TestSolvePath._runs_by_loop(
             ts + [2.0 * math.log(1e-3) - ts[-2]], fs.tolist() + [fs[-2]])
         ref_hi = [min(h, math.log(1e-3)) for h in ref_hi]
@@ -857,9 +871,101 @@ class TestShapeFacts:
         assert pointwise_max(cop, u).maximizers == (u,)
 
 
+def _solve_or_error(cop, grid):
+    """Every PathPoint field of a solve, floats as float.hex, or the error."""
+    try:
+        sol = solve_path(cop, grid)
+    except TailDepError as exc:
+        return type(exc), str(exc)
+    return [(p.u.hex(), [x.hex() for x in p.maximizers], p.pi_star.hex(),
+             p.log_pi_star.hex(), p.boundary_attained, p.all_paths_maximal,
+             [t.hex() for t in p.log_maximizers]) for p in sol.points]
+
+
+class TestPrunedScan:
+    """The scan evaluates only the cells whose monotone bound reaches the
+    tie window of the best corner, with the answers of the full scan."""
+
+    SCANNED = st.one_of(
+        st.builds(MixtureMO, st.floats(0.0, 1.0), st.floats(0.0, 1.0)).filter(
+            lambda c: c.a != c.b).map(lambda c: c.survival()),
+        st.builds(FGM, st.floats(-1.0, 0.0)),
+        st.floats(0.1, 5.0).map(
+            lambda th: Archimedean(_generator_without_proof(th))),
+        # the survival copulas without an exact kernel
+        st.just(Independence().survival()),
+        st.builds(FGM, st.floats(-1.0, 1.0)).map(lambda c: c.survival()),
+        st.builds(Clayton, st.floats(0.1, 5.0)).map(lambda c: c.survival()),
+        st.builds(GeneralizedClayton, st.floats(0.1, 2.0),
+                  st.floats(0.0, 2.0)).map(lambda c: c.survival()),
+        st.floats(0.1, 5.0).map(
+            lambda th: Archimedean(clayton_generator(th)).survival()),
+    )
+    # levels from 0.99 down to 1e-300, or only down to 1e-8, where the linear
+    # survival sums vanish
+    LEVELS = st.one_of(*(st.lists(st.floats(lo, math.log10(0.99)),
+                                  min_size=1, max_size=4)
+                         for lo in (-8.0, -300.0))).map(
+        lambda es: sorted({10.0 ** e for e in es}, reverse=True))
+
+    @settings(max_examples=200, deadline=None)
+    @given(cop=SCANNED, grid=LEVELS)
+    def test_pruned_solve_equals_the_full_scan(self, cop, grid):
+        assert cop.shape() is None
+        pruned = _solve_or_error(cop, grid)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(paths, "_SLACK", math.inf)  # no cell is dropped
+            assert _solve_or_error(cop, grid) == pruned, (cop, grid)
+
+    def test_survival_mixture_evaluates_few_scan_points(self, monkeypatch):
+        # 17 levels of 2049 points; the scan's kernel evaluations, at the
+        # cell corners and bounds and in the kept cells, are 11.4% of them
+        evaluations = []
+        orig = paths._log_pi
+
+        def record(cop, log_u, t, s=None):
+            if s is not None or t.ndim == 1:  # not a zoom step
+                evaluations.append(t.size)
+            return orig(cop, log_u, t, s)
+        monkeypatch.setattr(paths, "_log_pi", record)
+        solve_path(MixtureMO(0.3, 0.7).survival(), default_u_grid(5, 1, 4))
+        assert sum(evaluations) <= 0.15 * 17 * 2049
+
+    def test_flat_run_into_a_dropped_cell_keeps_the_cell(self, monkeypatch):
+        # hand-built values on a half scan: a flat run of maxima at -1 over
+        # points 340-360 crosses the corner 352 from cell 10, whose bound is
+        # below the tie window of the best corner (0 at point 384), into the
+        # kept cell 11.  Cell 10 is kept too, and the run's bracket is
+        # [t_339, t_361], as on the full scan.
+        u = 1e-3
+        t = np.linspace(2.0 * np.log(u), np.log(u), 2049)
+        k = np.arange(2049)
+        fs = -2.0 - 1e-3 * k
+        fs[340:361] = -1.0
+        fs[361:384] = -1.5 - 1e-3 * (383 - k[361:384])
+        fs[384] = 0.0
+
+        def hand_built(cop, log_u, ts, s=None):
+            i = np.rint((ts - t[0]) / (t[1] - t[0])).astype(int)
+            if s is None:
+                return fs[i]
+            j = np.rint((s - t[0]) / (t[1] - t[0])).astype(int)
+            return np.vectorize(lambda a, b: fs[b:a + 1].max())(i, j)
+        monkeypatch.setattr(paths, "_log_pi", hand_built)
+        brackets = []
+        for slack in (paths._SLACK, math.inf):
+            monkeypatch.setattr(paths, "_SLACK", slack)
+            lo, hi, counts, _ = paths._scan_levels(
+                MixtureMO(A, B).survival(), (u,), np.log([u]), True)
+            brackets.append((lo.tolist(), hi.tolist(), counts.tolist()))
+        assert brackets[0] == brackets[1] == (
+            [t[339], t[383]], [t[361], t[385]], [2])
+
+
 class TestSurvivalRoute:
     """The survival copulas with an exact kernel: MO zooms, the comonotone
-    copula takes the diagonal, the mixture half-scans."""
+    copula takes the diagonal, the mixture half-scans, but with a = b it
+    takes the diagonal."""
 
     @settings(max_examples=20, deadline=None)
     @given(a=st.floats(0.05, 0.95), b=st.floats(0.05, 0.95))
@@ -891,7 +997,8 @@ class TestSurvivalRoute:
             np.testing.assert_allclose(p.maximizers, want, rtol=1e-9, atol=0.0)
 
     @pytest.mark.parametrize("cop", [FrechetUpper().survival(),
-                                     MarshallOlkin(0.4, 0.4).survival()],
+                                     MarshallOlkin(0.4, 0.4).survival(),
+                                     MixtureMO(0.4, 0.4).survival()],
                              ids=repr)
     def test_diagonal_survivals_make_one_kernel_call(self, cop, monkeypatch):
         seen = []
@@ -906,6 +1013,15 @@ class TestSurvivalRoute:
         for p in sol.points:
             assert p.maximizers == (p.u,)
             assert p.log_pi_star == cop.log_cdf(p.u, p.u)
+
+    @pytest.mark.parametrize("a", [0.0, 0.3529, 0.75, 1.0])
+    def test_equal_mixture_is_marshall_olkin(self, a):
+        # both components are MO(a, a): every point is survival MO(a, a)'s,
+        # bit for bit, down to levels where the kernels work in log space
+        for grid in (GRID_15, [0.99, 0.5], [1e-100, 1e-160, 1e-300]):
+            assert (_solve_or_error(MixtureMO(a, a).survival(), grid)
+                    == _solve_or_error(MarshallOlkin(a, a).survival(), grid))
+
 
 class TestDiagonalFloor:
     def test_grid_logs_agree_with_numpy(self):
