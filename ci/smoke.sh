@@ -66,6 +66,24 @@ for row in rows:
         assert math.isclose(float(cell), u ** power, rel_tol=1e-9), row
 PY
 
+echo "== the diagonal route: the one maximizer is u itself, unflagged, on every level"
+for spec in "clayton --theta 2" "fgm --alpha 0.5" "frechet_upper" \
+        "generalized_clayton --gamma0 0.5 --gamma1 0" \
+        "marshall_olkin --a 0.4 --b 0.4 --survival" "frechet_upper --survival" \
+        "mixture_mo --a 0.4 --b 0.4 --survival"; do
+    # shellcheck disable=SC2086  # spec is a word list
+    "${td[@]}" path --family $spec --umin-exp 12 --format csv > "$tmp/diag.csv"
+    python - "$tmp/diag.csv" <<'PY'
+import csv, sys
+header, *rows = csv.reader(open(sys.argv[1], newline=""))
+assert len(rows) == 12 and header[:2] == ["u", "x_star_1"], header
+assert "x_star_2" not in header, header
+flags = [header.index("boundary_attained"), header.index("all_paths_maximal")]
+for row in rows:
+    assert row[1] == row[0] and all(row[k] == "false" for k in flags), row
+PY
+done
+
 echo "== the exact survival kernel: one maximizer and no flag on every level down to 1e-18"
 "${td[@]}" path --family marshall_olkin --a 0.3529 --b 0.75 --survival --umin-exp 18 --format csv > "$tmp/surv.csv"
 python - "$tmp/surv.csv" <<'PY'

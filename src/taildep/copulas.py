@@ -22,8 +22,9 @@ default None or :class:`UnsupportedMethodError`: ``maximizers``,
 function f(t) = log C(e^t, u^2 e^-t) steer the solver in
 :mod:`taildep.paths`: ``shape()``, None by default, is ``"diagonal"`` or
 ``"peak"`` where a proof in the family's class says so, and
-``exchangeable()``, C(u, v) = C(v, u), False by default, makes f symmetric
-about log u.
+``exchangeable()``, C(u, v) = C(v, u), makes f symmetric about log u; it
+is implied by ``"diagonal"``, whose contract requires it, so only a family
+exchangeable without a diagonal shape declares it.
 
 Two more optional facts, None by default, make a survival copula exact:
 ``_log_survival(lu, lv)``, the log of the survival copula
@@ -204,8 +205,9 @@ class Copula:
         """The shape of every level function f(t) = log C(e^t, u^2 e^-t),
         proven for the family, which picks its route in :mod:`taildep.paths`:
 
-        * ``"diagonal"``: the family is exchangeable and f is nondecreasing
-          on [2 log u, log u], so x = u is a maximizer;
+        * ``"diagonal"``: the family is exchangeable (so ``exchangeable()``
+          follows) and f is nondecreasing on [2 log u, log u], so x = u is
+          a maximizer;
         * ``"peak"``: f rises strictly, then falls strictly, or is constant,
           on the searched range, [2 log u, log u] for an exchangeable family
           and [2 log u, 0] otherwise, so zooming that range finds the
@@ -217,8 +219,10 @@ class Copula:
 
     def exchangeable(self) -> bool:
         """Whether C(u, v) = C(v, u): then f(2 log u - t) = f(t), and
-        :mod:`taildep.paths` searches [2 log u, log u] only and mirrors."""
-        return False
+        :mod:`taildep.paths` searches [2 log u, log u] only and mirrors.
+        Implied by ``"diagonal"``, whose contract requires it; a family
+        exchangeable without that shape overrides this."""
+        return self.shape() == "diagonal"
 
     # The absolute error of the kernel's C = exp(_log_cdf), beyond a relative
     # error of a few ulp: 0 for a kernel evaluated in log space.
@@ -261,9 +265,6 @@ class Independence(Copula):
         """f(t) = 2 log u is constant."""
         return "diagonal"
 
-    def exchangeable(self):
-        return True
-
     def sampler(self):
         return 2, lambda w, uv: np.copyto(uv, w)
 
@@ -286,9 +287,6 @@ class FrechetUpper(Copula):
     def shape(self):
         """f(t) = min(t, 2 log u - t) rises up to log u."""
         return "diagonal"
-
-    def exchangeable(self):
-        return True
 
     # the survival copula u + v - 1 + min(1-u, 1-v) is min(u, v) itself
     _log_survival = _log_cdf
@@ -381,9 +379,6 @@ class MarshallOlkin(_ShockPair):
         to t = 2 b log u / (a + b), then falls with slope -a, and is constant
         when a or b is 0.  With a = b the peak is log u."""
         return "diagonal" if self.a == self.b else "peak"
-
-    def exchangeable(self):
-        return self.a == self.b
 
     def _excess(self, p, q):
         """expm1(min(a P, b Q)): C(e^-P, e^-Q) = e^(-P-Q) e^min(aP, bQ)."""
@@ -515,16 +510,15 @@ class MixtureMO(_ShockPair):
 def _fgm_conditional_inverse(w: np.ndarray, uv: np.ndarray, alpha: float) -> None:
     # Solve w1 = v (1 + A (1 - v)) for v, A = alpha (1 - 2 w0), and u = w0;
     # the stable quadratic root 2 w1 / (1 + A + sqrt((1+A)^2 - 4 A w1))
-    # degrades gracefully to v = w1 as A -> 0.  u holds A, made twice alike.
+    # degrades gracefully to v = w1 as A -> 0.  u holds A, then 1 + A.
     u, v = uv
-
-    def a_coef():
-        np.subtract(1.0, np.multiply(w[0], 2.0, out=u), out=u)
-        return np.multiply(u, alpha, out=u)
-
-    np.square(np.add(a_coef(), 1.0, out=v), out=v)  # what ** 2 runs
-    v -= np.multiply(np.multiply(u, 4.0, out=u), w[1], out=u)
-    np.add(np.add(a_coef(), 1.0, out=u), np.sqrt(v, out=v), out=u)
+    np.subtract(1.0, np.multiply(w[0], 2.0, out=u), out=u)
+    u *= alpha
+    np.square(np.add(u, 1.0, out=v), out=v)  # what ** 2 runs
+    t = np.multiply(u, 4.0)
+    t *= w[1]
+    v -= t
+    np.add(np.add(u, 1.0, out=u), np.sqrt(v, out=v), out=u)
     np.divide(np.multiply(w[1], 2.0, out=v), u, out=v)
     np.copyto(u, w[0])
 
@@ -619,9 +613,6 @@ class GeneralizedClayton(Copula):
         peak.  With g1 = 0, f is symmetric about log u, its peak.  Clayton
         is g1 = 0."""
         return "diagonal" if self.gamma1 == 0.0 else "peak"
-
-    def exchangeable(self):
-        return self.gamma1 == 0.0
 
 
 def _zeta_logs(cop: GeneralizedClayton, log_u: float,
@@ -727,9 +718,6 @@ class Clayton(Copula):
         (``GeneralizedClayton.shape``) with A' = -theta, B' = theta."""
         return "diagonal"
 
-    def exchangeable(self):
-        return True
-
 
 @dataclass(frozen=True, eq=False)
 class Generator:
@@ -802,8 +790,8 @@ def archimedean_diagonal_check(generator: Generator, u: float) -> bool:
     copula built on ``generator``; the generator must be strict, otherwise
     no admissible path exists at all and :class:`GeneratorError` is raised.
     The check samples 128 log-spaced points of [u^2, 1].  A sample is no
-    proof, so the answer picks no solver route: only
-    ``Generator.slope_nondecreasing`` does.
+    proof, so the answer picks neither a solver route nor
+    ``Archimedean.maximizers``: only ``Generator.slope_nondecreasing`` does.
     """
     u = _check_level(u)
     _require_strict(generator)
@@ -876,7 +864,8 @@ class Archimedean(Copula):
             return np.log(out)
 
     def maximizers(self, u):
-        return (u,) if archimedean_diagonal_check(self.generator, u) else None
+        """The diagonal where ``shape`` proves it, else None."""
+        return (u,) if self.shape() == "diagonal" else None
 
     def exchangeable(self):
         """psi(u) + psi(v) is symmetric in u and v."""

@@ -88,8 +88,12 @@ at x = u^2 or x = 1: it is flagged (``boundary_attained``) rather than
 treated as a path, as its rectangle does not shrink to the corner and
 carries no tail meaning.
 
-A level whose values of C(x, u^2/x) are zero at every evaluated x raises
-:class:`DegenerateTailError` rather than returning an empty answer.
+Vanished levels, the same rule for every route: each route returns, per
+level, f at x = u^2, x = u and x = 1, its lower bound and its highest value
+evaluated, and ``solve_path`` builds each level's record from them.  Before
+refinement, a level none of whose values is finite, C(x, u^2/x) = 0 at
+every evaluated x, raises :class:`DegenerateTailError` rather than
+returning an empty answer.
 """
 
 from __future__ import annotations
@@ -225,24 +229,27 @@ def _log_pi(cop: Copula, log_u: float | np.ndarray, t: np.ndarray,
     return cop._log_cdf(t, 2.0 * log_u - (t if s is None else s))
 
 
-# a level's scalars: u, log u, f at x = u^2, at x = u and at x = 1, a lower
-# bound of f on the level, and the highest f evaluated
-_Scalars = tuple[float, ...]
+# a route's scalars of a level, as Python floats: f at x = u^2, at x = u and
+# at x = 1, a lower bound of f on the level, and the highest f evaluated
+_Scalars = tuple[float, float, float, float, float]
 # the brackets [lo, hi] in log x of every level, level after level, the
 # number of each level's brackets, and each level's scalars
 _Levels = tuple[np.ndarray, np.ndarray, np.ndarray, list[_Scalars]]
 
 
-def _flat(f_top: float, f_floor: float) -> bool:
+def _flat(f_top: float | np.ndarray,
+          f_floor: float | np.ndarray) -> bool | np.ndarray:
     """Whether a level whose values run from f_floor up to f_top is a
-    plateau: every value in the tie window of the best."""
+    plateau: every value in the tie window of the best; elementwise on
+    arrays."""
     return f_top - f_floor <= _TIE_LOG
 
 
-def _select(level: _Scalars, hi: list[float], t_ref: list[float],
+def _select(level: tuple[float, ...], hi: list[float], t_ref: list[float],
             f_ref: list[float], mirror: bool, shape: str | None) -> PathPoint:
-    """The PathPoint of a level from its scalars, the upper ends of its
-    brackets and their refined maxima (t, log pi), in bracket order.
+    """The PathPoint of a level from its record, u, log u and its scalars,
+    the upper ends of its brackets and their refined maxima (t, log pi), in
+    bracket order.
 
     Every route's level is decided here, by the selection rules of the
     module docstring; ``mirror`` switches on the rule of that name, and the
@@ -294,8 +301,8 @@ def _vanished(u: float) -> DegenerateTailError:
         "the level carries no tail mass in double precision")
 
 
-def _shaped_levels(cop: Copula, grid: tuple[float, ...], log_u: np.ndarray,
-                   diagonal: bool, mirror: bool) -> _Levels:
+def _shaped_levels(cop: Copula, log_u: np.ndarray, diagonal: bool,
+                   mirror: bool) -> _Levels:
     """The levels of a family with a proven shape, unscanned (module
     docstring): one kernel call for every level's ends and diagonal, and one
     bracket per level, the searched range, [2 log u, log u] if ``mirror``
@@ -305,18 +312,15 @@ def _shaped_levels(cop: Copula, grid: tuple[float, ...], log_u: np.ndarray,
     """
     ts = np.zeros((log_u.size, 3))
     ts[:, 0], ts[:, 1] = 2.0 * log_u, log_u
-    fs = _log_pi(cop, log_u[:, None], ts)
-    levels = []
-    for u, lu, (f_lo, f_diag, f_hi) in zip(grid, log_u.tolist(), fs.tolist()):
-        f_top = max(f_lo, f_diag, f_hi)
-        if not math.isfinite(f_top):
-            raise _vanished(u)
+    scalars = []
+    for f_lo, f_diag, f_hi in _log_pi(cop, log_u[:, None], ts).tolist():
         f_end = f_diag if mirror else f_hi
-        levels.append((u, lu, f_lo, f_diag, f_hi, min(f_lo, f_end), f_top))
+        scalars.append((f_lo, f_diag, f_hi, min(f_lo, f_end),
+                        max(f_lo, f_diag, f_hi)))
     if diagonal:
-        return np.empty(0), np.empty(0), np.zeros(log_u.size, int), levels
+        return np.empty(0), np.empty(0), np.zeros(log_u.size, int), scalars
     return (ts[:, 0], ts[:, 1 if mirror else 2], np.ones(log_u.size, int),
-            levels)
+            scalars)
 
 
 def _linspace_at(k: np.ndarray, start: np.ndarray, step: np.ndarray,
@@ -356,8 +360,7 @@ def _brackets(t: np.ndarray, f: np.ndarray, joined: np.ndarray,
     return t[edges[::2]], t[hi], last
 
 
-def _scan_levels(cop: Copula, grid: tuple[float, ...], log_u: np.ndarray,
-                 half: bool) -> _Levels:
+def _scan_levels(cop: Copula, log_u: np.ndarray, half: bool) -> _Levels:
     """Scan every level at log x = ``np.linspace(2 log u, 0, 4097)``, or at
     its first 2049 points, ``np.linspace(2 log u, log u, 2049)``, if
     ``half`` (the same step, -log u / 2048, so the same points), evaluating
@@ -418,18 +421,14 @@ def _scan_levels(cop: Copula, grid: tuple[float, ...], log_u: np.ndarray,
     cut = first[np.searchsorted(lev, np.arange(log_u.size))]
     f_floor = np.minimum(np.minimum.reduceat(f, cut), corner.min(axis=1))
     f_top = np.maximum.reduceat(f, cut)
-    levels = []
-    rows = zip(grid, log_u.tolist(), corner[:, 0].tolist(),
-               corner[:, -1 if half else cells // 2].tolist(),
-               corner[:, 0 if half else -1].tolist(), f_floor.tolist(),
-               f_top.tolist(), cut.tolist(), [*cut[1:].tolist(), f.size])
-    for u, lu, f_lo, f_diag, f_hi, floor, top, i, j in rows:
-        if not math.isfinite(top) and not np.isfinite(f[i:j]).any():
-            raise _vanished(u)
-        levels.append((u, lu, f_lo, f_diag, f_hi, floor, top))
-    sloped = np.array([not _flat(s[-1], s[-2]) for s in levels])[row[at]]
+    with np.errstate(invalid="ignore"):  # -inf - -inf on a vanished level
+        sloped = ~_flat(f_top, f_floor)[row[at]]
     counts = np.bincount(row[at][sloped], minlength=log_u.size)
-    return lo[sloped], hi[sloped], counts, levels
+    scalars = list(zip(corner[:, 0].tolist(),
+                       corner[:, -1 if half else cells // 2].tolist(),
+                       corner[:, 0 if half else -1].tolist(),
+                       f_floor.tolist(), f_top.tolist()))
+    return lo[sloped], hi[sloped], counts, scalars
 
 
 def _refine(cop: Copula, log_u: np.ndarray, lo: np.ndarray,
@@ -502,19 +501,23 @@ def solve_path(cop: Copula, u_grid) -> PathSolution:
     refined together by batched zoom steps, so ``points[k]`` equals
     ``pointwise_max(cop, u_grid[k])`` exactly, and one ``_select`` decides
     every level.  The tolerances are fixed (module docstring); a starved
-    bracket raises :class:`NumericError`.
+    bracket raises :class:`NumericError`, and a level whose values all
+    vanished, before any refinement, :class:`DegenerateTailError`.
     """
     grid = _check_grid(u_grid)
     shape = cop.shape()
     diagonal = shape == "diagonal"
-    mirror = cop.exchangeable() and not diagonal
+    mirror = not diagonal and cop.exchangeable()
     log_u = np.log(grid)
     if shape is None:
-        lo, hi, counts, levels = _scan_levels(cop, grid, log_u,
-                                              cop.exchangeable())
+        lo, hi, counts, scalars = _scan_levels(cop, log_u, mirror)
     else:
-        lo, hi, counts, levels = _shaped_levels(cop, grid, log_u, diagonal,
-                                                mirror)
+        lo, hi, counts, scalars = _shaped_levels(cop, log_u, diagonal, mirror)
+    levels = []
+    for u, lu, level in zip(grid, log_u.tolist(), scalars):
+        if not any(map(math.isfinite, level)):
+            raise _vanished(u)
+        levels.append((u, lu, *level))
     t_ref, f_ref = _refine(cop, np.repeat(log_u, counts), lo, hi)
     t_ref, f_ref, hi = t_ref.tolist(), f_ref.tolist(), hi.tolist()
     cut = [0, *np.cumsum(counts).tolist()]

@@ -134,6 +134,21 @@ def test_a_log_kernel_is_a_whole_family():
     assert kappa == pytest.approx(2.0, abs=1e-12)
 
 
+class DiagonalLogKernel(LogKernelOnly):
+    """``LogKernelOnly`` with its proven shape declared: f(t) = 2 log u is
+    constant, so the diagonal is a maximizer."""
+
+    def shape(self):
+        return "diagonal"
+
+
+def test_a_diagonal_shape_implies_exchangeable():
+    # the "diagonal" contract requires C(u, v) = C(v, u), so a family that
+    # declares the shape need not declare exchangeable() too
+    assert DiagonalLogKernel().exchangeable()
+    assert not LogKernelOnly().exchangeable()
+
+
 def test_a_class_without_kernels_names_them():
     class Bare(Copula):
         pass

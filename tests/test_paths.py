@@ -4,6 +4,7 @@ import csv
 import io
 import math
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 import mpmath
@@ -18,6 +19,7 @@ from taildep import (
     Archimedean,
     BracketError,
     Clayton,
+    Copula,
     DegenerateTailError,
     EvaluationOverflowError,
     FrechetUpper,
@@ -98,14 +100,33 @@ class TestPiPhi:
         assert abs(got - ref) <= 1e-13 * ref
 
 
+@dataclass(frozen=True)
+class VanishingIndependence(Copula):
+    """u v where u v > 1e-20, and 0 below: a test-only family, on the route
+    of its declared ``shape``, whose kernel is -inf at every x of the levels
+    u < 1e-10.  f(t) = 2 log u is constant, so either shape holds."""
+
+    route: str
+
+    def _log_cdf(self, lu, lv):
+        s = lu + lv
+        return np.where(s > math.log(1e-20), s, -np.inf)
+
+    def shape(self):
+        return self.route
+
+
 class TestVanishedLevel:
     @pytest.mark.parametrize("cop", [
         FGM(0.5).survival(),
         Independence().survival(),
+        VanishingIndependence("diagonal"),
+        VanishingIndependence("peak"),
     ], ids=repr)
     def test_level_with_no_mass_is_an_error(self, cop):
         # u + v - 1 + C(1-u, 1-v) cancels to 0 at every x once u^2 < ~1e-32
-        # for a family without an exact survival kernel
+        # for a family without an exact survival kernel, which the solver
+        # scans; the shaped routes take the same rule
         with pytest.raises(DegenerateTailError, match="u=1e-18"):
             pointwise_max(cop, 1e-18)
         with pytest.raises(DegenerateTailError, match="u=1e-18"):
@@ -336,7 +357,7 @@ class TestSolvePath:
         for slack in (paths._SLACK, math.inf):
             monkeypatch.setattr(paths, "_SLACK", slack)
             seen.clear()
-            paths._scan_levels(MarshallOlkin(A, B), (u,), np.log([u]), False)
+            paths._scan_levels(MarshallOlkin(A, B), np.log([u]), False)
             for ts in seen:
                 assert np.isin(ts.view(np.int64), ref.view(np.int64)).all()
             assert len(seen) == 3
@@ -563,8 +584,11 @@ class TestClosedFormPath:
     def test_frechet_upper(self):
         assert FrechetUpper().maximizers(0.7) == (0.7,)
 
-    def test_archimedean_goes_through_the_diagonal_check(self):
+    def test_archimedean_diagonal_needs_the_proof(self):
+        # the sampled check passes on both generators; only the proven one
+        # has a known maximizer
         assert Archimedean(clayton_generator(1.0)).maximizers(0.1) == (0.1,)
+        assert Archimedean(_generator_without_proof(2.0)).maximizers(0.1) is None
 
     def test_generalized_clayton_defers_to_root_solver(self):
         assert GeneralizedClayton(0.04, 0.02).maximizers(0.1) == (
@@ -956,7 +980,7 @@ class TestPrunedScan:
         for slack in (paths._SLACK, math.inf):
             monkeypatch.setattr(paths, "_SLACK", slack)
             lo, hi, counts, _ = paths._scan_levels(
-                MixtureMO(A, B).survival(), (u,), np.log([u]), True)
+                MixtureMO(A, B).survival(), np.log([u]), True)
             brackets.append((lo.tolist(), hi.tolist(), counts.tolist()))
         assert brackets[0] == brackets[1] == (
             [t[339], t[383]], [t[361], t[385]], [2])
