@@ -147,7 +147,10 @@ for name, flag in zip(sys.argv[1::2], sys.argv[2::2]):
 PY
 
 echo "== risk output is the same pinned to one CPU and unpinned"
-for args in "risk --family mixture_mo --a 0.3 --b 0.7 --n 200000" "table1 --n 200000"; do
+# the two --survival runs take the reflected-corner routes of the corner test
+for args in "risk --family mixture_mo --a 0.3 --b 0.7 --n 200000" "table1 --n 200000" \
+        "risk --family marshall_olkin --a 0.3529 --b 0.5 --survival --n 200000" \
+        "risk --family mixture_mo --a 0.3 --b 0.7 --survival --q 0.995 --n 200000"; do
     # shellcheck disable=SC2086  # args is a word list
     taskset -c 0 "${td[@]}" $args > "$tmp/pinned.out"
     "${td[@]}" $args > "$tmp/unpinned.out"

@@ -30,7 +30,13 @@ Two more optional facts, None by default, make a survival copula exact:
 ``_log_survival(lu, lv)``, the log of the survival copula
 C^(u, v) = u + v - 1 + C(1-u, 1-v) in a closed form whose terms do not
 cancel, and ``survival_shape()``, the ``shape()`` of the survival copula,
-proven on that kernel.
+proven on that kernel.  One more, ``_corner(w, t, upper=False)``, None by
+default, tells from a sampler's uniforms w alone which pairs land in the
+corner [0, t]^2 (or [1 - t, 1]^2), with thresholds moved inwards by a
+relative margin ``_MARGIN`` = 1e-9 that covers the rounding of ** and of
+1 - x; :mod:`taildep.risk` skips the transform of those draws.
+Marshall-Olkin and the mixture have it, and a survival copula flips its
+base's.
 
 Each closed form is written once:
 the generalized Clayton maximizer is the root of ``zeta`` (``zeta_root``),
@@ -248,6 +254,14 @@ class Copula:
         of ncols rows w of uniforms into rows uv in place; it may overwrite w."""
         raise UnsupportedMethodError(f"no sampler for family {self.family!r}")
 
+    # The corner test of the sampler, _corner(w, t, upper=False): for rows w
+    # of uniforms, as ``fill`` takes them, and a level t in [0, 1), a mask of
+    # draws whose pair, as ``fill`` computes it, lies in [0, t]^2, or has
+    # fl(1 - x) <= t in both coordinates with ``upper``; it may miss some.
+    # Its thresholds carry a relative margin of at least 1e-9, which covers
+    # the rounding of ** and of 1 - x.  None: no test.
+    _corner = None
+
 
 @dataclass(frozen=True)
 class Independence(Copula):
@@ -355,6 +369,10 @@ def _root(s: float) -> float:
     return 1.0 / s if s > 0.0 else math.inf
 
 
+# the relative margin of a corner threshold (Copula._corner)
+_MARGIN = 1e-9
+
+
 @dataclass(frozen=True)
 class MarshallOlkin(_ShockPair):
     """C(u, v) = min(u^(1-a) v, u v^(1-b)) with a, b in [0, 1]."""
@@ -426,6 +444,29 @@ class MarshallOlkin(_ShockPair):
         uv[0] **= _root(self.a)
         uv[1] **= _root(self.b)
         np.maximum(w[:2], uv, out=uv)
+
+    def _corner(self, w, t, upper=False):
+        """u = max(W0^r, W2^s), r = 1/(1-a) and s = 1/a, rises with each
+        uniform, so u <= t where W0 <= t^(1-a) and W2 <= t^a, and u >= c
+        where W0 >= c^(1-a) or W2 >= c^a; v alike with b and W1.  The upper
+        corner takes c = 1 - t, as u >= 1 - t gives fl(1 - u) <= t.  Each
+        threshold is moved inwards by ``_MARGIN``, relative: as r, s >= 1,
+        the power keeps that margin, which covers the threshold's own
+        rounding and that of the power (at r = inf the threshold is 1)."""
+        a1, b1 = 1.0 - self.a, 1.0 - self.b
+        if not upper:
+            lo = 1.0 - _MARGIN
+            out = w[0] <= t ** a1 * lo
+            out &= w[1] <= t ** b1 * lo
+            out &= w[2] <= min(t ** self.a, t ** self.b) * lo
+            return out
+        c, hi = 1.0 - t, 1.0 + _MARGIN
+        out = w[0] >= c ** a1 * hi
+        out |= w[2] >= c ** self.a * hi
+        v = w[1] >= c ** b1 * hi
+        v |= w[2] >= c ** self.b * hi
+        out &= v
+        return out
 
 
 @dataclass(frozen=True)
@@ -500,11 +541,21 @@ class MixtureMO(_ShockPair):
         return 4, self._fill
 
     def _fill(self, w, uv):
-        # an (a, b) draw, its pair swapped on a fair coin for the (b, a) one
-        swap = w[3] < 0.5
+        # an (a, b) draw, its pair swapped where w3 < 0.5 for the (b, a) one:
+        # a select of the bits, u ^= d and v ^= d with d = (u ^ v) & mask;
+        # mask, the int64 bits of w3 - 0.5 shifted right by 63, is all ones
+        # where that difference is negative
         self._mo._fill(w, uv)
-        np.copyto(w[:2], uv[::-1])
-        np.copyto(uv, w[:2], where=swap)
+        bits, mask = uv.view(np.uint64), w[3].view(np.int64)
+        np.subtract(w[3], 0.5, out=w[3])
+        mask >>= 63
+        d = np.bitwise_xor(bits[0], bits[1], out=w[0].view(np.uint64))
+        d &= mask.view(np.uint64)
+        bits ^= d
+
+    def _corner(self, w, t, upper=False):
+        """The (a, b) draw's: the swap keeps a pair in a square corner."""
+        return self._mo._corner(w, t, upper)
 
 
 def _fgm_conditional_inverse(w: np.ndarray, uv: np.ndarray, alpha: float) -> None:
@@ -939,6 +990,19 @@ class SurvivalCopula(Copula):
         """The reflection (1-U, 1-V) of a base draw."""
         ncols, base = self.base.sampler()
         return ncols, lambda w, uv: (base(w, uv), np.subtract(1.0, uv, out=uv))
+
+    @property
+    def _corner(self):
+        """The base's test with the corner flipped, or None where it has none.
+        The reflection maps the base's upper corner onto the lower one.  The
+        reflection of a reflection, fl(1 - fl(1 - x)), is within 2^-54 of x,
+        so the upper corner asks the base's lower one 2^-53 lower."""
+        corner = self.base._corner
+        if corner is None:
+            return None
+        return lambda w, t, upper=False: (
+            corner(w, max(t - 2.0 ** -53, 0.0), False) if upper
+            else corner(w, t, True))
 
     def __repr__(self):
         return f"SurvivalCopula({self.base!r})"

@@ -19,11 +19,19 @@ the caller's among them.  Each worker runs one loop (``_top_sums``): it
 takes the next chunk nobody has taken, draws it into a block the caller
 allocated, makes pairs and sums in place, and keeps its largest
 m = n(1 - q) + 1 sums in a buffer the caller allocated too.  Once that
-buffer has a floor f, pairs with both uniforms at or below
-``ParetoII._level_below(f)`` sum to less than f and skip the quantile.  The
-largest sums form one multiset whichever thread saw them, so results are
-bit-identical for a fixed seed and any thread count, and memory is
-workers * (m + 2^15 + (ncols + 3) 2^14) doubles rather than O(n).
+buffer has a floor f, pairs with both uniforms at or below the level
+t = ``ParetoII._level_below(f)`` sum to less than f and skip the quantile.
+Where the family has a corner test (``Copula._corner``: Marshall-Olkin,
+the mixture and their survival copulas), the level also skips the
+transform: the draws whose uniforms put the pair in [0, t]^2 are dropped
+before ``fill``.  In a 2M-pair item at q = 0.99 about 23% of the pairs
+still reach the transform (a worker's floor after s pairs is only the
+m-th largest of those s), and the Philox draw takes about 70% of the
+time; the transform, the quantile, the corner test and its compress
+take 3-8% each.  The largest sums form one multiset whichever thread saw
+them, so results are bit-identical for a fixed seed and any thread count,
+and memory is workers * (m + 2^15 + (2 ncols + 3) 2^14) doubles, the
+compressed draws included, rather than O(n).
 ``reference_table`` (``taildep table1``) draws each b once and reads every
 q from that one buffer.
 """
@@ -208,19 +216,25 @@ def _top_sums(cop: Copula, marginal: ParetoII, n: int, seed: int,
     each, keeping the m = n - k + 1 largest sums they have seen in a buffer
     of m + _POOL + _CHUNK values (or all n) that the caller allocated, with
     the block their chunks are drawn into.  Each turn of the loop takes the
-    next chunk nobody has taken, draws and fills it, prunes pairs with both
-    uniforms at or below the level t, applies the Pareto quantile, and
-    gathers the sums above the floor f into the buffer, downwards from its
-    end (there is no t or f before the first cut-back).  Once the gathered values are _POOL more than m, an in-place
-    partition cuts them back to the m largest; the smallest of those is the
-    new f, and t is ``marginal._level_below(f)``, so pruned pairs sum to
-    less than f.  Equal values are interchangeable, so the caller's m
-    largest of all buffers are a full sort's.  A worker that raises stops
-    the hand-out; every thread is joined and the first exception is raised
-    here.
+    next chunk nobody has taken and draws it.  It drops the draws that the
+    family's ``_corner`` test puts in [0, t]^2, then fills the rest, or,
+    for a family without the test, fills them all and prunes pairs with
+    both uniforms at or below the level t.  It applies the Pareto quantile
+    and gathers the sums above the floor f into the buffer, downwards from
+    its end (there is no t or f before the first cut-back).  Once the
+    gathered values are _POOL more than m, an in-place partition cuts them
+    back to the m largest; the smallest of those is the new f, and t is
+    ``marginal._level_below(f)``, so pairs in [0, t]^2 sum to less than f:
+    a pair the corner test misses is dropped with the sums below f.  A
+    filled pair comes from the same elementwise steps with the test or
+    without, so the gathered sums do not depend on it.  Equal values are
+    interchangeable, so the caller's m largest of all buffers are a full
+    sort's.  A worker that raises stops the hand-out; every thread is
+    joined and the first exception is raised here.
     """
     m = n - k + 1
     ncols, fill = cop.sampler()
+    corner = cop._corner
     chunks = _chunks(n)
     count = min(_WORKERS, len(chunks))
     pending, lock = iter(chunks), threading.Lock()
@@ -238,9 +252,12 @@ def _top_sums(cop: Copula, marginal: ParetoII, n: int, seed: int,
                         chunk = None if errors else next(pending, None)
                     if chunk is None:
                         break
-                    uv = block[ncols:, :chunk[2]]
-                    fill(_draw(seed, ncols, chunk, block), uv)
-                    if level is not None:
+                    w = _draw(seed, ncols, chunk, block)
+                    if level is not None and corner is not None:
+                        w = w.compress(~corner(w, level), axis=1)
+                    uv = block[ncols:, :w.shape[1]]
+                    fill(w, uv)
+                    if level is not None and corner is None:
                         keep = uv > level
                         keep[0] |= keep[1]
                         uv = uv.compress(keep[0], axis=1)

@@ -31,6 +31,7 @@ from taildep import (
     ParameterError,
     ParetoII,
     RiskReport,
+    SurvivalCopula,
     UnsupportedMethodError,
     clayton_generator,
     reference_table,
@@ -166,6 +167,25 @@ class TestSamplers:
             w = rng.random((min(1 << 18, n - start), 2))
             assert np.array_equal(u[start:start + w.shape[0]], w[:, 0])
             assert np.array_equal(v[start:start + w.shape[0]], w[:, 1])
+
+    @pytest.mark.parametrize("a, b", [(0.3, 0.7), (0.7, 0.3), (0.5, 0.5),
+                                      (0.0, 0.4), (1.0, 0.4), (0.3, 1.0),
+                                      (0.0, 1.0), (1.0, 1.0), (0.0, 0.0)])
+    def test_mixture_is_an_mo_draw_swapped_on_a_coin(self, a, b):
+        # bit for bit: the MO(a, b) pair of uniforms w0..w2, swapped where
+        # w3 < 0.5, with w the documented Philox draw of 4 per pair
+        n, seed = (1 << 18) + 5000, 13
+        u, v = sample_pairs(MixtureMO(a, b), n, seed)
+        _, mo_fill = MarshallOlkin(a, b).sampler()
+        for i, start in enumerate((0, 1 << 18)):
+            rng = np.random.Generator(np.random.Philox(key=seed).jumped(i))
+            w = rng.random((min(1 << 18, n - start), 4)).T.copy()
+            uv = np.empty((2, w.shape[1]))
+            mo_fill(w[:3].copy(), uv)
+            swap = w[3] < 0.5
+            rows = slice(start, start + w.shape[1])
+            assert np.array_equal(u[rows], np.where(swap, uv[1], uv[0]))
+            assert np.array_equal(v[rows], np.where(swap, uv[0], uv[1]))
 
     def test_n_validation(self):
         with pytest.raises(ParameterError):
@@ -322,8 +342,10 @@ class TestStreamingRisk:
             assert risk_measures(cop, MARGINAL, q, STREAM_N, seed=17) == \
                 full_sort_report(cop, q, STREAM_N, 17), q
 
-    def test_tracemalloc_peak_is_bounded(self):
-        cop = MarshallOlkin(A, B).survival()
+    @pytest.mark.parametrize("cop", [MarshallOlkin(A, B).survival(), MixtureMO(A, B)],
+                             ids=["marshall_olkin-s", "mixture_mo"])
+    def test_tracemalloc_peak_is_bounded(self, cop):
+        # the mixture draws 4 uniforms per pair, the largest chunk block
         risk_measures(cop, MARGINAL, 0.99, 20_000, seed=1)  # warm imports
         tracemalloc.start()
         try:
@@ -338,7 +360,9 @@ class TestStreamingRisk:
 
 class TestPruning:
     """Pairs whose larger uniform is at most ParetoII._level_below(floor)
-    skip the quantile; the kept sums, and every report, stay a full sort's."""
+    skip the quantile, and, where the family has a corner test
+    (``TestCorner``), the transform too; the kept sums, and every report,
+    stay a full sort's."""
 
     @pytest.mark.parametrize("marginal", [
         ParetoII(-3.0, 1.0, 4.0), ParetoII(-50.0, 2.0, 3.0),
@@ -394,6 +418,120 @@ class TestPruning:
         # with a relative margin of at least 1e-9 in the power of Q
         q_t = float(marginal._quantile(np.array([t]))[0])
         assert 2.0 * q_t < f - 1.9e-9 * (q_t - mu + marginal.sigma)
+
+
+def corner_copulas(a, b):
+    """Every family with a corner test, at shock parameters a and b, and the
+    survival copulas of MO and of a survival MO."""
+    mo, mix = MarshallOlkin(a, b), MixtureMO(a, b)
+    return [mo, mix, mo.survival(), mix.survival(), SurvivalCopula(mo.survival())]
+
+
+def corner_cuts(a, b, t):
+    """The powers c^e behind the MO corner thresholds at level t, as they
+    stand and moved by the documented relative margin 1e-9 either way, for
+    the pair itself and, a level 2^-53 lower, for a survival's upper corner."""
+    out = []
+    for level in (t, max(t - 2.0 ** -53, 0.0)):
+        for c in (level, 1.0 - level):
+            for e in (1.0 - a, 1.0 - b, a, b):
+                out += [c ** e * k for k in (1.0 - 1e-9, 1.0, 1.0 + 1e-9)]
+    return out
+
+
+# shock parameters at and next to the ends, where a power is 1, inf or huge
+SHOCKS = [0.0, 1.0, 0.5, 1e-12, 1.0 - 1e-12]
+
+
+class TestCorner:
+    """``Copula._corner`` flags only draws that ``fill`` puts in the corner,
+    so the draws it spares the transform would all have been pruned."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(a=st.one_of(st.sampled_from(SHOCKS), st.floats(0.0, 1.0)),
+           b=st.one_of(st.sampled_from(SHOCKS), st.floats(0.0, 1.0)),
+           mu=st.floats(-10.0, 10.0), alpha=st.floats(0.1, 20.0),
+           p0=st.floats(0.0, 1.0 - 1e-12),
+           # below 1e-7 a reflection 1 - (1 - x) errs by more than 1e-9 x
+           level=st.one_of(st.sampled_from([None, 1e-300, 1.0 - 1e-12]),
+                           st.floats(-17.0, -7.0).map(lambda e: 10.0 ** e)),
+           upper=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+    def test_flagged_pairs_lie_in_the_corner(self, a, b, mu, alpha, p0, level,
+                                             upper, seed):
+        if level is None:  # the level of a random floor, as risk sets it
+            marginal = ParetoII(mu, 1.0, alpha)
+            level = marginal._level_below(float(2.0 * marginal.quantile(p0)))
+            if level is None:
+                return
+        # uniforms at, and one double either side of, every threshold, exact
+        # 0 and random values, picked at random for each of the four rows
+        rng = np.random.default_rng(seed)
+        near = np.array(corner_cuts(a, b, level) + [0.0, 0.5] + list(rng.random(4)))
+        near = np.concatenate([near, np.nextafter(near, 0.0), np.nextafter(near, 1.0)])
+        near = np.unique(near[(near >= 0.0) & (near < 1.0)])
+        w = rng.choice(near, (4, 20_000))
+        for cop in corner_copulas(a, b):
+            ncols, fill = cop.sampler()
+            flagged = cop._corner(w[:ncols].copy(), level, upper)
+            uv = np.empty((2, w.shape[1]))
+            fill(w[:ncols].copy(), uv)
+            pair = 1.0 - uv if upper else uv
+            inside = (pair <= level).all(axis=0)
+            assert not (flagged & ~inside).any(), (cop, level, upper)
+
+    def test_families_without_a_test(self):
+        for cop in (Independence(), FrechetUpper(), FGM(0.5), FGM(0.5).survival()):
+            assert cop._corner is None, cop
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_reports_equal_those_without_the_test(self, monkeypatch, workers):
+        monkeypatch.setattr(risk, "_WORKERS", workers)
+        cops = corner_copulas(A, B) + corner_copulas(0.0, 1.0)[:4]
+        qs = (0.5, 0.8, 0.99, 0.995)
+        got = [risk_measures(c, MARGINAL, q, 300_001, 7) for c in cops for q in qs]
+        table = reference_table(seed=7, n=300_001)
+        for cls in (MarshallOlkin, MixtureMO, SurvivalCopula):
+            monkeypatch.setattr(cls, "_corner", None)
+        assert got == [risk_measures(c, MARGINAL, q, 300_001, 7)
+                       for c in cops for q in qs]
+        assert table == reference_table(seed=7, n=300_001)
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_tiny_chunks_keep_the_sums_of_those_without_the_test(
+            self, monkeypatch, workers):
+        # the settings of test_top_sums_keeps_the_largest_multiset_with_ties:
+        # the floor, and with it the level, rises many times per call
+        monkeypatch.setattr(risk, "_BATCH", 16)
+        monkeypatch.setattr(risk, "_CHUNK", 8)
+        monkeypatch.setattr(risk, "_POOL", 16)
+        monkeypatch.setattr(risk, "_WORKERS", workers)
+        cops = corner_copulas(A, B) + corner_copulas(0.0, 1.0)[:4]
+        runs = [(cop, marginal, m) for cop in cops for m in (1, 40, 300)
+                for marginal in (MARGINAL, ParetoII(1e6, 1e-9, 4.0))]
+        got = [risk._top_sums(cop, marginal, 2_000, m, 2_000 - m + 1)
+               for cop, marginal, m in runs]
+        for cls in (MarshallOlkin, MixtureMO, SurvivalCopula):
+            monkeypatch.setattr(cls, "_corner", None)
+        for top, (cop, marginal, m) in zip(got, runs):
+            assert np.array_equal(
+                top, risk._top_sums(cop, marginal, 2_000, m, 2_000 - m + 1)), cop
+
+    def test_most_pairs_skip_the_transform(self, monkeypatch):
+        # a worker's floor after s pairs is the m-th largest of those s, so
+        # the level rises slowly: about 24% of the pairs reach the transform
+        real, filled = SurvivalCopula.sampler, []
+
+        def counting_sampler(cop):
+            ncols, fill = real(cop)
+
+            def count(w, uv):
+                filled.append(w.shape[1])
+                fill(w, uv)
+            return ncols, count
+
+        monkeypatch.setattr(SurvivalCopula, "sampler", counting_sampler)
+        risk_measures(MarshallOlkin(A, 0.5).survival(), MARGINAL, 0.99, 2_000_000, 3)
+        assert sum(filled) <= 0.3 * 2_000_000
 
 
 def risk_threads():
