@@ -20,6 +20,26 @@ echo "== every command prints strict JSON"
 "${td[@]}" table1 --n 20000 --format json | python -m json.tool > /dev/null
 "${td[@]}" risk --family mixture_mo --a 0.3 --b 0.7 --n 20000 | python -m json.tool > /dev/null
 
+echo "== table1 CSV: 6 rows in (q, b) order, closed-form indices, ordered risks, the JSON rows"
+"${td[@]}" table1 --n 20000 --format csv > "$tmp/t1.csv"
+"${td[@]}" table1 --n 20000 --format json > "$tmp/t1.json"
+python - "$tmp/t1.csv" "$tmp/t1.json" <<'PY'
+import csv, json, math, sys
+header, *rows = csv.reader(open(sys.argv[1], newline=""))
+assert header == ["q", "b", "tau", "kappa_L", "kappa_L_star", "VaR", "CTE", "MTVar"], header
+rows = [[float(cell) for cell in row] for row in rows]
+assert [row[:2] for row in rows] == [[q, b] for q in (0.99, 0.995)
+                                     for b in (0.75, 0.5, 0.3529)], rows
+a = 0.3529
+for q, b, tau, kappa, kappa_star, var, cte, mtvar in rows:
+    assert math.isclose(kappa, 2 - min(a, b), rel_tol=0, abs_tol=1e-12), (b, kappa)
+    assert math.isclose(kappa_star, 2 - 2 * a * b / (a + b),
+                        rel_tol=0, abs_tol=1e-12), (b, kappa_star)
+    assert var <= cte <= mtvar, (q, b)
+table = json.load(open(sys.argv[2]))
+assert rows == [[row[c] for c in header] for row in table["rows"]], "CSV != JSON rows"
+PY
+
 echo "== a negative tol is a parameter error (exit 2)"
 code=0
 "${td[@]}" axioms --family independence --tol=-1 > /dev/null 2>&1 || code=$?

@@ -12,28 +12,35 @@ Randomness comes from counter-based Philox streams.  Batch i of at most
 2^18 pairs is ``Philox(key=seed).jumped(i).random((rows, ncols))``, with
 ncols uniforms per pair (1 to 4, by family), drawn in chunks of 2^14 rows:
 the chunk at row r, a multiple of 4, starts at Philox counter step
-r * ncols / 4 of its batch, so chunks can be drawn in any order.
+r * ncols / 4 of its batch, so chunks can be drawn in any order, each by
+setting the counter of one generator per thread.
 
 Risk runs those chunks on one worker thread per available CPU (at most 8),
 the caller's among them.  Each worker runs one loop (``_top_sums``): it
-takes the next chunk nobody has taken, draws it into a block the caller
-allocated, makes pairs and sums in place, and keeps its largest
-m = n(1 - q) + 1 sums in a buffer the caller allocated too.  Once that
-buffer has a floor f, pairs with both uniforms at or below the level
-t = ``ParetoII._level_below(f)`` sum to less than f and skip the quantile.
-Where the family has a corner test (``Copula._corner``: Marshall-Olkin,
-the mixture and their survival copulas), the level also skips the
-transform: the draws whose uniforms put the pair in [0, t]^2 are dropped
-before ``fill``.  In a 2M-pair item at q = 0.99 about 23% of the pairs
-still reach the transform (a worker's floor after s pairs is only the
-m-th largest of those s), and the Philox draw takes about 70% of the
-time; the transform, the quantile, the corner test and its compress
-take 3-8% each.  The largest sums form one multiset whichever thread saw
-them, so results are bit-identical for a fixed seed and any thread count,
-and memory is workers * (m + 2^15 + (2 ncols + 3) 2^14) doubles, the
-compressed draws included, rather than O(n).
-``reference_table`` (``taildep table1``) draws each b once and reads every
-q from that one buffer.
+takes the next chunk nobody has taken and draws it once into a block the
+caller allocated; for each copula that shares the draw it makes pairs and
+sums in place and gathers the sums into that copula's one top buffer,
+which every thread shares under the copula's lock, cutting it back to the
+largest m = n(1 - q) + 1 sums.  Once that buffer has a floor f, pairs
+with both uniforms at or below the level t = ``ParetoII._level_below(f)``
+sum to less than f and skip the quantile.  Where the family has a corner
+test (``Copula._corner``: Marshall-Olkin, the mixture and their survival
+copulas), the level also skips the transform: the draws whose uniforms
+put the pair in [0, t]^2 are dropped before ``fill``.  In a 2M-pair item
+at q = 0.99 about 14% of the pairs still reach the transform (the floor
+after s pairs is only the m-th largest of those s), and the Philox draw
+takes about 70% of the time; the transform, the quantile, the corner test
+and its compress take 3-8% each.  Floors only rise and the largest sums
+form one multiset whichever thread gathered them, so results are
+bit-identical for a fixed seed and any thread count.  For the len(cops)
+copulas of one call (``risk_measures`` passes one, Table 1 three), memory
+is len(cops) * (m + 2^14) + max(2^15, len(cops) * m / 2) doubles of top
+buffers (a buffer cuts back once it holds its share of a pool of 2^15,
+or m / 2 if more, past m) and threads * (ncols + 2) * 2^14 of chunk
+blocks, rather than O(n).
+``reference_table`` (``taildep table1``) draws the common stream of its
+three b once, in one ``_top_sums`` call, and reads every q from each b's
+buffer.
 """
 
 from __future__ import annotations
@@ -42,7 +49,7 @@ import math
 import os
 import threading
 from dataclasses import asdict, astuple, dataclass
-from typing import ClassVar
+from typing import ClassVar, Sequence
 
 import numpy as np
 
@@ -68,8 +75,9 @@ __all__ = [
 
 _BATCH = 1 << 18
 _CHUNK = 1 << 14  # divides _BATCH, a multiple of 4 rows
-_POOL = 1 << 15  # sums past m that a worker gathers before it cuts back
+_POOL = 1 << 15  # sums past m gathered before a cut-back, over all copulas
 _MIN_N = 10_000
+_WORD = (1 << 64) - 1  # one 64-bit word of a Philox counter
 # worker threads of _top_sums: one per CPU this process may run on, at most 8
 _WORKERS = min(8, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                else os.cpu_count() or 1)
@@ -153,16 +161,27 @@ def _chunks(n: int) -> list[_Chunk]:
             for start in range(0, n, _CHUNK)]
 
 
-def _draw(seed: int, ncols: int, chunk: _Chunk, block: np.ndarray) -> np.ndarray:
+def _generator(seed: int) -> np.random.Generator:
+    """A generator on ``Philox(key=seed)`` for ``_draw`` to point at chunks."""
+    return np.random.Generator(np.random.Philox(key=seed))
+
+
+def _draw(gen: np.random.Generator, ncols: int, chunk: _Chunk,
+          block: np.ndarray) -> np.ndarray:
     """One chunk of its batch's draw ``rng.random((rows, ncols))``, as the
     columns ``block[:ncols, :rows]``; runs of its rows are staged in the
     last two of the block's ncols + 2 rows.  The chunk starts at a row r
     that is a multiple of 4, so its first word is the first of Philox
     counter step r * ncols / 4 after the batch's start, ``jumped(batch)``,
-    which is counter batch * 2^128."""
+    which is counter batch * 2^128: ``gen``'s counter is set there, as four
+    little-endian 64-bit words, with its buffer of words spent."""
     batch, row, rows = chunk
-    bitgen = np.random.Philox(counter=(batch << 128) + row * ncols // 4, key=seed)
-    gen, stage = np.random.Generator(bitgen), block[ncols:].reshape(-1)
+    counter = (batch << 128) + row * ncols // 4
+    state = gen.bit_generator.state
+    state["state"]["counter"] = [(counter >> s) & _WORD for s in (0, 64, 128, 192)]
+    state["buffer_pos"] = 4
+    gen.bit_generator.state = state
+    stage = block[ncols:].reshape(-1)
     step = stage.size // ncols
     for r in range(0, rows, step):
         part = stage[:min(step, rows - r) * ncols].reshape(-1, ncols)
@@ -183,8 +202,9 @@ def sample_pairs(cop: Copula, n: int, seed: int = 0) -> tuple[np.ndarray, np.nda
     n, seed = _check_n_seed(n, seed, 1)
     ncols, fill = cop.sampler()
     uv, block = np.empty((2, n)), np.empty((ncols + 2, _CHUNK))
+    gen = _generator(seed)
     for start, chunk in zip(range(0, n, _CHUNK), _chunks(n)):
-        fill(_draw(seed, ncols, chunk, block), uv[:, start:start + chunk[2]])
+        fill(_draw(gen, ncols, chunk, block), uv[:, start:start + chunk[2]])
     return uv[0], uv[1]
 
 
@@ -208,88 +228,124 @@ def _largest(z: np.ndarray, m: int) -> np.ndarray:
     return z[z.size - m:]
 
 
-def _top_sums(cop: Copula, marginal: ParetoII, n: int, seed: int,
-              k: int) -> np.ndarray:
-    """The sorted order statistics k..n of Z = X + Y over n draws.
+class _Top:
+    """One copula's part of ``_top_sums``: its largest sums, gathered by
+    every worker into one buffer under the copula's own lock."""
+
+    def __init__(self, cop: Copula, marginal: ParetoII, n: int, m: int,
+                 pool: int):
+        self.ncols, self.fill = cop.sampler()
+        self.corner, self.marginal = cop._corner, marginal
+        self.m, self.pool = m, pool
+        self.buf = np.empty(min(m + pool + _CHUNK, n))
+        self.start = self.buf.size  # gathered: buf[start:]
+        self.floor = self.level = None
+        self.lock = threading.Lock()
+
+    def add(self, draw: np.ndarray, stage: np.ndarray, last: bool) -> None:
+        """Fills the pairs of a chunk's draws into the two rows ``stage`` and
+        gathers their sums; ``fill`` gets a copy of the draws unless this is
+        the ``last`` copula to read them or the corner test compressed them."""
+        level = self.level  # read without the lock: it only rises, and a
+        # stale level, like a stale floor, keeps more sums than a fresh one
+        if level is not None and self.corner is not None:
+            w = draw.compress(~self.corner(draw, level), axis=1)
+        else:
+            w = draw if last else draw.copy()
+        uv = stage[:, :w.shape[1]]
+        self.fill(w, uv)
+        if level is not None and self.corner is None:
+            keep = uv > level
+            keep[0] |= keep[1]
+            uv = uv.compress(keep[0], axis=1)
+        z, v = self.marginal._quantile(uv, out=uv)
+        z += v
+        floor = self.floor
+        if floor is not None:
+            z = z[z > floor]
+        with self.lock:
+            buf, start = self.buf, self.start - z.size
+            buf[start:self.start] = z
+            if buf.size - start >= self.m + self.pool:
+                _largest(buf[start:], self.m)  # now the last m of buf
+                start = buf.size - self.m
+                self.floor = buf[start]
+                self.level = self.marginal._level_below(self.floor)
+            self.start = start
+
+    def sorted(self) -> np.ndarray:
+        """The m largest sums gathered, smallest first."""
+        top = _largest(self.buf[self.start:], self.m)
+        top.sort()
+        return top
+
+
+def _top_sums(cops: Sequence[Copula], marginal: ParetoII, n: int, seed: int,
+              k: int) -> list[np.ndarray]:
+    """The sorted order statistics k..n of Z = X + Y over n draws, for each
+    copula of ``cops``, which share ncols; the draws are common to all.
 
     Up to ``_WORKERS`` threads, the caller's being one of them, run one loop
-    each, keeping the m = n - k + 1 largest sums they have seen in a buffer
-    of m + _POOL + _CHUNK values (or all n) that the caller allocated, with
-    the block their chunks are drawn into.  Each turn of the loop takes the
-    next chunk nobody has taken and draws it.  It drops the draws that the
-    family's ``_corner`` test puts in [0, t]^2, then fills the rest, or,
-    for a family without the test, fills them all and prunes pairs with
-    both uniforms at or below the level t.  It applies the Pareto quantile
-    and gathers the sums above the floor f into the buffer, downwards from
-    its end (there is no t or f before the first cut-back).  Once the
-    gathered values are _POOL more than m, an in-place partition cuts them
+    each, in a block of ncols + 2 rows the caller allocated.  Each turn of
+    the loop takes the next chunk nobody has taken and draws it once.  For
+    each copula in turn (``_Top.add``) it drops the draws that the family's
+    ``_corner`` test puts in [0, t]^2, then fills the rest, or, for a family
+    without the test, fills them all and prunes pairs with both uniforms at
+    or below the level t.  It applies the Pareto quantile and gathers the
+    sums above the copula's floor f into its one buffer of m + pool + _CHUNK
+    values (or all n), m = n - k + 1, which every thread shares under the
+    copula's lock; there is no t or f before the first cut-back.  Once the
+    gathered values are pool more than m, an in-place partition cuts them
     back to the m largest; the smallest of those is the new f, and t is
     ``marginal._level_below(f)``, so pairs in [0, t]^2 sum to less than f:
     a pair the corner test misses is dropped with the sums below f.  A
     filled pair comes from the same elementwise steps with the test or
-    without, so the gathered sums do not depend on it.  Equal values are
-    interchangeable, so the caller's m largest of all buffers are a full
-    sort's.  A worker that raises stops the hand-out; every thread is
-    joined and the first exception is raised here.
+    without, so the gathered sums do not depend on it.  Floors only rise,
+    each is the m-th largest of some of the sums, and equal values are
+    interchangeable, so each buffer's m largest are a full sort's, whatever
+    thread gathered them and in what order.  A worker that raises stops the
+    hand-out; every thread is joined and the first exception is raised here.
     """
     m = n - k + 1
-    ncols, fill = cop.sampler()
-    corner = cop._corner
+    # a cut-back partitions m + pool values, so a pool of at least m / 2
+    # bounds that work per gathered sum for any m; _POOL is split evenly
+    pool = max(_POOL // len(cops), m // 2)
+    tops = [_Top(cop, marginal, n, m, pool) for cop in cops]
+    ncols = tops[0].ncols
+    if any(top.ncols != ncols for top in tops):
+        raise ParameterError("copulas that share a draw need the same ncols")
     chunks = _chunks(n)
     count = min(_WORKERS, len(chunks))
-    pending, lock = iter(chunks), threading.Lock()
-    tops, errors = [None] * count, []
-    bufs = np.empty((count, min(m + _POOL + _CHUNK, n)))
+    pending, lock, errors = iter(chunks), threading.Lock(), []
     blocks = np.empty((count, ncols + 2, _CHUNK))
 
-    def run(j: int) -> None:
-        block, buf = blocks[j], bufs[j]
-        start, floor, level = buf.size, None, None  # gathered: buf[start:]
+    def run(block: np.ndarray) -> None:
         try:
+            gen = _generator(seed)
             with np.errstate(over="ignore"):  # _report rejects overflowed sums
                 while True:
                     with lock:
                         chunk = None if errors else next(pending, None)
                     if chunk is None:
                         break
-                    w = _draw(seed, ncols, chunk, block)
-                    if level is not None and corner is not None:
-                        w = w.compress(~corner(w, level), axis=1)
-                    uv = block[ncols:, :w.shape[1]]
-                    fill(w, uv)
-                    if level is not None and corner is None:
-                        keep = uv > level
-                        keep[0] |= keep[1]
-                        uv = uv.compress(keep[0], axis=1)
-                    z, v = marginal._quantile(uv, out=uv)
-                    z += v
-                    if floor is not None:
-                        z = z[z > floor]
-                    buf[start - z.size:start] = z
-                    start -= z.size
-                    if buf.size - start >= m + _POOL:
-                        _largest(buf[start:], m)  # now the last m of buf
-                        start = buf.size - m
-                        floor = buf[start]
-                        level = marginal._level_below(floor)
-            tops[j] = _largest(buf[start:], m)
+                    draw = _draw(gen, ncols, chunk, block)
+                    for top in tops:
+                        top.add(draw, block[ncols:], top is tops[-1])
         except BaseException as exc:  # raised again in the caller
             with lock:
                 errors.append(exc)
 
-    threads = [threading.Thread(target=run, args=(j,), daemon=True,
+    threads = [threading.Thread(target=run, args=(blocks[j],), daemon=True,
                                 name=f"taildep-risk-{j}")
                for j in range(1, count)]
     for t in threads:
         t.start()
-    run(0)
+    run(blocks[0])
     for t in threads:
         t.join()
     if errors:
         raise errors[0]
-    top = _largest(np.concatenate(tops), m)
-    top.sort()
-    return top
+    return [top.sorted() for top in tops]
 
 
 def _report(top: np.ndarray, n: int, q: float, seed: int) -> RiskReport:
@@ -331,7 +387,7 @@ def risk_measures(cop: Copula, marginal: ParetoII, q: float,
     """
     _check_param(q, "q", 0, 1, lo_open=True, hi_open=True)
     n, seed = _check_n_seed(n, seed, _MIN_N)
-    top = _top_sums(cop, marginal, n, seed, _order_index(n, q))
+    [top] = _top_sums([cop], marginal, n, seed, _order_index(n, q))
     return _report(top, n, q, seed)
 
 
@@ -393,20 +449,20 @@ def reference_table(seed: int, n: int = 2_000_000) -> RiskTable:
 
     Every row shares the same seed, so the underlying uniforms are common
     random numbers across parameter values and the risk columns vary
-    smoothly in b.  Each b is drawn once: one buffer of the top sums, sized
-    for the smallest q, answers every q, and each row equals
+    smoothly in b.  The common stream is drawn once for all three b, in one
+    ``_top_sums`` call; each b's buffer of the top sums, sized for the
+    smallest q, answers every q, and each row equals
     ``risk_measures(MarshallOlkin(a, b).survival(), marginal, q, n, seed)``.
     """
     qs, bs, a, marginal = _TABLE_QS, _TABLE_BS, _TABLE_A, _TABLE_MARGINAL
     n, seed = _check_n_seed(n, seed, _MIN_N)
     k_min = min(_order_index(n, q) for q in qs)
+    cops = [MarshallOlkin(a, b) for b in bs]
+    tops = _top_sums([cop.survival() for cop in cops], marginal, n, seed, k_min)
     by_b = []  # the rows of each b, in q order
-    for b in bs:
-        cop = MarshallOlkin(a, b)
-        top = _top_sums(cop.survival(), marginal, n, seed, k_min)
+    for cop, top in zip(cops, tops):
         reports = [_report(top, n, q, seed) for q in qs]
-        del top  # only one b's sums are alive at a time
-        by_b.append([RiskTableRow(r.q, b, cop.tau(), cop.kappa_diag(), cop.kappa_star(),
+        by_b.append([RiskTableRow(r.q, cop.b, cop.tau(), cop.kappa_diag(), cop.kappa_star(),
                                   r.var_q, r.cte_q, r.mtvar_q) for r in reports])
     rows = tuple(row for same_q in zip(*by_b) for row in same_q)
     return RiskTable(a=a, marginal=marginal, n=n, seed=seed, rows=rows)

@@ -342,20 +342,27 @@ class TestStreamingRisk:
             assert risk_measures(cop, MARGINAL, q, STREAM_N, seed=17) == \
                 full_sort_report(cop, q, STREAM_N, 17), q
 
-    @pytest.mark.parametrize("cop", [MarshallOlkin(A, B).survival(), MixtureMO(A, B)],
-                             ids=["marshall_olkin-s", "mixture_mo"])
-    def test_tracemalloc_peak_is_bounded(self, cop):
-        # the mixture draws 4 uniforms per pair, the largest chunk block
-        risk_measures(cop, MARGINAL, 0.99, 20_000, seed=1)  # warm imports
+    @pytest.mark.parametrize("run", [
+        lambda n, seed: risk_measures(MarshallOlkin(A, B).survival(), MARGINAL,
+                                      0.99, n, seed),
+        lambda n, seed: risk_measures(MixtureMO(A, B), MARGINAL, 0.99, n, seed),
+        lambda n, seed: reference_table(seed=seed, n=n)],
+        ids=["marshall_olkin-s", "mixture_mo", "table1"])
+    def test_tracemalloc_peak_is_bounded(self, run):
+        # the mixture draws 4 uniforms per pair, the largest chunk block; the
+        # table keeps one buffer for each of its three b
+        run(20_000, 1)  # warm imports
         tracemalloc.start()
         try:
-            risk_measures(cop, MARGINAL, 0.99, 2_000_000, seed=11)
+            run(2_000_000, 11)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # a full in-memory draw at this n peaks near 107 MB; the buffers and
-        # chunk blocks of the worker threads take about 2.7 MB
+        # a full in-memory draw at this n peaks near 107 MB; the shared
+        # buffers and the chunk blocks of the worker threads take about
+        # 2.3-2.6 MB for one copula and 3.1 MB for the table
         assert peak < 8 * 2 ** 20
+        assert not risk_threads()
 
 
 class TestPruning:
@@ -386,7 +393,8 @@ class TestPruning:
 
     @pytest.mark.parametrize("workers", [1, 3])
     def test_a_floor_that_rises_often(self, monkeypatch, workers):
-        # a pool of 64 past m cuts back, and raises the floor, every chunk
+        # a pool of 64 past m, or m / 2 if more, cuts back, and raises the
+        # floor, many times per call
         monkeypatch.setattr(risk, "_POOL", 64)
         monkeypatch.setattr(risk, "_WORKERS", workers)
         for cop in STREAM_COPULAS:
@@ -508,17 +516,17 @@ class TestCorner:
         cops = corner_copulas(A, B) + corner_copulas(0.0, 1.0)[:4]
         runs = [(cop, marginal, m) for cop in cops for m in (1, 40, 300)
                 for marginal in (MARGINAL, ParetoII(1e6, 1e-9, 4.0))]
-        got = [risk._top_sums(cop, marginal, 2_000, m, 2_000 - m + 1)
+        got = [risk._top_sums([cop], marginal, 2_000, m, 2_000 - m + 1)[0]
                for cop, marginal, m in runs]
         for cls in (MarshallOlkin, MixtureMO, SurvivalCopula):
             monkeypatch.setattr(cls, "_corner", None)
         for top, (cop, marginal, m) in zip(got, runs):
             assert np.array_equal(
-                top, risk._top_sums(cop, marginal, 2_000, m, 2_000 - m + 1)), cop
+                top, risk._top_sums([cop], marginal, 2_000, m, 2_000 - m + 1)[0]), cop
 
     def test_most_pairs_skip_the_transform(self, monkeypatch):
-        # a worker's floor after s pairs is the m-th largest of those s, so
-        # the level rises slowly: about 24% of the pairs reach the transform
+        # the floor after s pairs is the m-th largest of those s, so the
+        # level rises slowly: about 15% of the pairs reach the transform
         real, filled = SurvivalCopula.sampler, []
 
         def counting_sampler(cop):
@@ -542,13 +550,13 @@ class TestChunkedThreads:
     @pytest.mark.parametrize("ncols", [1, 2, 3, 4])
     def test_chunks_are_rows_of_the_whole_batch_draw(self, ncols):
         n = (1 << 18) + 40_000  # the second batch ends in a partial chunk
-        chunks = risk._chunks(n)
+        chunks, gen = risk._chunks(n), risk._generator(21)
         assert sum(rows for _, _, rows in chunks) == n
         for i, start in enumerate((0, 1 << 18)):
             rng = np.random.Generator(np.random.Philox(key=21).jumped(i))
             whole = rng.random((min(1 << 18, n - start), ncols))
             block = np.full((ncols + 2, risk._CHUNK), np.nan)
-            got = [risk._draw(21, ncols, c, block).T.copy()
+            got = [risk._draw(gen, ncols, c, block).T.copy()
                    for c in chunks if c[0] == i]
             assert np.array_equal(np.concatenate(got), whole)
 
@@ -567,7 +575,7 @@ class TestChunkedThreads:
             u, v = sample_pairs(cop, n, m)
             z = np.sort(marginal.quantile(u) + marginal.quantile(v))
             assert np.unique(z).size < 100
-            top = risk._top_sums(cop, marginal, n, m, n - m + 1)
+            [top] = risk._top_sums([cop], marginal, n, m, n - m + 1)
             assert np.array_equal(top, z[-m:]), cop
 
     @pytest.mark.parametrize("workers", [1, 2, 3, 7])
@@ -631,6 +639,55 @@ class TestChunkedThreads:
                              capture_output=True, text=True,
                              env=os.environ | {"PYTHONPATH": src}).stdout
         assert out.strip() == "False"
+
+
+class TestSharedDraw:
+    """One ``_top_sums`` call over copulas of one ncols draws each chunk
+    once, and every copula gets the top sums of its own call."""
+
+    # copulas with a corner test, whose fill gets a copy or a compressed
+    # draw, and ncols-2 copulas without one, whose fill may overwrite it
+    GROUPS = [
+        [MarshallOlkin(0.3, 0.7), MarshallOlkin(0.3, 0.7).survival(),
+         *(MarshallOlkin(A, b).survival() for b in (0.75, 0.5, 0.3529)),
+         MarshallOlkin(0.0, 1.0)],
+        [FGM(0.7), FGM(-0.7), Independence()]]
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 7])
+    def test_each_copula_gets_its_own_calls_sums(self, monkeypatch, workers):
+        # the settings of test_top_sums_keeps_the_largest_multiset_with_ties:
+        # the floors, and with them the levels, rise many times per call
+        monkeypatch.setattr(risk, "_BATCH", 16)
+        monkeypatch.setattr(risk, "_CHUNK", 8)
+        monkeypatch.setattr(risk, "_POOL", 16)
+        monkeypatch.setattr(risk, "_WORKERS", workers)
+        n = 2_000
+        for cops in self.GROUPS:
+            for q in (0.5, 0.99):
+                k = risk._order_index(n, q)
+                got = risk._top_sums(cops, MARGINAL, n, 9, k)
+                assert len(got) == len(cops)
+                for cop, top in zip(cops, got):
+                    [own] = risk._top_sums([cop], MARGINAL, n, 9, k)
+                    assert np.array_equal(top, own), (cop, q)
+        assert not risk_threads()
+
+    def test_copulas_of_different_ncols_raise(self):
+        with pytest.raises(ParameterError, match="ncols"):
+            risk._top_sums([FGM(0.5), MarshallOlkin(A, B)], MARGINAL,
+                           20_000, 1, 19_801)
+        assert not risk_threads()
+
+    def test_reference_table_draws_each_chunk_once(self, monkeypatch):
+        real, drawn = risk._draw, []
+
+        def counting_draw(gen, ncols, chunk, block):
+            drawn.append(chunk)
+            return real(gen, ncols, chunk, block)
+
+        monkeypatch.setattr(risk, "_draw", counting_draw)
+        reference_table(seed=3, n=300_001)
+        assert sorted(drawn) == risk._chunks(300_001)  # each chunk, once
 
 
 @pytest.fixture(scope="module")
