@@ -332,24 +332,25 @@ class _ShockPair(Copula):
         """log C^(u, v) = log(u v + (1-u)(1-v) E(P, Q)), with P = -log1p(-u),
         Q = -log1p(-v) and E the family's ``_excess``: as
         C(1-u, 1-v) = (1-u)(1-v) (1 + E) and u + v - 1 + (1-u)(1-v) = u v,
-        both terms are >= 0 and nothing cancels.  Where a step underflows
-        (u or v below the normal doubles, 2.2e-308, say), P or E would lose
-        digits, so the call forms log E in log space instead, from the
-        family's ``_log_excess``."""
-        try:
-            with np.errstate(divide="ignore", invalid="ignore", under="raise"):
-                p = -np.log1p(-np.exp(lu))  # inf at u = 1
-                q = -np.log1p(-np.exp(lv))
-                return _log_uv_plus(lu, lv, np.log(self._excess(p, q)) - p - q)
-        except FloatingPointError:
-            with np.errstate(divide="ignore", invalid="ignore", under="ignore"):
-                p = -np.log1p(-np.exp(lu))
-                q = -np.log1p(-np.exp(lv))
+        both terms are >= 0 and nothing cancels.  Each element takes log E
+        from its own E: directly where E >= 2^-969, 53 bits above the normal
+        doubles, and elsewhere from the family's ``_log_excess``, the log of
+        the linearised excess, as there the shock m < e^-37 and
+        expm1(m) = m to the last bit, while P, Q or E itself may have lost
+        digits below the normal doubles (u or v below 2.2e-308, say)."""
+        with np.errstate(divide="ignore", invalid="ignore", under="ignore"):
+            p = -np.log1p(-np.exp(lu))  # inf at u = 1
+            q = -np.log1p(-np.exp(lv))
+            e = self._excess(p, q)
+            g = np.log(e)
+            tiny = e < 2.0 ** -969
+            if tiny.any():
                 # below -37, P = e^lu to the last bit, so log P = lu, where P
                 # itself may have lost digits or be 0
                 lp = np.where(lu < -37.0, lu, np.log(p))
                 lq = np.where(lv < -37.0, lv, np.log(q))
-                return _log_uv_plus(lu, lv, self._log_excess(lp, lq) - p - q)
+                g = np.where(tiny, self._log_excess(lp, lq), g)
+            return _log_uv_plus(lu, lv, g - p - q)
 
 
 def _log_uv_plus(lu, lv, g):
@@ -403,11 +404,9 @@ class MarshallOlkin(_ShockPair):
         return np.expm1(np.minimum(self.a * p, self.b * q))
 
     def _log_excess(self, lp, lq):
-        """log ``_excess`` from lp = log P and lq = log Q: log expm1(m) of
-        log m = min(log a + lp, log b + lq), which is log m itself below
-        m = e^-37, where expm1(m) = m to the last bit."""
-        lm = np.minimum(np.log(self.a) + lp, np.log(self.b) + lq)
-        return np.where(lm < -37.0, lm, np.log(np.expm1(np.exp(lm))))
+        """The log of the linearised ``_excess`` from lp = log P and
+        lq = log Q: log m = min(log a + lp, log b + lq), where expm1(m) = m."""
+        return np.minimum(np.log(self.a) + lp, np.log(self.b) + lq)
 
     def survival_shape(self):
         """One peak, the diagonal when a = b.  On the level x y = u^2, so
@@ -505,8 +504,9 @@ class MixtureMO(_ShockPair):
         return 0.5 * (self._mo._excess(p, q) + self._mo._excess(q, p))
 
     def _log_excess(self, lp, lq):
-        """log ``_excess`` from lp = log P and lq = log Q; with a = b, the
-        (a, b) excess itself, as its transpose is the same."""
+        """The log of the linearised ``_excess`` from lp = log P and
+        lq = log Q, the log-mean of the two orderings; with a = b, the (a, b)
+        one itself, as its transpose is the same."""
         if self.a == self.b:
             return self._mo._log_excess(lp, lq)
         return np.logaddexp(self._mo._log_excess(lp, lq),

@@ -27,16 +27,15 @@ sum to less than f and skip the quantile.  Where the family has a corner
 test (``Copula._corner``: Marshall-Olkin, the mixture and their survival
 copulas), the level also skips the transform: the draws whose uniforms
 put the pair in [0, t]^2 are dropped before ``fill``.  In a 2M-pair item
-at q = 0.99 about 14% of the pairs still reach the transform (the floor
+at q = 0.99 about 12% of the pairs still reach the transform (the floor
 after s pairs is only the m-th largest of those s), and the Philox draw
 takes about 70% of the time; the transform, the quantile, the corner test
 and its compress take 3-8% each.  Floors only rise and the largest sums
 form one multiset whichever thread gathered them, so results are
 bit-identical for a fixed seed and any thread count.  For the len(cops)
 copulas of one call (``risk_measures`` passes one, Table 1 three), memory
-is len(cops) * (m + 2^14) + max(2^15, len(cops) * m / 2) doubles of top
-buffers (a buffer cuts back once it holds its share of a pool of 2^15,
-or m / 2 if more, past m) and threads * (ncols + 2) * 2^14 of chunk
+is len(cops) * (3m/2 + 2^14) doubles of top buffers (a buffer cuts back
+once it holds m + m // 2 sums) and threads * (ncols + 2) * 2^14 of chunk
 blocks, rather than O(n).
 ``reference_table`` (``taildep table1``) draws the common stream of its
 three b once, in one ``_top_sums`` call, and reads every q from each b's
@@ -75,7 +74,6 @@ __all__ = [
 
 _BATCH = 1 << 18
 _CHUNK = 1 << 14  # divides _BATCH, a multiple of 4 rows
-_POOL = 1 << 15  # sums past m gathered before a cut-back, over all copulas
 _MIN_N = 10_000
 _WORD = (1 << 64) - 1  # one 64-bit word of a Philox counter
 # worker threads of _top_sums: one per CPU this process may run on, at most 8
@@ -232,12 +230,13 @@ class _Top:
     """One copula's part of ``_top_sums``: its largest sums, gathered by
     every worker into one buffer under the copula's own lock."""
 
-    def __init__(self, cop: Copula, marginal: ParetoII, n: int, m: int,
-                 pool: int):
+    def __init__(self, cop: Copula, marginal: ParetoII, n: int, m: int):
         self.ncols, self.fill = cop.sampler()
         self.corner, self.marginal = cop._corner, marginal
-        self.m, self.pool = m, pool
-        self.buf = np.empty(min(m + pool + _CHUNK, n))
+        # a cut-back partitions m + m // 2 values, so its work per gathered
+        # sum is bounded for any m
+        self.m, self.full = m, m + m // 2
+        self.buf = np.empty(min(self.full + _CHUNK, n))
         self.start = self.buf.size  # gathered: buf[start:]
         self.floor = self.level = None
         self.lock = threading.Lock()
@@ -266,7 +265,7 @@ class _Top:
         with self.lock:
             buf, start = self.buf, self.start - z.size
             buf[start:self.start] = z
-            if buf.size - start >= self.m + self.pool:
+            if buf.size - start >= self.full:
                 _largest(buf[start:], self.m)  # now the last m of buf
                 start = buf.size - self.m
                 self.floor = buf[start]
@@ -292,25 +291,21 @@ def _top_sums(cops: Sequence[Copula], marginal: ParetoII, n: int, seed: int,
     ``_corner`` test puts in [0, t]^2, then fills the rest, or, for a family
     without the test, fills them all and prunes pairs with both uniforms at
     or below the level t.  It applies the Pareto quantile and gathers the
-    sums above the copula's floor f into its one buffer of m + pool + _CHUNK
-    values (or all n), m = n - k + 1, which every thread shares under the
-    copula's lock; there is no t or f before the first cut-back.  Once the
-    gathered values are pool more than m, an in-place partition cuts them
-    back to the m largest; the smallest of those is the new f, and t is
-    ``marginal._level_below(f)``, so pairs in [0, t]^2 sum to less than f:
-    a pair the corner test misses is dropped with the sums below f.  A
-    filled pair comes from the same elementwise steps with the test or
-    without, so the gathered sums do not depend on it.  Floors only rise,
+    sums above the copula's floor f into its one buffer of
+    m + m // 2 + _CHUNK values (or all n), m = n - k + 1, which every thread
+    shares under the copula's lock; there is no t or f before the first
+    cut-back.  Once the buffer holds m + m // 2 values, an in-place
+    partition cuts them back to the m largest; the smallest of those is the
+    new f, and t is ``marginal._level_below(f)``, so pairs in [0, t]^2 sum
+    to less than f: a pair the corner test misses is dropped with the sums
+    below f.  A filled pair comes from the same elementwise steps with the
+    test or without, so the gathered sums do not depend on it.  Floors only rise,
     each is the m-th largest of some of the sums, and equal values are
     interchangeable, so each buffer's m largest are a full sort's, whatever
     thread gathered them and in what order.  A worker that raises stops the
     hand-out; every thread is joined and the first exception is raised here.
     """
-    m = n - k + 1
-    # a cut-back partitions m + pool values, so a pool of at least m / 2
-    # bounds that work per gathered sum for any m; _POOL is split evenly
-    pool = max(_POOL // len(cops), m // 2)
-    tops = [_Top(cop, marginal, n, m, pool) for cop in cops]
+    tops = [_Top(cop, marginal, n, n - k + 1) for cop in cops]
     ncols = tops[0].ncols
     if any(top.ncols != ncols for top in tops):
         raise ParameterError("copulas that share a draw need the same ncols")

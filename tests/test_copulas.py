@@ -379,11 +379,27 @@ class TestExactSurvival:
         assert got == pytest.approx(_log_survival_mp(cop, u, u), rel=1e-15)
         assert cop.survival().cdf(u, u) == math.exp(got) > 0.0
 
+    @pytest.mark.parametrize("family", [MarshallOlkin, MixtureMO])
+    @pytest.mark.parametrize("a", [1e-250, 1e-270, 1e-280, 1e-290, 1e-292,
+                                   1e-300, 1e-308, 1e-315, 1e-320])
+    def test_exact_across_the_seam_of_the_excess(self, family, a):
+        # for a from 1e-280 to 1e-292 the excess E crosses 2^-969 inside one
+        # call, and each element takes the direct or the linearised formula
+        # on its own side; u and v swapped too
+        cop = family(a, 0.5)
+        u = np.exp(np.linspace(-40.0, math.log(0.99), 200))
+        v = np.full(u.size, 0.3)
+        for x, y in ((u, v), (v, u)):
+            got = cop.survival().log_cdf(x, y)
+            want = np.array([_log_survival_closed_mp(cop, *xy)
+                             for xy in zip(x, y)])
+            assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want)), (cop, x, y)
+
     @pytest.mark.parametrize("a", [0.0, 0.3, 0.9, 1.0])
     def test_equal_mixture_is_marshall_olkin_bit_for_bit(self, a):
         # with a = b the mixture's survival kernel is survival MO(a, a)'s,
-        # in the direct formula and in log space, which a call takes as a
-        # whole once one element underflows (the first here)
+        # in the direct formula and in the linearised one, which an element
+        # takes where its excess is below 2^-969 (the first, at lead -800)
         lu = np.linspace(-3.0, -0.01, 2000)
         for lead in (-1.0, -800.0):
             x, y = np.append(lead, lu), np.append(-1.0, lu[::-1])

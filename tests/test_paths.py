@@ -895,15 +895,20 @@ class TestShapeFacts:
         assert pointwise_max(cop, u).maximizers == (u,)
 
 
+def _hex_fields(p):
+    """Every field of a PathPoint, floats as float.hex."""
+    return (p.u.hex(), [x.hex() for x in p.maximizers], p.pi_star.hex(),
+            p.log_pi_star.hex(), p.boundary_attained, p.all_paths_maximal,
+            [t.hex() for t in p.log_maximizers])
+
+
 def _solve_or_error(cop, grid):
     """Every PathPoint field of a solve, floats as float.hex, or the error."""
     try:
         sol = solve_path(cop, grid)
     except TailDepError as exc:
         return type(exc), str(exc)
-    return [(p.u.hex(), [x.hex() for x in p.maximizers], p.pi_star.hex(),
-             p.log_pi_star.hex(), p.boundary_attained, p.all_paths_maximal,
-             [t.hex() for t in p.log_maximizers]) for p in sol.points]
+    return [_hex_fields(p) for p in sol.points]
 
 
 class TestPrunedScan:
@@ -1045,6 +1050,40 @@ class TestSurvivalRoute:
         for grid in (GRID_15, [0.99, 0.5], [1e-100, 1e-160, 1e-300]):
             assert (_solve_or_error(MixtureMO(a, a).survival(), grid)
                     == _solve_or_error(MarshallOlkin(a, a).survival(), grid))
+
+
+class TestBatchEqualsPointwise:
+    """``solve_path`` evaluates all levels in one kernel call per step, so a
+    deep level shares each call with the shallow ones; every point is still
+    ``pointwise_max``'s at its own level, field by field."""
+
+    FAMILIES = st.one_of(
+        ANY_FAMILY,
+        st.floats(0.0, 1.0).map(lambda a: MarshallOlkin(a, a)),
+        st.floats(0.0, 1.0).map(lambda a: MixtureMO(a, a)),
+        st.floats(0.1, 5.0).map(lambda th: Archimedean(clayton_generator(th))),
+    ).flatmap(lambda c: st.sampled_from([c, c.survival()]))
+    # one to four levels in [1e-6, 0.5] and one at 1e-200 or 1e-300
+    GRIDS = st.tuples(
+        st.lists(st.floats(-6.0, math.log10(0.5)), min_size=1, max_size=4),
+        st.sampled_from([1e-200, 1e-300])).map(
+        lambda g: sorted({10.0 ** e for e in g[0]} | {g[1]}, reverse=True))
+
+    @settings(max_examples=150, deadline=None)
+    @given(cop=FAMILIES, grid=GRIDS)
+    def test_each_point_is_its_levels_pointwise_max(self, cop, grid):
+        want = []
+        for u in grid:
+            try:
+                want.append(_hex_fields(pointwise_max(cop, u)))
+            except TailDepError as exc:
+                want.append(type(exc))
+        try:
+            got = [_hex_fields(p) for p in solve_path(cop, grid).points]
+        except TailDepError as exc:
+            assert type(exc) in want, (cop, grid, exc)
+        else:
+            assert got == want, (cop, grid)
 
 
 class TestDiagonalFloor:

@@ -393,9 +393,9 @@ class TestPruning:
 
     @pytest.mark.parametrize("workers", [1, 3])
     def test_a_floor_that_rises_often(self, monkeypatch, workers):
-        # a pool of 64 past m, or m / 2 if more, cuts back, and raises the
-        # floor, many times per call
-        monkeypatch.setattr(risk, "_POOL", 64)
+        # a buffer cuts back once it holds m + m // 2 sums, and raises the
+        # floor, many times per call: at q = 0.995, m is about 4,000 of
+        # STREAM_N ~ 800,000 pairs
         monkeypatch.setattr(risk, "_WORKERS", workers)
         for cop in STREAM_COPULAS:
             for q in (0.5, 0.995):
@@ -511,7 +511,6 @@ class TestCorner:
         # the floor, and with it the level, rises many times per call
         monkeypatch.setattr(risk, "_BATCH", 16)
         monkeypatch.setattr(risk, "_CHUNK", 8)
-        monkeypatch.setattr(risk, "_POOL", 16)
         monkeypatch.setattr(risk, "_WORKERS", workers)
         cops = corner_copulas(A, B) + corner_copulas(0.0, 1.0)[:4]
         runs = [(cop, marginal, m) for cop in cops for m in (1, 40, 300)
@@ -526,7 +525,7 @@ class TestCorner:
 
     def test_most_pairs_skip_the_transform(self, monkeypatch):
         # the floor after s pairs is the m-th largest of those s, so the
-        # level rises slowly: about 15% of the pairs reach the transform
+        # level rises slowly: about 12% of the pairs reach the transform
         real, filled = SurvivalCopula.sampler, []
 
         def counting_sampler(cop):
@@ -564,11 +563,10 @@ class TestChunkedThreads:
     @pytest.mark.parametrize("m", [1, 7, 40, 300])
     def test_top_sums_keeps_the_largest_multiset_with_ties(self, monkeypatch,
                                                            m, workers):
-        # tiny chunks and pool cut back, and raise the floor, many times per
-        # call; sums of fewer than 100 distinct values tie at the floor
+        # tiny chunks cut back, and raise the floor, many times per call;
+        # sums of fewer than 100 distinct values tie at the floor
         monkeypatch.setattr(risk, "_BATCH", 16)
         monkeypatch.setattr(risk, "_CHUNK", 8)
-        monkeypatch.setattr(risk, "_POOL", 16)
         monkeypatch.setattr(risk, "_WORKERS", workers)
         marginal, n = ParetoII(1e6, 1e-9, 4.0), 2_000
         for cop in (Independence(), FGM(-0.7), MarshallOlkin(0.3, 0.7).survival()):
@@ -659,7 +657,6 @@ class TestSharedDraw:
         # the floors, and with them the levels, rise many times per call
         monkeypatch.setattr(risk, "_BATCH", 16)
         monkeypatch.setattr(risk, "_CHUNK", 8)
-        monkeypatch.setattr(risk, "_POOL", 16)
         monkeypatch.setattr(risk, "_WORKERS", workers)
         n = 2_000
         for cops in self.GROUPS:
