@@ -22,9 +22,11 @@ default None or :class:`UnsupportedMethodError`: ``maximizers``,
 function f(t) = log C(e^t, u^2 e^-t) steer the solver in
 :mod:`taildep.paths`: ``shape()``, None by default, is ``"diagonal"`` or
 ``"peak"`` where a proof in the family's class says so, and
-``exchangeable()``, C(u, v) = C(v, u), makes f symmetric about log u; it
-is implied by ``"diagonal"``, whose contract requires it, so only a family
-exchangeable without a diagonal shape declares it.
+``exchangeable()``, C(u, v) = C(v, u), makes f symmetric about log u.  A
+``"diagonal"`` shape implies two facts: ``exchangeable()``, which its
+contract requires, and ``maximizers``, the diagonal x = u.  So a family
+writes ``exchangeable()`` only where it holds without that shape, and
+``maximizers`` only for its other closed forms.
 
 Two more optional facts, None by default, make a survival copula exact:
 ``_log_survival(lu, lv)``, the log of the survival copula
@@ -200,8 +202,10 @@ class Copula:
         return {"family": self.family, **{k: getattr(self, k) for k in names}}
 
     def maximizers(self, u: float) -> tuple[float, ...] | None:
-        """Known maximizers of x -> C(x, u^2/x) at level u, or None."""
-        return None
+        """Known maximizers of x -> C(x, u^2/x) at level u, or None: the
+        diagonal x = u where ``shape()`` proves it, so a family writes only
+        its other closed forms."""
+        return (u,) if self.shape() == "diagonal" else None
 
     def kappa_star(self) -> float | None:
         """Known maximal-path exponent, or None."""
@@ -272,6 +276,10 @@ class Independence(Copula):
     def _log_cdf(self, lu, lv):
         return lu + lv
 
+    def maximizers(self, u):
+        """None: f is constant, so every x is a maximizer, not x = u alone."""
+        return None
+
     def kappa_star(self):
         return 2.0
 
@@ -291,9 +299,6 @@ class FrechetUpper(Copula):
 
     def _log_cdf(self, lu, lv):
         return np.minimum(lu, lv)
-
-    def maximizers(self, u):
-        return (u,)
 
     def kappa_star(self):
         return 1.0
@@ -320,6 +325,11 @@ class _ShockPair(Copula):
     def __post_init__(self):
         _check_param(self.a, "a", 0.0, 1.0)
         _check_param(self.b, "b", 0.0, 1.0)
+
+    def shape(self):
+        """One peak, the diagonal when a = b, for Marshall-Olkin and its
+        mixture alike: proven in each class's docstring."""
+        return "diagonal" if self.a == self.b else "peak"
 
     def kappa_star(self):
         """2 - 2 a b / (a + b), for Marshall-Olkin and its mixture alike."""
@@ -376,7 +386,13 @@ _MARGIN = 1e-9
 
 @dataclass(frozen=True)
 class MarshallOlkin(_ShockPair):
-    """C(u, v) = min(u^(1-a) v, u v^(1-b)) with a, b in [0, 1]."""
+    """C(u, v) = min(u^(1-a) v, u v^(1-b)) with a, b in [0, 1].
+
+    One peak on the level (``shape``): f(t) = min((1-a) t + lv, t + (1-b) lv)
+    with lv = 2 log u - t, that is min(2 log u - a t, b t + 2 (1-b) log u),
+    rises with slope b up to t = 2 b log u / (a + b), then falls with slope
+    -a, and is constant when a or b is 0.  With a = b the peak is log u.
+    """
 
     family: ClassVar[str] = "marshall_olkin"
 
@@ -391,13 +407,6 @@ class MarshallOlkin(_ShockPair):
     def kappa_diag(self) -> float:
         """Exponent of the diagonal decay C(u, u) = u^(2 - min(a, b))."""
         return 2.0 - min(self.a, self.b)
-
-    def shape(self):
-        """f(t) = min((1-a) t + lv, t + (1-b) lv) with lv = 2 log u - t, that
-        is min(2 log u - a t, b t + 2 (1-b) log u): it rises with slope b up
-        to t = 2 b log u / (a + b), then falls with slope -a, and is constant
-        when a or b is 0.  With a = b the peak is log u."""
-        return "diagonal" if self.a == self.b else "peak"
 
     def _excess(self, p, q):
         """expm1(min(a P, b Q)): C(e^-P, e^-Q) = e^(-P-Q) e^min(aP, bQ)."""
@@ -525,11 +534,6 @@ class MixtureMO(_ShockPair):
         """The (a, b) and (b, a) components trade places under (u, v) -> (v, u)."""
         return True
 
-    def shape(self):
-        """One peak on [2 log u, log u] (class docstring), the diagonal when
-        a = b."""
-        return "diagonal" if self.a == self.b else "peak"
-
     def maximizers(self, u):
         """The maximizers of both orderings, one point when a = b."""
         ab = self._mo.maximizers(u)
@@ -591,9 +595,6 @@ class FGM(Copula):
         with np.errstate(divide="ignore"):  # log1p(-1) = -inf at u = 1
             s = -np.expm1(np.log1p(-np.exp(lu)) + np.log1p(-np.exp(lv)))
         return lu + lv + np.log((1.0 + self.alpha) - self.alpha * s)
-
-    def maximizers(self, u):
-        return (u,) if self.alpha > 0.0 else None
 
     def kappa_star(self):
         return 2.0 if self.alpha > 0.0 else None
@@ -757,9 +758,6 @@ class Clayton(Copula):
     def _log_cdf(self, lu, lv):
         return -_log_exp_sum_m1(-self.theta * lu, -self.theta * lv) / self.theta
 
-    def maximizers(self, u):
-        return (u,)
-
     def kappa_star(self):
         return 1.0
 
@@ -913,10 +911,6 @@ class Archimedean(Copula):
                 "evaluation", component="psi_inv")
         with np.errstate(divide="ignore"):
             return np.log(out)
-
-    def maximizers(self, u):
-        """The diagonal where ``shape`` proves it, else None."""
-        return (u,) if self.shape() == "diagonal" else None
 
     def exchangeable(self):
         """psi(u) + psi(v) is symmetric in u and v."""

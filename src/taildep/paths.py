@@ -23,12 +23,14 @@ C(v, u), so that f(2 log u - t) = f(t) and the searched range is
   each level's one bracket is the searched range itself.
 * None, full scan: 4097 points evenly spaced in log x over [u^2, 1] (tail
   maximizers such as u^(2b/(a+b)) cluster near 0, so uniform-in-x grids
-  would miss them), ``np.linspace(2 log u, 0, 4097)``.  Point 2048 is the
-  diagonal log u exactly, as the step -log u / 2048 is a division by a
-  power of two.  Each interior local maximum gets a bracket, and a scan
-  flat to within the tie window gets none.  An exchangeable family's scan
-  is a half scan, the first 2049 points: it stops at the diagonal, and so
-  do its brackets.
+  would miss them), ``np.linspace(2 log u, 0, 4097)``, point k computed as
+  linspace computes it, k * step + 2 log u.  The step -log u / 2048 is a
+  division by a power of two, so 2048 steps are -log u and 4096 steps
+  -2 log u exactly: point 2048 is the diagonal log u and point 4096 the end
+  0, both exact, as linspace sets its end.  Each interior local maximum
+  gets a bracket, and a scan flat to within the tie window gets none.  An
+  exchangeable family's scan is a half scan, the first 2049 points: it
+  stops at the diagonal, and so do its brackets.
 
 The scan evaluates only the cells that can hold a maximum.  A copula is
 nondecreasing in each argument (Nelsen, *An Introduction to Copulas*, 2006,
@@ -323,13 +325,6 @@ def _shaped_levels(cop: Copula, log_u: np.ndarray, diagonal: bool,
             scalars)
 
 
-def _linspace_at(k: np.ndarray, start: np.ndarray, step: np.ndarray,
-                 stop: np.ndarray, n: int) -> np.ndarray:
-    """Point k of ``np.linspace(start, stop, n + 1)``, computed as linspace
-    computes it: k * step + start, and stop itself at k = n."""
-    return np.where(k == n, stop, k * step + start)
-
-
 def _brackets(t: np.ndarray, f: np.ndarray, joined: np.ndarray,
               diagonal: np.ndarray | None = None
               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -363,9 +358,10 @@ def _brackets(t: np.ndarray, f: np.ndarray, joined: np.ndarray,
 def _scan_levels(cop: Copula, log_u: np.ndarray, half: bool) -> _Levels:
     """Scan every level at log x = ``np.linspace(2 log u, 0, 4097)``, or at
     its first 2049 points, ``np.linspace(2 log u, log u, 2049)``, if
-    ``half`` (the same step, -log u / 2048, so the same points), evaluating
-    only the cells that can hold a maximum (module docstring): one kernel
-    call for the cell corners and bounds, and one for the kept cells.
+    ``half`` (the same step, -log u / 2048, so the same points, the ends
+    exact), evaluating only the cells that can hold a maximum (module
+    docstring): one kernel call for the cell corners and bounds, and one
+    for the kept cells.
     Returns the brackets around the interior local maxima of each level's
     scan, none on a flat level, and each level's scalars, its lower bound
     the least value evaluated.
@@ -373,11 +369,9 @@ def _scan_levels(cop: Copula, log_u: np.ndarray, half: bool) -> _Levels:
     n = _SCAN_MID if half else _SCAN_N
     cells = n // _CELL
     start = 2.0 * log_u
-    stop = log_u if half else np.zeros_like(log_u)
-    step = (stop - start) / n
+    step = -log_u / _SCAN_MID
     # the corners, then each cell's bound: x at its end, y at its start
-    tc = _linspace_at(np.arange(0, n + 1, _CELL), start[:, None],
-                      step[:, None], stop[:, None], n)
+    tc = np.arange(0, n + 1, _CELL) * step[:, None] + start[:, None]
     fc = _log_pi(cop, log_u[:, None], np.concatenate((tc, tc[:, 1:]), axis=1),
                  np.concatenate((tc, tc[:, :-1]), axis=1))
     corner, bound = fc[:, :cells + 1], fc[:, cells + 1:]
@@ -402,7 +396,7 @@ def _scan_levels(cop: Copula, log_u: np.ndarray, half: bool) -> _Levels:
         first = last - size + 1
         k = np.arange(last[-1] + 1) + np.repeat(k0 - first, size)
         row = np.repeat(lev, size)
-        t = _linspace_at(k, start[row], step[row], stop[row], n)
+        t = k * step[row] + start[row]
         f = _log_pi(cop, log_u[row], t)
         # an end point in a dropped cell, equal to its neighbour and that no
         # lower than the next, may extend a flat run of maxima into the cell

@@ -109,8 +109,8 @@ class TestExitCodes:
     def test_vanished_level_is_3(self, capsys):
         # the first level all of whose rectangles are below the survival
         # sum's cancellation floor
-        code, out, err = run(capsys, "path", "--family", "fgm",
-                             "--alpha", "0.5", "--survival",
+        code, out, err = run(capsys, "path", "--family", "clayton",
+                             "--theta", "2", "--survival",
                              "--umin-exp", "18")
         assert code == 3 and out == "" and "u=1e-08" in err
 

@@ -16,6 +16,8 @@ import pytest
 
 from taildep import (
     Copula,
+    MarshallOlkin,
+    MixtureMO,
     ParameterError,
     UnsupportedMethodError,
     check_axioms,
@@ -71,13 +73,16 @@ class TestFamilyContract:
 
     @pytest.mark.parametrize("u", [1e-1, 1e-2])
     def test_maximizers_match_the_solver(self, name, u):
+        # the survival copula's too, where its proven shape gives them
         cop, rtol = example(name), EXAMPLES[name][1]
-        known = cop.maximizers(u)
-        if known is None:
+        cops = [c for c in (cop, cop.survival()) if c.maximizers(u) is not None]
+        if not cops:
             pytest.skip(f"no closed-form maximizers for {name}")
-        got = pointwise_max(cop, u).maximizers
-        assert len(got) == len(known)
-        np.testing.assert_allclose(got, known, rtol=rtol)
+        for c in cops:
+            known = c.maximizers(u)
+            got = pointwise_max(c, u).maximizers
+            assert len(got) == len(known)
+            np.testing.assert_allclose(got, known, rtol=rtol)
 
     def test_kappa_star_matches_star_indices(self, name):
         cop = example(name)
@@ -105,6 +110,18 @@ class TestFamilyContract:
             u, v = sample_pairs(c, 1000, seed=1)
             assert u.shape == v.shape == (1000,)
             assert np.all((u >= 0.0) & (u <= 1.0) & (v >= 0.0) & (v <= 1.0))
+
+
+@pytest.mark.parametrize("cop", [MarshallOlkin(0.4, 0.4).survival(),
+                                 MixtureMO(0.4, 0.4).survival()], ids=repr)
+@pytest.mark.parametrize("u", [1e-1, 1e-3, 1e-8])
+def test_a_proven_diagonal_survival_shape_gives_the_maximizers(cop, u):
+    # with a = b the survival copula's proven shape is the diagonal, and the
+    # maximizers follow from it
+    known = cop.maximizers(u)
+    assert known is not None
+    np.testing.assert_allclose(pointwise_max(cop, u).maximizers, known,
+                               rtol=1e-10, atol=0.0)
 
 
 @dataclass(frozen=True)

@@ -103,10 +103,11 @@ class TestPiPhi:
 @dataclass(frozen=True)
 class VanishingIndependence(Copula):
     """u v where u v > 1e-20, and 0 below: a test-only family, on the route
-    of its declared ``shape``, whose kernel is -inf at every x of the levels
-    u < 1e-10.  f(t) = 2 log u is constant, so either shape holds."""
+    of its declared ``shape`` (None: scanned), whose kernel is -inf at every
+    x of the levels u < 1e-10.  f(t) = 2 log u is constant, so either shape
+    holds."""
 
-    route: str
+    route: str | None
 
     def _log_cdf(self, lu, lv):
         s = lu + lv
@@ -118,15 +119,17 @@ class VanishingIndependence(Copula):
 
 class TestVanishedLevel:
     @pytest.mark.parametrize("cop", [
-        FGM(0.5).survival(),
-        Independence().survival(),
+        Clayton(2.0).survival(),
+        GeneralizedClayton(0.5, 0.3).survival(),
+        VanishingIndependence(None),
         VanishingIndependence("diagonal"),
         VanishingIndependence("peak"),
     ], ids=repr)
     def test_level_with_no_mass_is_an_error(self, cop):
         # u + v - 1 + C(1-u, 1-v) cancels to 0 at every x once u^2 < ~1e-32
         # for a family without an exact survival kernel, which the solver
-        # scans; the shaped routes take the same rule
+        # scans; the scanned route without that sum, and the shaped routes,
+        # take the same rule
         with pytest.raises(DegenerateTailError, match="u=1e-18"):
             pointwise_max(cop, 1e-18)
         with pytest.raises(DegenerateTailError, match="u=1e-18"):
