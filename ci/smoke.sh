@@ -40,6 +40,26 @@ table = json.load(open(sys.argv[2]))
 assert rows == [[row[c] for c in header] for row in table["rows"]], "CSV != JSON rows"
 PY
 
+echo "== report keys print in the documented order; a missing --config file exits 1"
+"${td[@]}" indices --family marshall_olkin --a 0.3529 --b 0.75 > "$tmp/keys.json"
+"${td[@]}" path --family mixture_mo --a 0.3 --b 0.7 --format json > "$tmp/keys_path.json"
+python - "$tmp/keys.json" "$tmp/keys_path.json" <<'PY'
+import json, sys
+indices, path = (json.load(open(name)) for name in sys.argv[1:])
+assert list(indices) == ["copula", "diagonal", "maximal"], list(indices)
+for kind in ("diagonal", "maximal"):
+    assert list(indices[kind]) == [
+        "kappa", "lambda", "chi", "local_slopes", "residual", "path_kind",
+        "lambda_degenerate"], (kind, list(indices[kind]))
+assert list(path) == ["u_grid", "points"] and path["points"], list(path)
+for point in path["points"]:
+    assert list(point) == ["u", "maximizers", "pi_star", "boundary_attained",
+                           "all_paths_maximal"], list(point)
+PY
+code=0
+"${td[@]}" eval --config "$tmp/missing.txt" --u 0.5 --v 0.5 > /dev/null 2>&1 || code=$?
+test "$code" -eq 1
+
 echo "== a negative tol is a parameter error (exit 2)"
 code=0
 "${td[@]}" axioms --family independence --tol=-1 > /dev/null 2>&1 || code=$?

@@ -20,9 +20,11 @@ contour    (u, v, C) lattice plus the solved path points, for external plots
 =========  ==================================================================
 
 Floats print as their shortest round-trip ``repr``; JSON is strict, so a
-NaN or infinity is not printed.  Exit codes: 0 success, 1 config parse
-error, 2 parameter validation error, 3 numeric failure (bracketing,
-overflow, degenerate tails, a non-finite value to print).
+NaN or infinity is not printed.  Exit codes, from one table
+(``_EXIT_CODES``): 0 success, 1 config parse error or a file that cannot be
+read or written, 2 parameter validation error or a method the family lacks,
+3 any other failure of the package (bracketing, overflow, degenerate tails,
+a non-finite value to print).
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from pathlib import Path
 
 import numpy as np
 
-from taildep.config import copula_from_mapping, parse_config
+from taildep.config import copula_from_config, copula_from_mapping, parse_config
 from taildep.copulas import FAMILIES, _check_int, check_axioms
 from taildep.errors import (
     ConfigError,
@@ -55,6 +57,11 @@ from taildep.serialize import dumps_csv, dumps_json
 # --family plus one flag per parameter key of any family, in registry order
 _COPULA_FLAGS = ("family", *dict.fromkeys(
     key for _, keys in FAMILIES.values() for key in keys))
+
+# the exit code of each error class, checked in order: the first match decides
+_EXIT_CODES = ((ConfigError, 1), ((ParameterError, UnsupportedMethodError), 2),
+               (OSError, 1), (TailDepError, 3))
+
 
 def _add_copula_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", action="append", default=[],
@@ -155,20 +162,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _build_copula(args: argparse.Namespace):
     mapping: dict[str, object] = {}
-    configs = getattr(args, "config", [])
-    if len(configs) > 1:
+    if len(args.config) > 1:
         raise ParameterError(
             "this command takes at most one --config (compare takes two)")
-    for path in configs:
+    for path in args.config:
         mapping.update(parse_config(Path(path).read_text()))
     for key in _COPULA_FLAGS:
-        value = getattr(args, key, None)
+        value = getattr(args, key)
         if value is not None:
             mapping[key] = value
     if not mapping:
         raise ConfigError("no copula given: use --config or --family flags")
     cop = copula_from_mapping(mapping)
-    if getattr(args, "survival", False):
+    if args.survival:
         cop = cop.survival()
     return cop
 
@@ -223,8 +229,7 @@ def _cmd_indices(args) -> str:
 def _cmd_compare(args) -> str:
     if len(args.config) != 2:
         raise ParameterError("compare requires exactly two --config files")
-    cops = [copula_from_mapping(parse_config(Path(p).read_text()))
-            for p in args.config]
+    cops = [copula_from_config(Path(p).read_text()) for p in args.config]
     report = compare(cops[0], cops[1], _u_grid(args))
     out = {"copula_1": cops[0].params(), "copula_2": cops[1].params()}
     out.update(report.to_json_dict())
@@ -265,21 +270,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        text = args.handler(args)
-        _emit(text, args.out)
-        return 0
-    except ConfigError as exc:
+        _emit(args.handler(args), args.out)
+    except (TailDepError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ParameterError, UnsupportedMethodError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except TailDepError as exc:  # anything else from the package
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return next(code for cls, code in _EXIT_CODES if isinstance(exc, cls))
+    return 0
 
 
 if __name__ == "__main__":

@@ -12,9 +12,11 @@ evaluation routes go through it, vectorized over numpy arrays:
 Each named family evaluates its kernel from the logs, which keeps the tail
 machinery in :mod:`taildep.paths` exact down to u ~ 1e-300; so does the
 survival copula of a family with an exact ``_log_survival`` (below).
-The generic ``Archimedean`` copula takes the log of psi_inv(psi(u) + psi(v)),
-and any other survival copula the log of a linear sum with a stated
-cancellation floor (last paragraph).
+So does ``Archimedean`` on :func:`clayton_generator`, whose generator
+carries Clayton's kernel.  ``Archimedean`` on any other generator takes the
+log of psi_inv(psi(u) + psi(v)), where a psi that overflows raises
+:class:`GeneratorError` naming psi, and any other survival copula the log
+of a linear sum with a stated cancellation floor (last paragraph).
 
 Every other fact about a family is an optional method of its class, by
 default None or :class:`UnsupportedMethodError`: ``maximizers``,
@@ -623,6 +625,13 @@ def _log_exp_sum_m1(a, b):
     return m + np.log1p(np.expm1(a - m) + np.expm1(b - m) - np.expm1(-m))
 
 
+def _clayton_log_cdf(theta, lu, lv):
+    """log (u^-theta + v^-theta - 1)^(-1/theta) at u = e^lu, v = e^lv: the
+    kernel of :class:`Clayton` and of the Archimedean copula on
+    :func:`clayton_generator`."""
+    return -_log_exp_sum_m1(-theta * lu, -theta * lv) / theta
+
+
 @dataclass(frozen=True)
 class GeneralizedClayton(Copula):
     """Asymmetric Clayton-type copula.
@@ -756,7 +765,7 @@ class Clayton(Copula):
         _check_param(self.theta, "theta", 0.0, math.inf, lo_open=True)
 
     def _log_cdf(self, lu, lv):
-        return -_log_exp_sum_m1(-self.theta * lu, -self.theta * lv) / self.theta
+        return _clayton_log_cdf(self.theta, lu, lv)
 
     def kappa_star(self):
         return 1.0
@@ -786,6 +795,10 @@ class Generator:
     psi_inv: Callable
     params: dict[str, float] = field(default_factory=dict)
 
+    # log C(e^lu, e^lv) of the Archimedean copula on this generator, where a
+    # generator has a log kernel; None takes the psi/psi_inv route
+    _log_cdf = None
+
     def slope_nondecreasing(self) -> bool:
         """Whether h(x) = x psi'(x) is proven nondecreasing on (0, 1]; then
         the diagonal is the maximal path of the Archimedean copula at every
@@ -796,6 +809,9 @@ class Generator:
 
 
 class _ClaytonGenerator(Generator):
+    def _log_cdf(self, lu, lv):
+        return _clayton_log_cdf(self.params["theta"], lu, lv)
+
     def slope_nondecreasing(self):
         """h(x) = x psi'(x) = -x^(-theta) rises strictly for theta > 0."""
         return True
@@ -895,16 +911,20 @@ class Archimedean(Copula):
                 component="psi_inv")
 
     def _log_cdf(self, lu, lv):
-        """log psi_inv(psi(u) + psi(v)); a NaN from the generator raises
-        :class:`GeneratorError` naming the callable that returned it."""
+        """The generator's log kernel where it has one.  Otherwise
+        log psi_inv(psi(u) + psi(v)), where a psi that is not finite (an
+        overflow, as the kernel never sees u = 0) or a NaN from psi_inv
+        raises :class:`GeneratorError` naming the callable."""
         g = self.generator
+        if g._log_cdf is not None:
+            return g._log_cdf(lu, lv)
         with np.errstate(divide="ignore", over="ignore"):
             s = np.asarray(g.psi(np.exp(lu)) + g.psi(np.exp(lv)), dtype=float)
             out = np.asarray(g.psi_inv(s), dtype=float)
-        if np.any(np.isnan(s)):
+        if not np.isfinite(s).all():
             raise GeneratorError(
-                f"generator {g.name!r}: psi overflowed to NaN during CDF "
-                "evaluation", component="psi")
+                f"generator {g.name!r}: psi overflowed during CDF evaluation",
+                component="psi")
         if np.any(np.isnan(out)):
             raise GeneratorError(
                 f"generator {g.name!r}: psi_inv overflowed to NaN during CDF "

@@ -88,15 +88,11 @@ class TailIndexReport:
     lambda_degenerate: bool = False
 
     def to_json_dict(self) -> dict:
-        return {
-            "kappa": self.kappa,
-            "lambda": self.lam,
-            "chi": self.chi,
-            "local_slopes": list(self.local_slopes),
-            "residual": self.residual,
-            "path_kind": self.path_kind.value,
-            "lambda_degenerate": self.lambda_degenerate,
-        }
+        """The fields in order, ``lam`` as ``lambda`` and tuples as lists;
+        PathKind is a str, so JSON writes its value."""
+        return {"lambda" if k == "lam" else k:
+                list(v) if isinstance(v, tuple) else v
+                for k, v in asdict(self).items()}
 
 
 @dataclass(frozen=True)

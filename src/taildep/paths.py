@@ -101,7 +101,7 @@ returning an empty answer.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from operator import itemgetter
 
 import numpy as np
@@ -175,21 +175,12 @@ class PathSolution:
                         "read log_maximizers and log_pi_star instead")
 
     def to_json_dict(self) -> dict:
-        """The path as JSON-ready data, without the log fields."""
+        """The fields as JSON-ready data, tuples as lists, without the log
+        fields."""
         self._check_printable()
-        return {
-            "u_grid": list(self.u_grid),
-            "points": [
-                {
-                    "u": p.u,
-                    "maximizers": list(p.maximizers),
-                    "pi_star": p.pi_star,
-                    "boundary_attained": p.boundary_attained,
-                    "all_paths_maximal": p.all_paths_maximal,
-                }
-                for p in self.points
-            ],
-        }
+        return asdict(self, dict_factory=lambda fields: {
+            k: list(v) if isinstance(v, tuple) else v
+            for k, v in fields if not k.startswith("log_")})
 
     def to_csv(self) -> str:
         """CSV with variable-width maximizer columns, padded empty."""

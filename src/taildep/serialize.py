@@ -1,21 +1,18 @@
 """Text emission for every CSV and JSON surface of the package.
 
-Floats print as ``repr``, the shortest text that parses back to the same
-double, so emitted files are byte-reproducible and exact.  JSON comes from
-the standard library; NaN and infinity are not JSON and are refused.
-``dumps_csv`` is the one CSV writer: every CSV line is joined there.
+Floats print as the ``repr`` of their double, the shortest text that parses
+back to it, so emitted files are byte-reproducible and exact.  JSON comes
+from the standard library, fed the dicts that the reports' ``to_json_dict``
+build from their dataclass fields, in field order; NaN and infinity are not
+JSON and are refused.  ``dumps_csv`` is the one CSV writer: every CSV
+line is joined and every cell formatted there.
 """
 
 import json
 
 from taildep.errors import NumericError
 
-__all__ = ["format_float", "dumps_json", "dumps_csv"]
-
-
-def format_float(x: float) -> str:
-    """The shortest text that parses back to the double ``float(x)``."""
-    return repr(float(x))  # float(): numpy 2 reprs np.float64 as np.float64(...)
+__all__ = ["dumps_json", "dumps_csv"]
 
 
 def dumps_json(obj) -> str:
@@ -29,9 +26,10 @@ def dumps_json(obj) -> str:
 def _csv_cell(x) -> str:
     if type(x) is float:  # most cells: skip the checks and the re-wrapping
         return repr(x)
-    if isinstance(x, bool):  # before format_float: a bool is an int
+    if isinstance(x, bool):  # before float(): a bool is an int
         return "true" if x else "false"
-    return x if isinstance(x, str) else format_float(x)
+    # float(): numpy 2 reprs np.float64 as np.float64(...)
+    return x if isinstance(x, str) else repr(float(x))
 
 
 def dumps_csv(header, rows) -> str:

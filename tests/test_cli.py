@@ -90,6 +90,23 @@ class TestExitCodes:
         code, _, _ = run(capsys, "eval", "--u", "0.5", "--v", "0.5")
         assert code == 1
 
+    def test_missing_config_file_is_1(self, capsys, tmp_path):
+        missing = tmp_path / "missing.txt"
+        code, out, err = run(capsys, "eval", "--config", str(missing),
+                             "--u", "0.5", "--v", "0.5")
+        assert code == 1 and out == "" and "missing.txt" in err
+
+    def test_out_into_a_missing_directory_is_1(self, capsys, tmp_path):
+        code, out, err = run(capsys, "path", "--family", "independence",
+                             "--out", str(tmp_path / "no" / "path.csv"))
+        assert code == 1 and out == "" and err.startswith("error: ")
+        assert not (tmp_path / "no").exists()
+
+    def test_family_without_a_sampler_is_2(self, capsys):
+        code, out, err = run(capsys, "risk", "--family", "clayton",
+                             "--theta", "2", "--n", "10000")
+        assert code == 2 and out == "" and err.startswith("error: ")
+
     def test_parameter_error_is_2(self, capsys):
         code, _, err = run(capsys, "eval", "--family", "fgm", "--alpha", "3",
                            "--u", "0.5", "--v", "0.5")

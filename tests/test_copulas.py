@@ -28,7 +28,10 @@ from taildep import (
     check_axioms,
     clayton_generator,
     copula_from_mapping,
+    default_u_grid,
     pointwise_max,
+    solve_path,
+    star_indices,
     zeta_root,
 )
 
@@ -518,6 +521,14 @@ class TestGenerators:
             Archimedean(bad)
         assert err.value.component == "psi_second"
 
+    def test_overflowing_psi_is_a_generator_error(self):
+        # psi(u) = (u^-40 - 1)/40 overflows below u ~ 1e-8: an overflow, not
+        # a level without tail mass
+        with pytest.raises(GeneratorError) as err:
+            solve_path(Archimedean(_plain(clayton_generator(40.0))),
+                       default_u_grid(8))
+        assert err.value.component == "psi"
+
     def test_broken_inverse_rejected(self):
         g = clayton_generator(1.0)
         bad = Generator("badinv", psi=g.psi, psi_prime=g.psi_prime,
@@ -526,6 +537,13 @@ class TestGenerators:
         with pytest.raises(GeneratorError) as err:
             Archimedean(bad)
         assert err.value.component == "psi_inv"
+
+
+def _plain(gen):
+    """A handle with the callables of ``gen`` and no log kernel, so that its
+    Archimedean copula takes the generic psi/psi_inv route."""
+    return Generator(gen.name, psi=gen.psi, psi_prime=gen.psi_prime,
+                     psi_second=gen.psi_second, psi_inv=gen.psi_inv)
 
 
 def _log_clayton_mp(theta, u, v):
@@ -566,8 +584,22 @@ class TestClayton:
         g = np.linspace(0.0, 1.0, 41)
         uu, vv = np.meshgrid(g, g)
         got = Clayton(theta).cdf(uu, vv)
-        want = Archimedean(clayton_generator(theta)).cdf(uu, vv)
+        want = Archimedean(_plain(clayton_generator(theta))).cdf(uu, vv)
         np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+
+    def test_the_generator_evaluates_the_clayton_kernel(self):
+        rng = np.random.default_rng(15)
+        thetas = np.exp(rng.uniform(math.log(0.01), math.log(200.0), 200))
+        u, v = np.exp(rng.uniform(math.log(1e-300), 0.0, (2, 64)))
+        for theta in thetas.tolist():
+            got = Archimedean(clayton_generator(theta)).log_cdf(u, v)
+            assert np.array_equal(got, Clayton(theta).log_cdf(u, v)), theta
+
+    @pytest.mark.parametrize("theta", [40.0, 100.0])
+    def test_the_generator_holds_lambda_star_where_psi_overflows(self, theta):
+        cop = Archimedean(clayton_generator(theta))
+        report = star_indices(solve_path(cop, default_u_grid(8)))
+        assert abs(report.lam - 2.0 ** (-1.0 / theta)) <= 1e-9
 
     @pytest.mark.parametrize("theta", [1e-12, 1e-6, 0.5, 2.0, 10.0])
     def test_log_cdf_matches_mpmath(self, theta):

@@ -326,9 +326,10 @@ class TestCompare:
 class TestSerialization:
     def test_tail_report_stable_field_names(self):
         rep = classical_indices(MarshallOlkin(A, B), GRID).to_json_dict()
-        assert set(rep) == {"kappa", "lambda", "chi", "local_slopes",
-                            "residual", "path_kind", "lambda_degenerate"}
+        assert list(rep) == ["kappa", "lambda", "chi", "local_slopes",
+                             "residual", "path_kind", "lambda_degenerate"]
         assert isinstance(rep["local_slopes"], list)
+        assert rep["path_kind"] == "diagonal"
 
     def test_comparison_report_fields(self):
         rep = compare(MarshallOlkin(A, B), MixtureMO(A, B), GRID).to_json_dict()

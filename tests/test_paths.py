@@ -1153,6 +1153,18 @@ class TestPathCsv:
         header = sol.to_csv().splitlines()[0]
         assert header == "u,x_star_1,pi_star,boundary_attained,all_paths_maximal"
 
+    def test_json_keys_in_order_with_lists(self):
+        sol = solve_path(MixtureMO(A, B), [0.1, 0.01])
+        data = sol.to_json_dict()
+        assert list(data) == ["u_grid", "points"]
+        assert data["u_grid"] == [0.1, 0.01]  # a list: no tuple equals it
+        assert len(data["points"]) == 2
+        for printed, point in zip(data["points"], sol.points):
+            assert list(printed) == ["u", "maximizers", "pi_star",
+                                     "boundary_attained", "all_paths_maximal"]
+            assert printed["maximizers"] == list(point.maximizers)
+            assert len(printed["maximizers"]) == 2
+
     def test_underflowed_values_are_not_printed(self):
         # at u = 1e-300 the maximizer and pi_star underflow to 0, their logs
         # do not; the writers refuse to print the zeros
