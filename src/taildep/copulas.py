@@ -14,9 +14,8 @@ machinery in :mod:`taildep.paths` exact down to u ~ 1e-300; so does the
 survival copula of a family with an exact ``_log_survival`` (below).
 So does ``Archimedean`` on :func:`clayton_generator`, whose generator
 carries Clayton's kernel.  ``Archimedean`` on any other generator takes the
-log of psi_inv(psi(u) + psi(v)), where a psi that overflows raises
-:class:`GeneratorError` naming psi, and any other survival copula the log
-of a linear sum with a stated cancellation floor (last paragraph).
+log of psi_inv(psi(u) + psi(v)), and any other survival copula the log of a
+linear sum with a stated cancellation floor (last paragraph).
 
 Every other fact about a family is an optional method of its class, by
 default None or :class:`UnsupportedMethodError`: ``maximizers``,
@@ -912,19 +911,18 @@ class Archimedean(Copula):
 
     def _log_cdf(self, lu, lv):
         """The generator's log kernel where it has one.  Otherwise
-        log psi_inv(psi(u) + psi(v)), where a psi that is not finite (an
-        overflow, as the kernel never sees u = 0) or a NaN from psi_inv
-        raises :class:`GeneratorError` naming the callable."""
+        log psi_inv(psi(u) + psi(v)), where a NaN from the generator raises
+        :class:`GeneratorError` naming the callable that returned it."""
         g = self.generator
         if g._log_cdf is not None:
             return g._log_cdf(lu, lv)
         with np.errstate(divide="ignore", over="ignore"):
             s = np.asarray(g.psi(np.exp(lu)) + g.psi(np.exp(lv)), dtype=float)
             out = np.asarray(g.psi_inv(s), dtype=float)
-        if not np.isfinite(s).all():
+        if np.any(np.isnan(s)):
             raise GeneratorError(
-                f"generator {g.name!r}: psi overflowed during CDF evaluation",
-                component="psi")
+                f"generator {g.name!r}: psi overflowed to NaN during CDF "
+                "evaluation", component="psi")
         if np.any(np.isnan(out)):
             raise GeneratorError(
                 f"generator {g.name!r}: psi_inv overflowed to NaN during CDF "

@@ -88,10 +88,11 @@ class TailIndexReport:
     lambda_degenerate: bool = False
 
     def to_json_dict(self) -> dict:
-        """The fields in order, ``lam`` as ``lambda`` and tuples as lists;
-        PathKind is a str, so JSON writes its value."""
+        """The fields in order, ``lam`` as ``lambda``, tuples as lists and
+        the path kind as its plain str value."""
         return {"lambda" if k == "lam" else k:
-                list(v) if isinstance(v, tuple) else v
+                list(v) if isinstance(v, tuple)
+                else v.value if isinstance(v, PathKind) else v
                 for k, v in asdict(self).items()}
 
 

@@ -329,7 +329,7 @@ class TestSerialization:
         assert list(rep) == ["kappa", "lambda", "chi", "local_slopes",
                              "residual", "path_kind", "lambda_degenerate"]
         assert isinstance(rep["local_slopes"], list)
-        assert rep["path_kind"] == "diagonal"
+        assert type(rep["path_kind"]) is str and rep["path_kind"] == "diagonal"
 
     def test_comparison_report_fields(self):
         rep = compare(MarshallOlkin(A, B), MixtureMO(A, B), GRID).to_json_dict()

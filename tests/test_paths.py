@@ -45,6 +45,7 @@ from taildep import (
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 from oracles import gc_maximizer, mo_survival_kink  # noqa: E402
+from helpers import generator_without_proof  # noqa: E402
 
 A, B = 0.3529, 0.75
 GRID_4 = [1e-1, 1e-2, 1e-3, 1e-4]
@@ -591,7 +592,7 @@ class TestClosedFormPath:
         # the sampled check passes on both generators; only the proven one
         # has a known maximizer
         assert Archimedean(clayton_generator(1.0)).maximizers(0.1) == (0.1,)
-        assert Archimedean(_generator_without_proof(2.0)).maximizers(0.1) is None
+        assert Archimedean(generator_without_proof(2.0)).maximizers(0.1) is None
 
     def test_generalized_clayton_defers_to_root_solver(self):
         assert GeneralizedClayton(0.04, 0.02).maximizers(0.1) == (
@@ -652,8 +653,7 @@ SHAPED = {
     "generalized_clayton": st.builds(GeneralizedClayton, st.floats(0.02, 5.0),
                                      st.floats(0.0, 5.0)),
     "clayton": st.builds(Clayton, st.floats(0.05, 20.0)),
-    # psi(u^2) = u^(-2 theta) stays finite at u = 1e-100 for theta <= 1.5
-    "archimedean_clayton": st.floats(0.1, 1.5).map(
+    "archimedean_clayton": st.floats(0.05, 20.0).map(
         lambda th: Archimedean(clayton_generator(th))),
     # the survival copulas with an exact kernel and a proven shape
     "survival_marshall_olkin": st.builds(
@@ -663,13 +663,6 @@ SHAPED = {
     "survival_mixture_equal": st.floats(0.0, 1.0).map(
         lambda a: MixtureMO(a, a).survival()),
 }
-
-
-def _generator_without_proof(theta: float) -> Generator:
-    """The Clayton generator's callables in a plain handle, which proves
-    nothing about x psi'(x)."""
-    g = clayton_generator(theta)
-    return Generator("clayton", g.psi, g.psi_prime, g.psi_second, g.psi_inv)
 
 
 class TestShapeFacts:
@@ -687,7 +680,7 @@ class TestShapeFacts:
         (GeneralizedClayton(0.5, 0.0), "diagonal", True),
         (Clayton(2.0), "diagonal", True),
         (Archimedean(clayton_generator(2.0)), "diagonal", True),
-        (Archimedean(_generator_without_proof(2.0)), None, True),
+        (Archimedean(generator_without_proof(2.0)), None, True),
         (MarshallOlkin(A, B).survival(), "peak", False),
         (MarshallOlkin(0.4, 0.4).survival(), "diagonal", True),
         (MixtureMO(A, B).survival(), None, True),
@@ -700,7 +693,7 @@ class TestShapeFacts:
         assert (cop.shape(), cop.exchangeable()) == (shape, exchangeable)
 
     def test_diagonal_check_picks_no_route(self):
-        gen = _generator_without_proof(2.0)
+        gen = generator_without_proof(2.0)
         assert archimedean_diagonal_check(gen, 1e-6)
         assert not gen.slope_nondecreasing()
         assert clayton_generator(2.0).slope_nondecreasing()
@@ -894,8 +887,14 @@ class TestShapeFacts:
     def test_scanned_smooth_peak_at_the_diagonal_is_the_diagonal(self, u):
         # a smooth peak refines to about 2e-8 off log u; on a scanned level
         # the diagonal ties it in its own bracket and absorbs it
-        cop = Archimedean(_generator_without_proof(2.0))
+        cop = Archimedean(generator_without_proof(2.0))
         assert pointwise_max(cop, u).maximizers == (u,)
+
+    def test_scan_point_where_psi_overflows_does_not_end_the_level(self):
+        # psi(1e-100) = 5e199 is finite but the scan also puts v = u^2 and
+        # psi(1e-200) overflows; C = 0 at that one point, never the maximum
+        cop = Archimedean(generator_without_proof(2.0))
+        assert solve_path(cop, [1e-100]).points[0].maximizers == (1e-100,)
 
 
 def _hex_fields(p):
@@ -923,7 +922,7 @@ class TestPrunedScan:
             lambda c: c.a != c.b).map(lambda c: c.survival()),
         st.builds(FGM, st.floats(-1.0, 0.0)),
         st.floats(0.1, 5.0).map(
-            lambda th: Archimedean(_generator_without_proof(th))),
+            lambda th: Archimedean(generator_without_proof(th))),
         # the survival copulas without an exact kernel
         st.just(Independence().survival()),
         st.builds(FGM, st.floats(-1.0, 1.0)).map(lambda c: c.survival()),
