@@ -53,7 +53,8 @@ for kind in ("diagonal", "maximal"):
         "lambda_degenerate"], (kind, list(indices[kind]))
 assert list(path) == ["u_grid", "points"] and path["points"], list(path)
 for point in path["points"]:
-    assert list(point) == ["u", "maximizers", "pi_star", "boundary_attained",
+    assert list(point) == ["u", "maximizers", "log_maximizers", "pi_star",
+                           "log_pi_star", "boundary_attained",
                            "all_paths_maximal"], list(point)
 PY
 code=0
@@ -70,6 +71,19 @@ code=0
 "${td[@]}" path --family independence --umin-exp 400 > /dev/null 2> "$tmp/err" || code=$?
 test "$code" -eq 2
 grep -q min_exponent "$tmp/err"
+
+echo "== deep levels print their logs, and null where the value is below the doubles"
+"${td[@]}" path --family marshall_olkin --a 0.3529 --b 0.75 --umin-exp 300 --umax-exp 299 --format json > "$tmp/deep.json"
+"${td[@]}" eval --family marshall_olkin --a 0.3 --b 0.7 --u 1e-200 --v 1e-200 > "$tmp/deep_eval.json"
+python - "$tmp/deep.json" "$tmp/deep_eval.json" <<'PY'
+import json, math, sys
+path, point = (json.load(open(name)) for name in sys.argv[1:])
+assert len(path["points"]) == 2, path
+for p in path["points"]:
+    assert p["pi_star"] is None and math.isfinite(p["log_pi_star"]), p
+assert point["value"] is None, point
+assert abs(point["log_value"] - -782.8789316179755) <= 1e-12 * 782.8789316179755, point
+PY
 
 echo "== contour files read back: one cell per column, floats round-trip"
 "${td[@]}" contour --family mixture_mo --a 0.3 --b 0.7 --resolution 11 --out "$tmp/c.csv"

@@ -20,11 +20,15 @@ contour    (u, v, C) lattice plus the solved path points, for external plots
 =========  ==================================================================
 
 Floats print as their shortest round-trip ``repr``; JSON is strict, so a
-NaN or infinity is not printed.  Exit codes, from one table
-(``_EXIT_CODES``): 0 success, 1 config parse error or a file that cannot be
-read or written, 2 parameter validation error or a method the family lacks,
-3 any other failure of the package (bracketing, overflow, degenerate tails,
-a non-finite value to print).
+NaN or infinity is not printed.  ``eval`` and ``path`` print each value's
+log beside it (``log_value``; ``log_pi_star`` and ``log_maximizers``, in
+CSV ``log_pi_star`` and ``log_x_star_k``), and a value below the normal
+doubles prints as JSON null or an empty CSV cell, as does the log -inf of
+``eval`` at u or v = 0, where the value is 0.0 exactly.  Exit codes, from
+one table (``_EXIT_CODES``): 0 success, 1 config parse error or a file that
+cannot be read or written, 2 parameter validation error or a method the
+family lacks, 3 any other failure of the package (bracketing, overflow,
+degenerate tails, a NaN or infinity that JSON refuses).
 """
 
 from __future__ import annotations
@@ -52,7 +56,7 @@ from taildep.indices import (
 )
 from taildep.paths import solve_path
 from taildep.risk import ParetoII, reference_table, risk_measures
-from taildep.serialize import dumps_csv, dumps_json
+from taildep.serialize import dumps_csv, dumps_json, normal
 
 # --family plus one flag per parameter key of any family, in registry order
 _COPULA_FLAGS = ("family", *dict.fromkeys(
@@ -192,11 +196,13 @@ def _emit(text: str, out: str | None) -> None:
 
 def _cmd_eval(args) -> str:
     cop = _build_copula(args)
-    value = cop.cdf(args.u, args.v)
+    log_value = cop.log_cdf(args.u, args.v)
+    keys = ("u", "v", "value", "log_value")
+    row = (args.u, args.v, normal(cop.cdf(args.u, args.v), log_value),
+           None if log_value == -np.inf else log_value)  # -inf: u or v is 0
     if args.format == "csv":
-        return dumps_csv(("u", "v", "value"), [(args.u, args.v, value)])
-    return dumps_json({"copula": cop.params(), "u": args.u, "v": args.v,
-                       "value": value})
+        return dumps_csv(keys, [row])
+    return dumps_json({"copula": cop.params(), **dict(zip(keys, row))})
 
 
 def _cmd_axioms(args) -> str:

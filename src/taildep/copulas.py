@@ -354,8 +354,9 @@ class _ShockPair(Copula):
             q = -np.log1p(-np.exp(lv))
             e = self._excess(p, q)
             g = np.log(e)
-            tiny = e < 2.0 ** -969
-            if tiny.any():
+            # the least E first: cheaper than the mask where none is tiny
+            if np.fmin.reduce(e, axis=None, initial=np.inf) < 2.0 ** -969:
+                tiny = e < 2.0 ** -969
                 # below -37, P = e^lu to the last bit, so log P = lu, where P
                 # itself may have lost digits or be 0
                 lp = np.where(lu < -37.0, lu, np.log(p))
@@ -884,10 +885,12 @@ class Archimedean(Copula):
         g = self.generator
         t = _GENERATOR_CHECK_GRID
         try:
-            at_one = float(g.psi(1.0))
-            d1 = np.asarray(g.psi_prime(t), dtype=float)
-            d2 = np.asarray(g.psi_second(t), dtype=float)
-            roundtrip = np.asarray(g.psi_inv(g.psi(t)), dtype=float)
+            # an overflow leaves an infinity, which the checks below name
+            with np.errstate(over="ignore"):
+                at_one = float(g.psi(1.0))
+                d1 = np.asarray(g.psi_prime(t), dtype=float)
+                d2 = np.asarray(g.psi_second(t), dtype=float)
+                roundtrip = np.asarray(g.psi_inv(g.psi(t)), dtype=float)
         except (OverflowError, FloatingPointError) as exc:
             raise GeneratorError(
                 f"generator {g.name!r} failed its validation sweep: {exc}",

@@ -96,6 +96,11 @@ evaluated, and ``solve_path`` builds each level's record from them.  Before
 refinement, a level none of whose values is finite, C(x, u^2/x) = 0 at
 every evaluated x, raises :class:`DegenerateTailError` rather than
 returning an empty answer.
+
+Records: each level's :class:`PathPoint` holds its maximizers and pi_star,
+each followed by its log.  Below u ~ 1e-154, where u^2 underflows, the logs
+stay exact, and a maximizer or pi_star below the normal doubles is None;
+``PathSolution`` prints every field, None as JSON null or an empty CSV cell.
 """
 
 from __future__ import annotations
@@ -108,7 +113,7 @@ import numpy as np
 
 from taildep.copulas import Copula, _check_level
 from taildep.errors import DegenerateTailError, NumericError, ParameterError
-from taildep.serialize import dumps_csv
+from taildep.serialize import dumps_csv, normal
 
 __all__ = [
     "PathPoint",
@@ -137,21 +142,22 @@ _MERGE = 10.0 * _XTOL  # maxima closer in log x are one
 _VALUE = itemgetter(1)  # the log pi of a (log x, log pi) pair
 _TIE_LOG = -math.log1p(-1e-9)  # log of the relative 1e-9 tie window
 _MAX_ITER = 200  # zoom steps per bracket before NumericError
-_TINY = np.finfo(float).tiny  # smallest normal double
 
 
 @dataclass(frozen=True)
 class PathPoint:
-    """Maximizer set and maximal probability at one level u, and their logs,
-    which stay exact where u^2 and the values underflow."""
+    """Maximizer set and maximal probability at one level u, each value
+    followed by its log.  The logs stay exact where u^2 and the values
+    underflow; a maximizer or pi_star below the normal doubles is None
+    (``serialize.normal``), so nothing prints 0.0 for a positive value."""
 
     u: float
-    maximizers: tuple[float, ...]
-    pi_star: float
+    maximizers: tuple[float | None, ...]
+    log_maximizers: tuple[float, ...]
+    pi_star: float | None
     log_pi_star: float
     boundary_attained: bool
     all_paths_maximal: bool
-    log_maximizers: tuple[float, ...]
 
 
 @dataclass(frozen=True)
@@ -161,36 +167,23 @@ class PathSolution:
     u_grid: tuple[float, ...]
     points: tuple[PathPoint, ...]
 
-    def _check_printable(self) -> None:
-        """Raise :class:`NumericError` where a printed maximizer or pi_star
-        has underflowed below the normal double range while its log is
-        finite (a level below u ~ 1e-154, say)."""
-        for p in self.points:
-            for x, log_x in zip((*p.maximizers, p.pi_star),
-                                (*p.log_maximizers, p.log_pi_star)):
-                if x < _TINY and math.isfinite(log_x):
-                    raise NumericError(
-                        f"at u={p.u:.6g} a maximizer or pi_star is "
-                        f"exp({log_x:.6g}), below the double range; "
-                        "read log_maximizers and log_pi_star instead")
-
     def to_json_dict(self) -> dict:
-        """The fields as JSON-ready data, tuples as lists, without the log
-        fields."""
-        self._check_printable()
+        """The fields as JSON-ready data, tuples as lists."""
         return asdict(self, dict_factory=lambda fields: {
-            k: list(v) if isinstance(v, tuple) else v
-            for k, v in fields if not k.startswith("log_")})
+            k: list(v) if isinstance(v, tuple) else v for k, v in fields})
 
     def to_csv(self) -> str:
-        """CSV with variable-width maximizer columns, padded empty."""
-        self._check_printable()
+        """CSV with variable-width maximizer columns, padded empty, and the
+        logs after the other columns, which keep their places: log_pi_star,
+        then log_x_star_k."""
         width = max(len(p.maximizers) for p in self.points)
-        header = ["u", *(f"x_star_{k + 1}" for k in range(width)),
-                  "pi_star", "boundary_attained", "all_paths_maximal"]
+        stars = [f"x_star_{k + 1}" for k in range(width)]
+        header = ["u", *stars, "pi_star", "boundary_attained",
+                  "all_paths_maximal", "log_pi_star", *("log_" + x for x in stars)]
+        pad = (None,) * width
         return dumps_csv(header, (
-            (p.u, *p.maximizers, *[""] * (width - len(p.maximizers)),
-             p.pi_star, p.boundary_attained, p.all_paths_maximal)
+            (p.u, *(p.maximizers + pad)[:width], p.pi_star, p.boundary_attained,
+             p.all_paths_maximal, p.log_pi_star, *(p.log_maximizers + pad)[:width])
             for p in self.points))
 
 
@@ -248,14 +241,15 @@ def _select(level: tuple[float, ...], hi: list[float], t_ref: list[float],
     module docstring; ``mirror`` switches on the rule of that name, and the
     family's ``shape`` names the route.  Candidates closer than the
     refinement resolution merge into the higher; log x = log u is reported
-    as x = u itself.
+    as x = u itself, and a maximizer or pi_star below the normal doubles as
+    None beside its exact log.
     """
     u, log_u, f_lo, f_diag, f_hi, f_floor, f_top = level
     top = max([f_top, *f_ref])
     if _flat(top, f_floor):
-        return PathPoint(u=u, maximizers=(u,), pi_star=math.exp(top),
-                         log_pi_star=top, boundary_attained=False,
-                         all_paths_maximal=True, log_maximizers=(log_u,))
+        return PathPoint(u=u, maximizers=(u,), log_maximizers=(log_u,),
+                         pi_star=normal(math.exp(top), top), log_pi_star=top,
+                         boundary_attained=False, all_paths_maximal=True)
     t_lo = 2.0 * log_u
     inner = [(log_u, f_diag)] if shape == "diagonal" else []
     for t, f, t_hi in zip(t_ref, f_ref, hi):
@@ -281,11 +275,12 @@ def _select(level: tuple[float, ...], hi: list[float], t_ref: list[float],
             log_x.append(t)
             log_f.append(f)
 
-    return PathPoint(u=u, maximizers=tuple([u if t == log_u else math.exp(t)
-                                            for t in log_x]),
-                     pi_star=math.exp(best), log_pi_star=best,
+    maximizers = [u if t == log_u else normal(math.exp(t), t) for t in log_x]
+    return PathPoint(u=u, maximizers=tuple(maximizers),
+                     log_maximizers=tuple(log_x),
+                     pi_star=normal(math.exp(best), best), log_pi_star=best,
                      boundary_attained=best - f_inner > _TIE_LOG,
-                     all_paths_maximal=False, log_maximizers=tuple(log_x))
+                     all_paths_maximal=False)
 
 
 def _vanished(u: float) -> DegenerateTailError:

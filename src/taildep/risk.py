@@ -413,8 +413,9 @@ class RiskTable:
         "q", "b", "tau", "kappa_L", "kappa_L_star", "VaR", "CTE", "MTVar")
 
     def to_json_dict(self) -> dict:
-        rows = [dict(zip(self.columns, astuple(r))) for r in self.rows]
-        return {"a": self.a, "n": self.n, "seed": self.seed, "rows": rows}
+        """The fields in order, each row keyed by its printed column names."""
+        return {**asdict(self), "rows": [dict(zip(self.columns, astuple(r)))
+                                         for r in self.rows]}
 
     def to_csv(self) -> str:
         return dumps_csv(self.columns, map(astuple, self.rows))

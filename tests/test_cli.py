@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import math
 from dataclasses import astuple
 
 import numpy as np
@@ -17,6 +18,8 @@ from taildep import (
 )
 from taildep.cli import main
 from taildep.serialize import dumps_json
+
+from helpers import log_closed_forms
 
 MO_TEXT = "family = marshall_olkin\na = 0.3529\nb = 0.75\n"
 MO_FLAGS = ("--family", "marshall_olkin", "--a", "0.3529", "--b", "0.75")
@@ -43,6 +46,17 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def _eval_fields(out, fmt):
+    """value and log_value of an eval output, None where printed empty."""
+    if fmt == "json":
+        payload = json.loads(out)
+        assert list(payload) == ["copula", "u", "v", "value", "log_value"]
+        return payload["value"], payload["log_value"]
+    header, row = out.splitlines()
+    assert header == "u,v,value,log_value"
+    return tuple(float(c) if c else None for c in row.split(",")[2:])
+
+
 class TestEval:
     def test_json_output(self, capsys, mo_config):
         code, out, _ = run(capsys, "eval", "--config", mo_config,
@@ -58,8 +72,31 @@ class TestEval:
                            "--u", "0.3", "--v", "0.5", "--format", "csv")
         assert code == 0
         header, row = out.splitlines()
-        assert header == "u,v,value"
+        assert header == "u,v,value,log_value"
         assert float(row.split(",")[2]) == pytest.approx(0.15)
+        assert float(row.split(",")[3]) == pytest.approx(math.log(0.15))
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_underflowed_value_prints_empty_beside_its_log(self, capsys, fmt):
+        # C = exp(-782.9) is below the doubles; its log is exact
+        mo = MarshallOlkin(0.3, 0.7)
+        code, out, _ = run(capsys, "eval", "--family", "marshall_olkin",
+                           "--a", "0.3", "--b", "0.7", "--u", "1e-200",
+                           "--v", "1e-200", "--format", fmt)
+        assert code == 0
+        value, log_value = _eval_fields(out, fmt)
+        assert value is None
+        want = mo.log_cdf(1e-200, 1e-200)
+        assert log_value == pytest.approx(want, rel=1e-15)
+        assert log_value == pytest.approx(-782.8789316179755, rel=1e-15)
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_zero_prints_with_an_empty_log(self, capsys, fmt):
+        code, out, _ = run(capsys, "eval", "--family", "marshall_olkin",
+                           "--a", "0.3", "--b", "0.7", "--u", "0",
+                           "--v", "0.5", "--format", fmt)
+        assert code == 0
+        assert _eval_fields(out, fmt) == (0.0, None)
 
     def test_flags_override_config(self, capsys, mo_config):
         code, out, _ = run(capsys, "eval", "--config", mo_config, "--b", "0.5",
@@ -134,17 +171,31 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv", [
         ["path"], ["path", "--format", "json"],
         ["contour", "--resolution", "3", "--out", "c.csv"]])
-    def test_underflowed_path_is_3(self, capsys, tmp_path, monkeypatch, argv):
-        # nothing is written either: neither contour's lattice nor its path file
+    def test_underflowed_path_prints_and_is_0(self, capsys, tmp_path,
+                                              monkeypatch, argv):
+        # pi* and the maximizer are below the doubles at both levels; they
+        # print empty beside their logs, and contour writes both files
         monkeypatch.chdir(tmp_path)
         mo = ["--family", "marshall_olkin", "--a", "0.3529", "--b", "0.75"]
         code, out, err = run(capsys, *argv, *mo,
                              "--umin-exp", "300", "--umax-exp", "299")
-        assert code == 3 and out == "" and "u=1e-299 " in err
-        assert not list(tmp_path.iterdir())
-        code, _, err = run(capsys, *argv, *mo,
-                           "--umin-exp", "300", "--umax-exp", "300")
-        assert code == 3 and "u=1e-300 " in err
+        assert code == 0 and err == ""
+        if argv[0] == "contour":
+            assert sorted(p.name for p in tmp_path.iterdir()) == [
+                "c.csv", "c_path.csv"]
+            out = (tmp_path / "c_path.csv").read_text()
+        if "json" in argv:
+            points = json.loads(out)["points"]
+            rows = [(p["pi_star"], p["log_pi_star"], p["maximizers"])
+                    for p in points]
+        else:
+            rows = [(r["pi_star"] or None, float(r["log_pi_star"]),
+                     [r["x_star_1"] or None])
+                    for r in csv.DictReader(io.StringIO(out))]
+        assert len(rows) == 2
+        for pi_star, log_pi_star, maximizers in rows:
+            assert pi_star is None and maximizers == [None]
+            assert math.isfinite(log_pi_star)
 
     @pytest.mark.parametrize("command", ["axioms", "indices", "risk"])
     def test_format_the_command_cannot_write_is_2(self, capsys, command):
@@ -186,6 +237,27 @@ class TestPath:
         payload = json.loads(out)
         assert len(payload["points"]) == 3
         assert set(payload) == {"u_grid", "points"}
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("exp", ["200", "300"])
+    @pytest.mark.parametrize("family", ["marshall_olkin", "mixture_mo"])
+    def test_deep_logs_are_the_closed_forms(self, capsys, family, exp, fmt):
+        code, out, _ = run(capsys, "path", "--family", family, "--a", "0.3529",
+                           "--b", "0.75", "--umin-exp", exp, "--umax-exp", exp,
+                           "--format", fmt)
+        assert code == 0
+        if fmt == "json":
+            (point,) = json.loads(out)["points"]
+            log_pi, log_x = point["log_pi_star"], point["log_maximizers"]
+        else:
+            (row,) = csv.DictReader(io.StringIO(out))
+            log_pi = float(row["log_pi_star"])
+            log_x = [float(v) for k, v in row.items()
+                     if k.startswith("log_x_star_")]
+        u = float(f"1e-{exp}")
+        want_pi, want_x = log_closed_forms(0.3529, 0.75, u)[family]
+        assert log_pi == pytest.approx(want_pi, rel=1e-12)
+        assert log_x == pytest.approx(want_x, rel=1e-12)
 
     def test_out_file(self, capsys, tmp_path, mo_config):
         target = tmp_path / "path.csv"
@@ -358,7 +430,8 @@ class TestFloatPrecision:
         mo = MarshallOlkin(0.3529, 0.75)
         table = reference_table(seed=3, n=20_000)
         solution = solve_path(mo, default_u_grid(8))
-        path_rows = [[p.u, *p.maximizers, p.pi_star] for p in solution.points]
+        path_rows = [[p.u, *p.maximizers, p.pi_star, p.log_pi_star,
+                      *p.log_maximizers] for p in solution.points]
         g = np.linspace(0.0, 1.0, 11)
         uu, vv = np.meshgrid(g, g, indexing="ij")
         lattice_rows = np.column_stack(
@@ -376,7 +449,8 @@ class TestFloatPrecision:
             assert code == 0
             outputs[argv[0]] = out
         expected = [
-            (outputs["eval"], [[0.1, 0.2, mo.cdf(0.1, 0.2)]]),
+            (outputs["eval"], [[0.1, 0.2, mo.cdf(0.1, 0.2),
+                                mo.log_cdf(0.1, 0.2)]]),
             (outputs["path"], path_rows),
             (outputs["table1"], [astuple(r) for r in table.rows]),
             (lattice.read_text(), lattice_rows),

@@ -2,6 +2,7 @@
 
 import math
 import sys
+import warnings
 from pathlib import Path
 
 import mpmath
@@ -410,6 +411,13 @@ class TestExactSurvival:
             assert (MixtureMO(a, a)._log_survival(x, y).tobytes()
                     == MarshallOlkin(a, a)._log_survival(x, y).tobytes())
 
+    @pytest.mark.parametrize("cop", [MarshallOlkin(A, B), MixtureMO(A, B)],
+                             ids=repr)
+    def test_empty_arrays_give_an_empty_array(self, cop):
+        for shape in ((0,), (0, 3)):
+            out = cop.survival().log_cdf(np.empty(shape), np.empty(shape))
+            assert out.shape == shape
+
 
 SURVIVALS = [c.survival() for c in ALL_FAMILIES]
 
@@ -530,6 +538,15 @@ class TestGenerators:
         with pytest.raises(GeneratorError) as err:
             Archimedean(bad)
         assert err.value.component == "psi_inv"
+
+    def test_overflowing_sweep_is_a_generator_error_not_a_warning(self):
+        # psi'(0.05) = -0.05^-241 overflows: the sweep names psi', and no
+        # RuntimeWarning escapes
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(GeneratorError) as err:
+                Archimedean(clayton_generator(240.0))
+        assert err.value.component == "psi_prime"
 
 
 def _log_clayton_mp(theta, u, v):

@@ -2,6 +2,7 @@
 
 import csv
 import io
+import json
 import math
 import sys
 from dataclasses import dataclass
@@ -14,6 +15,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from taildep import paths
+from taildep.serialize import dumps_json
 from taildep import (
     FGM,
     Archimedean,
@@ -45,7 +47,7 @@ from taildep import (
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 from oracles import gc_maximizer, mo_survival_kink  # noqa: E402
-from helpers import generator_without_proof  # noqa: E402
+from helpers import generator_without_proof, log_closed_forms  # noqa: E402
 
 A, B = 0.3529, 0.75
 GRID_4 = [1e-1, 1e-2, 1e-3, 1e-4]
@@ -409,19 +411,11 @@ class TestSolvePath:
 
     @pytest.mark.parametrize("u", [1e-200, 1e-300])
     def test_deep_levels_match_closed_forms_in_log_space(self, u):
-        # u^2 and the maximizers are below the double range; their logs are
-        # not.  MO: log pi* = kappa* log u at log x* = 2b/(a+b) log u.  The
-        # mixture: half the sum of its two MO components, the smaller one
-        # u^delta times the larger, delta = 2 min(a, b) |a - b| / (a + b),
-        # with maximizers at 2b/(a+b) log u and 2a/(a+b) log u.
-        lu, s = math.log(u), A + B
-        kappa = 2.0 - 2.0 * A * B / s
-        delta = 2.0 * min(A, B) * abs(A - B) / s
+        # u^2 and the maximizers are below the double range; their logs are not
+        want = log_closed_forms(A, B, u)
         mo = solve_path(MarshallOlkin(A, B), [1e-1, u]).points[1]
         mix = solve_path(MixtureMO(A, B), [1e-1, u]).points[1]
-        cases = [(mo, kappa * lu, [2.0 * B / s * lu]),
-                 (mix, kappa * lu + math.log(0.5) + math.log1p(math.exp(delta * lu)),
-                  [2.0 * B / s * lu, 2.0 * A / s * lu])]
+        cases = [(mo, *want["marshall_olkin"]), (mix, *want["mixture_mo"])]
         for point, log_pi, log_x in cases:
             assert point.log_pi_star == pytest.approx(log_pi, rel=1e-12)
             assert len(point.log_maximizers) == len(log_x)
@@ -898,8 +892,10 @@ class TestShapeFacts:
 
 
 def _hex_fields(p):
-    """Every field of a PathPoint, floats as float.hex."""
-    return (p.u.hex(), [x.hex() for x in p.maximizers], p.pi_star.hex(),
+    """Every field of a PathPoint, floats as float.hex, None as None."""
+    def hx(x):
+        return None if x is None else x.hex()
+    return (p.u.hex(), [hx(x) for x in p.maximizers], hx(p.pi_star),
             p.log_pi_star.hex(), p.boundary_attained, p.all_paths_maximal,
             [t.hex() for t in p.log_maximizers])
 
@@ -1135,11 +1131,15 @@ class TestPathCsv:
         sol = solve_path(MixtureMO(A, B), [0.1, 0.01])
         text = sol.to_csv()
         rows = list(csv.DictReader(io.StringIO(text)))
-        assert rows[0].keys() == {"u", "x_star_1", "x_star_2", "pi_star",
-                                  "boundary_attained", "all_paths_maximal"}
+        assert list(rows[0]) == [
+            "u", "x_star_1", "x_star_2", "pi_star", "boundary_attained",
+            "all_paths_maximal", "log_pi_star", "log_x_star_1", "log_x_star_2"]
         for row, point in zip(rows, sol.points):
             assert float(row["u"]) == point.u
             assert float(row["pi_star"]) == point.pi_star
+            assert float(row["log_pi_star"]) == point.log_pi_star
+            assert [float(row[f"log_x_star_{k}"]) for k in (1, 2)] == list(
+                point.log_maximizers)
             assert row["boundary_attained"] == "false"
 
     def test_boundary_rows_padded(self):
@@ -1150,7 +1150,8 @@ class TestPathCsv:
     def test_single_maximizer_width(self):
         sol = solve_path(MarshallOlkin(A, B), [0.1, 0.01])
         header = sol.to_csv().splitlines()[0]
-        assert header == "u,x_star_1,pi_star,boundary_attained,all_paths_maximal"
+        assert header == ("u,x_star_1,pi_star,boundary_attained,"
+                          "all_paths_maximal,log_pi_star,log_x_star_1")
 
     def test_json_keys_in_order_with_lists(self):
         sol = solve_path(MixtureMO(A, B), [0.1, 0.01])
@@ -1159,26 +1160,45 @@ class TestPathCsv:
         assert data["u_grid"] == [0.1, 0.01]  # a list: no tuple equals it
         assert len(data["points"]) == 2
         for printed, point in zip(data["points"], sol.points):
-            assert list(printed) == ["u", "maximizers", "pi_star",
-                                     "boundary_attained", "all_paths_maximal"]
+            assert list(printed) == [
+                "u", "maximizers", "log_maximizers", "pi_star", "log_pi_star",
+                "boundary_attained", "all_paths_maximal"]
             assert printed["maximizers"] == list(point.maximizers)
+            assert printed["log_maximizers"] == list(point.log_maximizers)
             assert len(printed["maximizers"]) == 2
 
-    def test_underflowed_values_are_not_printed(self):
-        # at u = 1e-300 the maximizer and pi_star underflow to 0, their logs
-        # do not; the writers refuse to print the zeros
+    def test_underflowed_values_print_empty_beside_their_logs(self):
+        # at u = 1e-300 the maximizer and pi_star are below the double range,
+        # their logs are not: they print as null or empty beside the logs
         deep = solve_path(MarshallOlkin(A, B), [1e-150, 1e-300])
         point = deep.points[1]
-        assert point.maximizers == (0.0,) and point.pi_star == 0.0
+        assert point.maximizers == (None,) and point.pi_star is None
         assert math.isfinite(point.log_pi_star)
-        for write in (deep.to_csv, deep.to_json_dict):
-            with pytest.raises(NumericError, match=r"u=1e-300 "):
-                write()
+        row = list(csv.DictReader(io.StringIO(deep.to_csv())))[1]
+        assert row["x_star_1"] == row["pi_star"] == ""
+        assert float(row["log_pi_star"]) == point.log_pi_star
+        assert float(row["log_x_star_1"]) == point.log_maximizers[0]
+        printed = json.loads(dumps_json(deep.to_json_dict()))["points"][1]
+        assert printed["maximizers"] == [None] and printed["pi_star"] is None
+        assert printed["log_maximizers"] == list(point.log_maximizers)
         shallow = solve_path(MarshallOlkin(A, B), [1e-150])
         row = shallow.to_csv().splitlines()[1].split(",")
         assert float(row[1]) == shallow.points[0].maximizers[0] > 0.0
         assert float(row[2]) == shallow.points[0].pi_star > 0.0
 
+    @pytest.mark.parametrize("u", [1e-100, 1e-155, 1e-160, 1e-200, 1e-300])
+    def test_every_printed_value_is_normal_or_empty(self, u):
+        # a maximizer or pi_star is its math.exp where that is a normal
+        # double, and None below, never 0.0 or a subnormal; the diagonal
+        # maximizer is u itself
+        for cop in (MarshallOlkin(A, B), MixtureMO(A, B), Independence()):
+            point = pointwise_max(cop, u)
+            for x, t in zip((*point.maximizers, point.pi_star),
+                            (*point.log_maximizers, point.log_pi_star)):
+                if x == u:
+                    continue
+                want = math.exp(t)
+                assert x == (want if want >= sys.float_info.min else None)
 
 class TestSolverOptions:
     def test_default_xtol_accepted_down_to_smallest_grids(self):

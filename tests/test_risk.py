@@ -12,6 +12,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -751,3 +752,13 @@ class TestReferenceTable:
         assert lines[0] == "q,b,tau,kappa_L,kappa_L_star,VaR,CTE,MTVar"
         assert len(lines) == 7
         assert all(len(line.split(",")) == 8 for line in lines[1:])
+
+    def test_json_keys_are_the_fields_in_order(self, table):
+        data = table.to_json_dict()
+        assert list(data) == ["a", "marginal", "n", "seed", "rows"]
+        assert data["marginal"] == {"mu": 0.0, "sigma": 1.0, "alpha": 4.0}
+        assert (data["a"], data["n"], data["seed"]) == (A, 200_000, 11)
+        for printed, row in zip(data["rows"], table.rows, strict=True):
+            assert list(printed) == list(table.columns)
+            assert list(printed.values()) == [
+                getattr(row, f.name) for f in fields(row)]
