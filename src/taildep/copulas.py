@@ -12,10 +12,12 @@ evaluation routes go through it, vectorized over numpy arrays:
 Each named family evaluates its kernel from the logs, which keeps the tail
 machinery in :mod:`taildep.paths` exact down to u ~ 1e-300; so does the
 survival copula of a family with an exact ``_log_survival`` (below).
-So does ``Archimedean`` on :func:`clayton_generator`, whose generator
-carries Clayton's kernel.  ``Archimedean`` on any other generator takes the
-log of psi_inv(psi(u) + psi(v)), and any other survival copula the log of a
-linear sum with a stated cancellation floor (last paragraph).
+``Archimedean`` evaluates nothing itself: its :class:`Generator` checks
+the Archimedean contract when it is built and evaluates the kernel, the
+log of psi_inv(psi(u) + psi(v)), or an exact log kernel where the generator
+has one, as :func:`clayton_generator`'s has Clayton's.  Any other survival
+copula takes the log of a linear sum with a stated cancellation floor (last
+paragraph).
 
 Every other fact about a family is an optional method of its class, by
 default None or :class:`UnsupportedMethodError`: ``maximizers``,
@@ -112,6 +114,8 @@ def _as_unit(x, name: str, hi_open: bool = False) -> np.ndarray:
 
 
 def _scalar_like(result: np.ndarray, *inputs) -> np.ndarray | float:
+    """The one scalar-in, scalar-out rule: result as a float where every
+    input is a scalar."""
     if all(np.ndim(i) == 0 for i in inputs):
         return float(result)
     return result
@@ -658,8 +662,10 @@ class GeneralizedClayton(Copula):
         return (self.gamma1 / gt) * lu - g0 * _log_exp_sum_m1(-lu / gt, -lv / g0)
 
     def maximizers(self, u):
-        """The unique root of :func:`zeta`, to a relative 1e-12."""
-        return (zeta_root(self.gamma0, self.gamma1, u, xtol=1e-12),)
+        """The diagonal where g1 = 0 (``shape``), else the unique root of
+        :func:`zeta`, to a relative 1e-12."""
+        return Copula.maximizers(self, u) or (
+            zeta_root(self.gamma0, self.gamma1, u, xtol=1e-12),)
 
     def kappa_star(self):
         return 1.0 + self.gamma1 / (self.gamma1 + 2.0 * self.gamma0)
@@ -713,7 +719,7 @@ def zeta(gamma0: float, gamma1: float, u: float, x) -> float | np.ndarray:
         raise EvaluationOverflowError(
             f"zeta overflowed: u^(-2/gamma0) = exp({rhs - math.log(gamma0 / (gamma0 + gamma1)):.1f}) "
             "exceeds double-precision range; work with zeta_root instead")
-    return float(out) if np.ndim(x) == 0 else out
+    return _scalar_like(out, x)
 
 
 def zeta_root(gamma0: float, gamma1: float, u: float,
@@ -777,15 +783,26 @@ class Clayton(Copula):
         return "diagonal"
 
 
+# the points of the generator's validation sweep (``Generator.__post_init__``)
+_GENERATOR_CHECK_GRID = np.linspace(0.05, 0.95, 19)
+
+
 @dataclass(frozen=True, eq=False)
 class Generator:
-    """Handle for an Archimedean generator psi.
+    """Handle for an Archimedean generator psi, which states the whole
+    Archimedean contract: it checks itself when it is built, and its
+    ``_log_cdf`` is the kernel of its copula psi_inv(psi(u) + psi(v)).
 
     All four callables must be explicit and vectorized; inverting psi
     numerically is deliberately unsupported because inversion error would
-    contaminate CDF values at tail levels around 1e-6.  Handles compare by
-    identity: the name alone does not tell two generators apart, and
-    ``params``, the generator's parameters by name, tell them apart in print.
+    contaminate CDF values at tail levels around 1e-6.  Construction sweeps
+    ``_GENERATOR_CHECK_GRID`` and raises :class:`GeneratorError`, naming the
+    callable, unless psi(1) = 0, psi' < 0, psi'' > 0, psi > 0 and
+    psi_inv(psi(t)) = t hold there.  A NaN fails every check; an infinity
+    of the required sign, an overflow of a valid value, passes.  Handles
+    compare by identity: the name alone does not tell two generators apart,
+    and ``params``, the generator's parameters by name, tell them apart in
+    print.
     """
 
     name: str
@@ -795,9 +812,49 @@ class Generator:
     psi_inv: Callable
     params: dict[str, float] = field(default_factory=dict)
 
-    # log C(e^lu, e^lv) of the Archimedean copula on this generator, where a
-    # generator has a log kernel; None takes the psi/psi_inv route
-    _log_cdf = None
+    def __post_init__(self):
+        t = _GENERATOR_CHECK_GRID
+        try:
+            # an overflow leaves an infinity, which passes a check below where
+            # its sign is the required one
+            with np.errstate(over="ignore"):
+                at_one = float(self.psi(1.0))
+                d1 = np.asarray(self.psi_prime(t), dtype=float)
+                d2 = np.asarray(self.psi_second(t), dtype=float)
+                s = np.asarray(self.psi(t), dtype=float)
+                finite = (s > 0.0) & (s < np.inf)  # psi = +inf: no round trip
+                back = np.asarray(self.psi_inv(s[finite]), dtype=float)
+        except (OverflowError, FloatingPointError) as exc:
+            raise GeneratorError(
+                f"generator {self.name!r} failed its validation sweep: {exc}",
+                component="psi") from exc
+        # (component, what must hold, message), in order
+        for component, holds, message in (
+                ("psi", abs(at_one) <= 1e-9, f"psi(1) = {at_one!r}, expected 0"),
+                ("psi_prime", d1 < 0.0, "psi' must be negative on (0, 1)"),
+                ("psi_second", d2 > 0.0, "psi'' must be positive on (0, 1)"),
+                ("psi", s > 0.0, "psi must be positive on (0, 1)"),
+                ("psi_inv", np.abs(back - t[finite]) <= 1e-8,
+                 "psi_inv(psi(t)) != t on the check grid")):
+            if not np.all(holds):
+                raise GeneratorError(f"generator {self.name!r}: {message}",
+                                     component=component)
+
+    def _log_cdf(self, lu, lv):
+        """log C(e^lu, e^lv) = log psi_inv(psi(u) + psi(v)) of the
+        Archimedean copula on this generator, where a NaN raises
+        :class:`GeneratorError` naming the callable that returned it.  A
+        generator with an exact log kernel overrides it."""
+        with np.errstate(divide="ignore", over="ignore"):
+            s = np.asarray(self.psi(np.exp(lu)) + self.psi(np.exp(lv)), dtype=float)
+            out = np.asarray(self.psi_inv(s), dtype=float)
+        for component, value in (("psi", s), ("psi_inv", out)):
+            if np.any(np.isnan(value)):
+                raise GeneratorError(
+                    f"generator {self.name!r}: {component} returned NaN during "
+                    "CDF evaluation", component=component)
+        with np.errstate(divide="ignore"):
+            return np.log(out)
 
     def slope_nondecreasing(self) -> bool:
         """Whether h(x) = x psi'(x) is proven nondecreasing on (0, 1]; then
@@ -870,68 +927,18 @@ def archimedean_diagonal_check(generator: Generator, u: float) -> bool:
     return bool(np.all(np.diff(g) >= -slack))
 
 
-_GENERATOR_CHECK_GRID = np.linspace(0.05, 0.95, 19)
-
-
 @dataclass(frozen=True)
 class Archimedean(Copula):
-    """Archimedean copula psi_inv(psi(u) + psi(v))."""
+    """Archimedean copula psi_inv(psi(u) + psi(v)) on a :class:`Generator`,
+    which has checked its contract when it was built and evaluates the
+    kernel."""
 
     generator: Generator
 
     family: ClassVar[str] = "archimedean"
 
-    def __post_init__(self):
-        g = self.generator
-        t = _GENERATOR_CHECK_GRID
-        try:
-            # an overflow leaves an infinity, which the checks below name
-            with np.errstate(over="ignore"):
-                at_one = float(g.psi(1.0))
-                d1 = np.asarray(g.psi_prime(t), dtype=float)
-                d2 = np.asarray(g.psi_second(t), dtype=float)
-                roundtrip = np.asarray(g.psi_inv(g.psi(t)), dtype=float)
-        except (OverflowError, FloatingPointError) as exc:
-            raise GeneratorError(
-                f"generator {g.name!r} failed its validation sweep: {exc}",
-                component="psi") from exc
-        if abs(at_one) > 1e-9:
-            raise GeneratorError(
-                f"generator {g.name!r}: psi(1) = {at_one!r}, expected 0",
-                component="psi")
-        if np.any(~np.isfinite(d1)) or np.any(d1 >= 0.0):
-            raise GeneratorError(
-                f"generator {g.name!r}: psi' must be negative on (0, 1)",
-                component="psi_prime")
-        if np.any(~np.isfinite(d2)) or np.any(d2 <= 0.0):
-            raise GeneratorError(
-                f"generator {g.name!r}: psi'' must be positive on (0, 1)",
-                component="psi_second")
-        if np.max(np.abs(roundtrip - t)) > 1e-8:
-            raise GeneratorError(
-                f"generator {g.name!r}: psi_inv(psi(t)) != t on the check grid",
-                component="psi_inv")
-
     def _log_cdf(self, lu, lv):
-        """The generator's log kernel where it has one.  Otherwise
-        log psi_inv(psi(u) + psi(v)), where a NaN from the generator raises
-        :class:`GeneratorError` naming the callable that returned it."""
-        g = self.generator
-        if g._log_cdf is not None:
-            return g._log_cdf(lu, lv)
-        with np.errstate(divide="ignore", over="ignore"):
-            s = np.asarray(g.psi(np.exp(lu)) + g.psi(np.exp(lv)), dtype=float)
-            out = np.asarray(g.psi_inv(s), dtype=float)
-        if np.any(np.isnan(s)):
-            raise GeneratorError(
-                f"generator {g.name!r}: psi overflowed to NaN during CDF "
-                "evaluation", component="psi")
-        if np.any(np.isnan(out)):
-            raise GeneratorError(
-                f"generator {g.name!r}: psi_inv overflowed to NaN during CDF "
-                "evaluation", component="psi_inv")
-        with np.errstate(divide="ignore"):
-            return np.log(out)
+        return self.generator._log_cdf(lu, lv)
 
     def exchangeable(self):
         """psi(u) + psi(v) is symmetric in u and v."""

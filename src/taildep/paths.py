@@ -111,7 +111,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from taildep.copulas import Copula, _check_level
+from taildep.copulas import Copula, _check_level, _scalar_like
 from taildep.errors import DegenerateTailError, NumericError, ParameterError
 from taildep.serialize import dumps_csv, normal
 
@@ -204,8 +204,7 @@ def pi_phi(cop: Copula, u: float, x) -> float | np.ndarray:
     if not np.all((lx >= log_uu) & (lx <= 0.0)):
         raise ParameterError(
             f"x must lie in [u^2, 1] = [exp({log_uu!r}), 1], got {x!r}")
-    out = np.exp(_log_pi(cop, log_u, lx))
-    return float(out) if np.ndim(x) == 0 else out
+    return _scalar_like(np.exp(_log_pi(cop, log_u, lx)), x)
 
 
 def _log_pi(cop: Copula, log_u: float | np.ndarray, t: np.ndarray,

@@ -58,6 +58,7 @@ from taildep.copulas import (
     _as_unit,
     _check_int,
     _check_param,
+    _scalar_like,
 )
 from taildep.errors import InsufficientTailError, NumericError, ParameterError
 from taildep.serialize import dumps_csv
@@ -97,13 +98,11 @@ class ParetoII:
     def sf(self, x):
         """Survival function, 1 at and below x = mu and decreasing above."""
         xa = np.maximum(np.asarray(x, dtype=float), self.mu)
-        out = ((xa - self.mu) / self.sigma + 1.0) ** -self.alpha
-        return float(out) if np.ndim(x) == 0 else out
+        return _scalar_like(((xa - self.mu) / self.sigma + 1.0) ** -self.alpha, x)
 
     def quantile(self, p):
         """Inverse CDF: mu + sigma ((1 - p)^(-1/alpha) - 1) for p in [0, 1)."""
-        out = self._quantile(_as_unit(p, "p", hi_open=True))
-        return float(out) if np.ndim(p) == 0 else out
+        return _scalar_like(self._quantile(_as_unit(p, "p", hi_open=True)), p)
 
     def _quantile(self, p: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """``quantile`` without the range check, into ``out`` (may be p)."""

@@ -476,6 +476,10 @@ class TestKendallTau:
             FGM(0.5).tau()
 
 
+def _nan_like(t):
+    return np.full_like(np.asarray(t, dtype=float), np.nan)
+
+
 class TestGenerators:
     def test_clayton_generator_accepted(self):
         Archimedean(clayton_generator(0.5))
@@ -505,48 +509,92 @@ class TestGenerators:
 
     def test_nonzero_at_one_rejected(self):
         g = clayton_generator(1.0)
-        bad = Generator("shifted", psi=lambda t: g.psi(t) + 0.1,
-                        psi_prime=g.psi_prime, psi_second=g.psi_second,
-                        psi_inv=g.psi_inv)
         with pytest.raises(GeneratorError) as err:
-            Archimedean(bad)
+            Generator("shifted", psi=lambda t: g.psi(t) + 0.1,
+                      psi_prime=g.psi_prime, psi_second=g.psi_second,
+                      psi_inv=g.psi_inv)
         assert err.value.component == "psi"
 
     def test_increasing_generator_rejected(self):
-        bad = Generator("rising", psi=lambda t: np.asarray(t) - 1.0,
-                        psi_prime=lambda t: np.ones_like(np.asarray(t, dtype=float)),
-                        psi_second=lambda t: np.ones_like(np.asarray(t, dtype=float)),
-                        psi_inv=lambda s: np.asarray(s) + 1.0)
         with pytest.raises(GeneratorError) as err:
-            Archimedean(bad)
+            Generator("rising", psi=lambda t: np.asarray(t) - 1.0,
+                      psi_prime=lambda t: np.ones_like(np.asarray(t, dtype=float)),
+                      psi_second=lambda t: np.ones_like(np.asarray(t, dtype=float)),
+                      psi_inv=lambda s: np.asarray(s) + 1.0)
         assert err.value.component == "psi_prime"
 
     def test_concave_generator_rejected(self):
         g = clayton_generator(1.0)
-        bad = Generator("concave", psi=g.psi, psi_prime=g.psi_prime,
-                        psi_second=lambda t: -np.asarray(g.psi_second(t)),
-                        psi_inv=g.psi_inv)
         with pytest.raises(GeneratorError) as err:
-            Archimedean(bad)
+            Generator("concave", psi=g.psi, psi_prime=g.psi_prime,
+                      psi_second=lambda t: -np.asarray(g.psi_second(t)),
+                      psi_inv=g.psi_inv)
         assert err.value.component == "psi_second"
 
     def test_broken_inverse_rejected(self):
         g = clayton_generator(1.0)
-        bad = Generator("badinv", psi=g.psi, psi_prime=g.psi_prime,
-                        psi_second=g.psi_second,
-                        psi_inv=lambda s: np.asarray(g.psi_inv(s)) * 1.01)
         with pytest.raises(GeneratorError) as err:
-            Archimedean(bad)
+            Generator("badinv", psi=g.psi, psi_prime=g.psi_prime,
+                      psi_second=g.psi_second,
+                      psi_inv=lambda s: np.asarray(g.psi_inv(s)) * 1.01)
         assert err.value.component == "psi_inv"
 
-    def test_overflowing_sweep_is_a_generator_error_not_a_warning(self):
-        # psi'(0.05) = -0.05^-241 overflows: the sweep names psi', and no
-        # RuntimeWarning escapes
+    @pytest.mark.parametrize("theta", [240.0, 1000.0])
+    def test_overflowing_sweep_constructs(self, theta):
+        # psi'(0.05) = -0.05^-(theta+1) overflows to -inf, an overflow of a
+        # valid value: the copula constructs with no warning, and its
+        # lambda* is Clayton's 2^(-1/theta)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cop = Archimedean(clayton_generator(theta))
+            report = star_indices(solve_path(cop, default_u_grid(8)))
+        assert abs(report.lam - 2.0 ** (-1.0 / theta)) <= 1e-12
+
+    def test_overflow_of_the_wrong_sign_is_a_generator_error_not_a_warning(self):
+        # psi''(0.05) = -0.05^-400 overflows to -inf: no convex generator
+        g = clayton_generator(1.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(GeneratorError) as err:
-                Archimedean(clayton_generator(240.0))
-        assert err.value.component == "psi_prime"
+                Generator("concave", psi=g.psi, psi_prime=g.psi_prime,
+                          psi_second=lambda t: -np.power(t, -400.0),
+                          psi_inv=g.psi_inv)
+        assert err.value.component == "psi_second"
+
+    @pytest.mark.parametrize("component, callables", [
+        ("psi", lambda g: {"psi": lambda t: np.where(
+            np.asarray(t) == 1.0, np.nan, g.psi(t))}),
+        ("psi_prime", lambda g: {"psi_prime": _nan_like}),
+        ("psi_second", lambda g: {"psi_second": _nan_like}),
+        ("psi", lambda g: {"psi": lambda t: np.where(
+            np.asarray(t) == 1.0, 0.0, _nan_like(t))}),
+        ("psi_inv", lambda g: {"psi_inv": _nan_like}),
+    ], ids=["psi(1)", "psi'", "psi''", "psi(t)", "psi_inv"])
+    def test_nan_is_rejected_naming_its_callable(self, component, callables):
+        g = clayton_generator(1.0)
+        kw = {"psi": g.psi, "psi_prime": g.psi_prime,
+              "psi_second": g.psi_second, "psi_inv": g.psi_inv, **callables(g)}
+        with pytest.raises(GeneratorError) as err:
+            Generator("nan", **kw)
+        assert err.value.component == component
+
+    @pytest.mark.parametrize("component, callables", [
+        ("psi", lambda g: {"psi": lambda t: np.where(
+            np.asarray(t) < 0.01, np.nan, g.psi(t))}),
+        ("psi_inv", lambda g: {"psi_inv": lambda s: np.where(
+            np.asarray(s) > 1e3, np.nan, g.psi_inv(s))}),
+    ], ids=["psi", "psi_inv"])
+    @pytest.mark.parametrize("u", [1e-3, 1e-4])
+    def test_nan_in_evaluation_names_its_callable(self, component, callables, u):
+        # valid on the check grid [0.05, 0.95], so it constructs; psi(u) is
+        # above 1e3 at u <= 1e-3, where the NaN comes out
+        g = generator_without_proof(2.0)
+        kw = {"psi": g.psi, "psi_prime": g.psi_prime,
+              "psi_second": g.psi_second, "psi_inv": g.psi_inv, **callables(g)}
+        cop = Archimedean(Generator("nan", **kw))
+        with pytest.raises(GeneratorError, match="returned NaN") as err:
+            cop.cdf(u, 0.5)
+        assert err.value.component == component
 
 
 def _log_clayton_mp(theta, u, v):
@@ -569,6 +617,13 @@ class TestGeneralizedClaytonStructure:
             want = _log_clayton_mp(1 / mpmath.mpf(g0), u, v)
             assert gc.log_cdf(u, v) == pytest.approx(want, rel=1e-15)
             assert gc.cdf(u, v) == pytest.approx(math.exp(want), rel=1e-15)
+
+    @pytest.mark.parametrize("u", [0.1, 1e-6, 1e-50])
+    def test_symmetric_maximizer_is_the_diagonal(self, u):
+        # g1 = 0: the shape is "diagonal", so the closed form is x = u itself,
+        # as the solver finds it, not zeta's root a few ulp away
+        gc = GeneralizedClayton(0.7, 0.0)
+        assert gc.maximizers(u) == pointwise_max(gc, u).maximizers == (u,)
 
     def test_symmetric_case_equals_clayton(self):
         # gamma1 = 0 reduces to the Archimedean Clayton with theta = 1/gamma0
